@@ -2,11 +2,12 @@
 
 Modules
 -------
-radial        graded grids, quadrature, radial derivative and Laplacian
+radial        graded grids, quadrature, radial derivative, finite-volume Laplacian
 ground_state  the explicit bubble, scalings, Pohozaev/energy calibration
 functionals   energy, Nehari functional, set membership, weighted-norm decay
 evolve        adaptive IMEX integration with dissipation/blowup verdicts
-spectral      radial spectra, decay character, linear heat decay bounds
+spectral      Hankel transform (scipy Bessel kernel), radial spectra, decay
+              character, linear heat decay bounds
 families      named initial-data families
 experiments   dichotomy sweeps, decay-rate fits, splitting diagnostic
 config        run configuration parsing and serialization
@@ -22,7 +23,6 @@ from .radial import (
     ddr,
     make_grid,
     radial_integral,
-    radial_laplacian,
     sphere_area,
 )
 from .ground_state import GroundStateSpec, aubin_talenti, pohozaev_residual, rescale
@@ -54,7 +54,6 @@ __all__ = [
     "nehari",
     "pohozaev_residual",
     "radial_integral",
-    "radial_laplacian",
     "rescale",
     "run_flow",
     "sphere_area",

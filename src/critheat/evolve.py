@@ -282,6 +282,19 @@ def _snapshot_ladder(first: float, factor: float, t_max: float, forced: tuple) -
     return sorted(times)
 
 
+def threshold_band(e_w: float, e_w_run: float | None = None) -> float:
+    """Half-width of the AtThreshold band around E(W).
+
+    Ten classification tolerances of E(W), widened to twice the run grid's
+    own E(W) bias when a same-grid reference `e_w_run` is supplied: a margin
+    inside the grid's quadrature error is not a resolvable margin.
+    """
+    band = 10.0 * functionals.TOL_THRESHOLD_REL * abs(e_w)
+    if e_w_run is not None:
+        band = max(band, 2.0 * abs(e_w_run - e_w))
+    return band
+
+
 def run_flow(
     u0: RadialField,
     e_w: float,
@@ -305,12 +318,9 @@ def run_flow(
 ) -> Trajectory:
     """Integrate from u0 until a verdict fires or t reaches t_max.
 
-    Near-threshold data is ill-conditioned for the dichotomy and is reported
-    Undecided without stepping: the guard band is ten classification
-    tolerances of E(W), widened to twice the run grid's own E(W) bias when a
-    same-grid reference `e_w_run` is supplied (a margin inside the grid's
-    quadrature error is not a resolvable margin). Numerical corruption is
-    reported as Undecided("corruption").
+    Near-threshold data (inside `threshold_band`) is ill-conditioned for the
+    dichotomy and is reported Undecided without stepping. Numerical
+    corruption is reported as Undecided("corruption").
     """
     grid = u0.grid
     d = grid.d
@@ -349,10 +359,7 @@ def run_flow(
 
     if threshold_guard:
         e0 = traj.snapshots[0].report.energy
-        band = 10.0 * functionals.TOL_THRESHOLD_REL * abs(e_w)
-        if e_w_run is not None:
-            band = max(band, 2.0 * abs(e_w_run - e_w))
-        if abs(e0 - e_w) < band:
+        if abs(e0 - e_w) < threshold_band(e_w, e_w_run):
             traj.verdict = Verdict(
                 UNDECIDED, 0.0, {"reason": "at_threshold", "margin": abs(e0 - e_w)}
             )

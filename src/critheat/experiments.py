@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evolve, families, functionals, ground_state, spectral
 from .config import RunConfig
-from .radial import RadialField, ddr, radial_integral, radial_laplacian
+from .radial import RadialField
 
 
 class WindowTooShortError(RuntimeError):
@@ -59,13 +59,16 @@ class SplittingReport:
     alpha: float | None = None
 
 
-def run_config(cfg: RunConfig) -> evolve.Trajectory:
-    """Build the grid and initial field of a configuration and integrate it."""
+def _setup(cfg: RunConfig) -> tuple[RadialField, float]:
+    """Initial field of a configuration on its grid, and E(W) on that grid."""
     grid = cfg.make_grid()
     u0 = families.build_initial(cfg.family, cfg.params, grid, cfg.seed)
-    ref = ground_state.reference(cfg.dimension)
     w_run = ground_state.aubin_talenti(ground_state.GroundStateSpec(cfg.dimension), grid)
-    e_w_run = functionals.energy(w_run)
+    return u0, functionals.energy(w_run)
+
+
+def _integrate(cfg: RunConfig, u0: RadialField, e_w_run: float) -> evolve.Trajectory:
+    ref = ground_state.reference(cfg.dimension)
     return evolve.run_flow(
         u0,
         e_w=ref.e_w,
@@ -88,27 +91,26 @@ def run_config(cfg: RunConfig) -> evolve.Trajectory:
     )
 
 
+def run_config(cfg: RunConfig) -> evolve.Trajectory:
+    """Build the grid and initial field of a configuration and integrate it."""
+    return _integrate(cfg, *_setup(cfg))
+
+
 def _sweep_row(cfg: RunConfig) -> SweepRow:
-    grid = cfg.make_grid()
-    u0 = families.build_initial(cfg.family, cfg.params, grid, cfg.seed)
+    u0, e_w_run = _setup(cfg)
     ref = ground_state.reference(cfg.dimension)
     rep = functionals.energy_report(0.0, u0)
     e_ratio = rep.energy / ref.e_w
     grad_ratio = math.sqrt(rep.h1_sq / ref.grad_sq_w)
     l2_finite = rep.l2_sq is not None
-    w_run = ground_state.aubin_talenti(ground_state.GroundStateSpec(cfg.dimension), grid)
-    band = max(
-        10.0 * functionals.TOL_THRESHOLD_REL * ref.e_w,
-        2.0 * abs(functionals.energy(w_run) - ref.e_w),
-    )
-    margin_ok = abs(rep.energy - ref.e_w) > band
+    margin_ok = abs(rep.energy - ref.e_w) > evolve.threshold_band(ref.e_w, e_w_run)
     if margin_ok and rep.energy <= ref.e_w and grad_ratio < 1.0:
         branch = "I"
     elif margin_ok and rep.energy <= ref.e_w and grad_ratio > 1.0 and l2_finite:
         branch = "II"
     else:
         branch = "none"
-    traj = run_config(cfg)
+    traj = _integrate(cfg, u0, e_w_run)
     verdict = traj.verdict
     consistent = True
     if branch == "I" and verdict.kind == evolve.BLOWUP:
@@ -231,12 +233,11 @@ def splitting_diagnostic(
     if len(snaps) < 3:
         raise evolve.MissingCheckpointError("splitting needs >= 3 field checkpoints")
     c_lo, c_hi = c_range
-    specs = []
-    for s in snaps:
-        r_needed = math.sqrt(gp(s.t) / (c_lo * g(s.t)))
-        s_hi = min(max(2.0 * r_needed, 1.0), s_cap)
-        s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
-        specs.append(spectral.hankel_spectrum(s.field, s_nodes))
+    # one node set wide enough for the largest ball any checkpoint needs
+    r_needed = max(math.sqrt(gp(s.t) / (c_lo * g(s.t))) for s in snaps)
+    s_hi = min(max(2.0 * r_needed, 1.0), s_cap)
+    s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
+    specs = spectral.hankel_spectra([s.field for s in snaps], s_nodes)
 
     def margins(c_tilde: float) -> np.ndarray:
         out = []
@@ -252,11 +253,12 @@ def splitting_diagnostic(
             out.append((rhs - lhs) / scale)
         return np.array(out)
 
-    if margins(c_lo).min() < -1e-9:
+    at_lo = margins(c_lo)
+    if at_lo.min() < -1e-9:
         return SplittingReport(
             g_choice=g_choice, c_tilde=None,
             times=tuple(0.5 * (a.t + b.t) for a, b in zip(snaps, snaps[1:])),
-            margins=tuple(margins(c_lo)), alpha=alpha,
+            margins=tuple(at_lo), alpha=alpha,
         )
     lo, hi = c_lo, c_hi
     if margins(hi).min() >= 0.0:
@@ -274,23 +276,3 @@ def splitting_diagnostic(
         times=tuple(0.5 * (a.t + b.t) for a, b in zip(snaps, snaps[1:])),
         margins=tuple(margins(fitted)), alpha=alpha,
     )
-
-
-def nonlinear_estimate_check(u: RadialField) -> tuple[float, float]:
-    """Both sides of the gradient-pairing bound for the nonlinearity.
-
-    lhs = <grad u, grad(|u|^{4/(d-2)} u)>, rhs = ||u||_{H1}^{4/(d-2)}
-    ||u||_{H2}^2 with the second derivative taken by differences; the ratio
-    lhs/rhs is the empirically observed constant and is scale invariant.
-    """
-    d = u.grid.d
-    p = 4.0 / (d - 2.0)
-    nl = u.with_values(np.abs(u.values) ** p * u.values)
-    du = ddr(u)
-    dnl = ddr(nl)
-    lhs = radial_integral(u.with_values(du.values * dnl.values))
-    h1 = functionals.h1_norm_sq(u)
-    lap = radial_laplacian(u)
-    h2 = radial_integral(u.with_values(lap.values**2))
-    rhs = h1 ** (2.0 / (d - 2.0)) * h2
-    return lhs, rhs

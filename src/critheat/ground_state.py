@@ -160,19 +160,14 @@ def default_grid(d: int) -> RadialGrid:
 
 @dataclass(frozen=True)
 class GroundStateReference:
-    """Cached per-dimension threshold quantities on the calibration grid."""
+    """Per-dimension threshold quantities ||grad W||^2 and E(W)."""
 
     d: int
     e_w: float
     grad_sq_w: float
 
 
-@lru_cache(maxsize=None)
 def reference(d: int) -> GroundStateReference:
-    grid = default_grid(d)
-    w = aubin_talenti(GroundStateSpec(d), grid)
-    return GroundStateReference(
-        d=d,
-        e_w=ground_state_energy(d, grid),
-        grad_sq_w=functionals.h1_norm_sq(w),
-    )
+    """Exact threshold quantities: E(W) = ||grad W||^2 / d in closed form."""
+    grad_sq_w = grad_norm_sq_closed_form(d)
+    return GroundStateReference(d=d, e_w=grad_sq_w / d, grad_sq_w=grad_sq_w)

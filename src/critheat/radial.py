@@ -2,9 +2,10 @@
 
 Radially symmetric functions on R^d (d >= 3) are represented by samples on a
 graded one-dimensional grid 0 = r_0 < r_1 < ... < r_{n-1} = R. Integrals carry
-the surface measure of the unit (d-1)-sphere; derivatives use second-order
-finite differences that honor the symmetry condition u_r(0) = 0 and reduce the
-Laplacian to u_rr + ((d-1)/r) u_r, with the limit d * u_rr(0) at the origin.
+the surface measure of the unit (d-1)-sphere; the first derivative uses
+second-order finite differences that honor the symmetry condition u_r(0) = 0,
+and the Laplacian is the conservative finite-volume operator
+r^{1-d} (r^{d-1} u_r)_r on the grid's dual cells.
 """
 
 from __future__ import annotations
@@ -150,31 +151,6 @@ class RadialGrid:
         di[1:] = -(lo[1:] + up[1:])
         return lo, di, up
 
-    @cached_property
-    def laplacian_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tridiagonal (lower, diag, upper) of the radial Laplacian.
-
-        Rows cover nodes 0 .. n-2 (the last node is Dirichlet territory).
-        Row 0 encodes the symmetric origin limit d * u_rr(0) with the
-        two-point even-extension formula 2d (u_1 - u_0) / r_1^2.
-        """
-        r = self.nodes
-        d = self.d
-        m = self.n - 1
-        lo = np.zeros(m)
-        di = np.zeros(m)
-        up = np.zeros(m)
-        c0 = 2.0 * d / r[1] ** 2
-        di[0] = -c0
-        up[0] = c0
-        hm = r[1:m] - r[0 : m - 1]
-        hp = r[2 : m + 1] - r[1:m]
-        rr = r[1:m]
-        lo[1:] = (2.0 - (d - 1) * hp / rr) / (hm * (hm + hp))
-        up[1:] = (2.0 + (d - 1) * hm / rr) / (hp * (hm + hp))
-        di[1:] = -2.0 / (hm * hp) + (d - 1) / rr * (hp - hm) / (hm * hp)
-        return lo, di, up
-
 
 @dataclass(eq=False)
 class RadialField:
@@ -288,24 +264,4 @@ def ddr(f: RadialField) -> RadialField:
     )
     out[0] = 0.0
     out[-1] = _fd_weights(r[-3:], r[-1], 1) @ u[-3:]
-    return RadialField(grid, out)
-
-
-def radial_laplacian(f: RadialField) -> RadialField:
-    """u_rr + ((d-1)/r) u_r, with the symmetric limit d * u_rr(0) at r = 0."""
-    grid = f.grid
-    if grid.n < 3:
-        raise ValueError("Laplacian stencils need at least 3 nodes")
-    u = f.values
-    r = grid.nodes
-    lo, di, up = grid.laplacian_bands
-    out = np.empty_like(u)
-    m = grid.n - 1
-    out[0] = di[0] * u[0] + up[0] * u[1]
-    out[1:m] = lo[1:] * u[0 : m - 1] + di[1:] * u[1:m] + up[1:] * u[2 : m + 1]
-    # one-sided closure at r = R: 4-point u_rr plus 3-point u_r
-    k = min(4, grid.n)
-    w2 = _fd_weights(r[-k:], r[-1], 2)
-    w1 = _fd_weights(r[-3:], r[-1], 1)
-    out[-1] = w2 @ u[-k:] + (grid.d - 1) / r[-1] * (w1 @ u[-3:])
     return RadialField(grid, out)

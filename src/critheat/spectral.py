@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.special import jv
 
-from .bessel import bessel_j
 from .radial import RadialField, sphere_area
 
 CLOSED_FORM_KINDS = ("power_gauss", "power")
@@ -270,32 +270,47 @@ def decay_bounds_check(spec: SpectrumFn, r_star: float, t_grid) -> tuple[float, 
     return min(ratios), max(ratios)
 
 
-def hankel_spectrum(u: RadialField, s_nodes) -> SpectrumFn:
-    """Tabulated radial Fourier transform of a physical field.
+def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
+    """Tabulated radial Fourier transforms of several fields on one grid.
 
     vhat(s) = s^{-(d-2)/2} int_0^R u(r) J_{(d-2)/2}(r s) r^{d/2} dr in the
-    unitary convention, so Plancherel holds with constant one. Requires the
-    field to have decayed to <= 1e-8 of its peak at the outer radius.
+    unitary convention, so Plancherel holds with constant one. One Bessel
+    kernel serves every field. Requires each field to have decayed to <= 1e-8
+    of its peak at the outer radius.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     if np.any(s_nodes <= 0) or np.any(np.diff(s_nodes) <= 0):
         raise ValueError("frequency nodes must be positive and strictly increasing")
-    grid = u.grid
-    peak = float(np.max(np.abs(u.values)))
-    edge = float(np.abs(u.values[-1]))
-    if peak > 0.0 and edge > 1e-8 * peak:
-        raise TailMassError(
-            f"field carries {edge/peak:.2e} of its peak at r = R; transform would alias"
-        )
+    grid = fields[0].grid
+    if any(u.grid.d != grid.d or not np.array_equal(u.grid.nodes, grid.nodes) for u in fields):
+        raise ValueError("fields must share one grid")
+    for u in fields:
+        peak = float(np.max(np.abs(u.values)))
+        edge = float(np.abs(u.values[-1]))
+        if peak > 0.0 and edge > 1e-8 * peak:
+            raise TailMassError(
+                f"field carries {edge/peak:.2e} of its peak at r = R; transform would alias"
+            )
     nu = (grid.d - 2) / 2.0
     r = grid.nodes
-    w = grid.line_weights * u.values * r ** (grid.d / 2.0)
-    kernel = bessel_j(nu, np.outer(s_nodes, r))
-    vals = (kernel @ w) * s_nodes ** (-nu)
-    return SpectrumFn(
-        d=grid.d, kind="tabulated", s_nodes=s_nodes, values=vals,
-        description="hankel transform",
-    )
+    rpow = r ** (grid.d / 2.0)
+    weighted = np.stack([grid.line_weights * u.values * rpow for u in fields])
+    kernel = jv(nu, np.outer(s_nodes, r))
+    # einsum, not `@`: a BLAS product this size wakes the BLAS thread pool,
+    # whose threads keep spinning on another core after the call returns
+    vals = np.einsum("fr,sr->fs", weighted, kernel) * s_nodes ** (-nu)
+    return [
+        SpectrumFn(
+            d=grid.d, kind="tabulated", s_nodes=s_nodes, values=v,
+            description="hankel transform",
+        )
+        for v in vals
+    ]
+
+
+def hankel_spectrum(u: RadialField, s_nodes) -> SpectrumFn:
+    """Tabulated radial Fourier transform of one field; see `hankel_spectra`."""
+    return hankel_spectra([u], s_nodes)[0]
 
 
 def ball_h1_mass(spec: SpectrumFn, radius: float) -> float:

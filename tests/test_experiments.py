@@ -149,6 +149,9 @@ class TestSplitting:
             report = experiments.splitting_diagnostic(traj, g_choice=g_choice, alpha=alpha)
             assert report.c_tilde is not None
             assert min(report.margins) >= -1e-9
+            # byte-identical CSV needs a deterministic batched transform
+            again = experiments.splitting_diagnostic(traj, g_choice=g_choice, alpha=alpha)
+            assert again.margins == report.margins
 
     def test_stationary_bubble_is_degenerate(self):
         # constant critical norm: the inequality closes only as the ball grows,
@@ -164,28 +167,3 @@ class TestSplitting:
         report = experiments.splitting_diagnostic(traj, c_range=(1e-3, 50.0))
         worst = min(report.margins) if report.c_tilde is None else min(report.margins)
         assert worst >= -5e-3
-
-
-class TestNonlinearEstimate:
-    def test_zero_field(self):
-        grid = grid_for_span(5, 50.0, 0.02, 0.01)
-        lhs, rhs = experiments.nonlinear_estimate_check(RadialField(grid, np.zeros(grid.n)))
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_bubble_constant_finite(self):
-        grid = grid_for_span(5, 300.0, 0.005, 0.002)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
-        lhs, rhs = experiments.nonlinear_estimate_check(w)
-        assert rhs > 0 and lhs > 0
-        assert lhs / rhs < 10.0
-
-    def test_ratio_scale_invariant(self):
-        grid = grid_for_span(5, 300.0, 0.002, 0.0008)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
-        base = None
-        for lam in (0.5, 1.0, 2.0):
-            lhs, rhs = experiments.nonlinear_estimate_check(gs.rescale(w, lam))
-            ratio = lhs / rhs
-            if base is None:
-                base = ratio
-            assert ratio == pytest.approx(base, rel=0.02)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critheat import ground_state
 from critheat.radial import (
     CorruptionError,
     RadialField,
@@ -13,7 +12,6 @@ from critheat.radial import (
     grid_for_span,
     make_grid,
     radial_integral,
-    radial_laplacian,
     sphere_area,
 )
 
@@ -145,33 +143,6 @@ class TestDerivatives:
         assert 1.8 <= rate <= 2.2
         rate = math.log2(errs[1] / errs[2])
         assert 1.8 <= rate <= 2.2
-
-    def test_laplacian_of_r_squared(self):
-        for d in (3, 5, 8):
-            g = make_grid(d, 10.0, 101, 1.0)
-            out = radial_laplacian(RadialField(g, g.nodes**2))
-            assert np.allclose(out.values, 2.0 * d, rtol=1e-9)
-
-    def test_laplacian_annihilates_constants(self):
-        g = make_grid(4, 5.0, 80, 1.01)
-        out = radial_laplacian(RadialField(g, np.full(g.n, -2.2)))
-        assert np.allclose(out.values, 0.0, atol=1e-10)
-
-    def test_laplacian_matches_stationary_equation(self):
-        # Delta W = -W^{(d+2)/(d-2)} for the explicit bubble; interior error O(h^2)
-        d = 5
-        errs = []
-        for h0 in (0.02, 0.01, 0.005):
-            g = grid_for_span(d, 50.0, h0, 2 * h0)
-            w = ground_state.aubin_talenti(ground_state.GroundStateSpec(d), g)
-            lap = radial_laplacian(w)
-            target = -w.values ** ((d + 2) / (d - 2))
-            interior = slice(0, g.n - 1)
-            errs.append(np.max(np.abs(lap.values[interior] - target[interior])))
-        rate = math.log2(errs[0] / errs[1])
-        assert 1.6 <= rate <= 2.4
-        rate = math.log2(errs[1] / errs[2])
-        assert 1.6 <= rate <= 2.4
 
 
 class TestConservativeOperator:

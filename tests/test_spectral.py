@@ -2,42 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
 from critheat import functionals as fn
 from critheat import spectral as sp
-from critheat.bessel import bessel_j
 from critheat.radial import RadialField, grid_for_span, make_grid, sphere_area
-
-
-class TestBessel:
-    @pytest.mark.parametrize("twice_nu", range(0, 12))
-    def test_against_scipy(self, twice_nu):
-        nu = twice_nu / 2.0
-        x = np.concatenate(
-            [np.geomspace(1e-6, 1.0, 30), np.linspace(1.0, 30.0, 67), np.geomspace(30.0, 400.0, 40)]
-        )
-        mine = bessel_j(nu, x)
-        ref = special.jv(nu, x)
-        # scale by the oscillation envelope so zeros do not dominate
-        envelope = np.maximum(np.abs(ref), np.sqrt(2 / (math.pi * x)) * 1e-3)
-        assert np.max(np.abs(mine - ref) / envelope) < 1e-9
-
-    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 4.5])
-    def test_overlap_window(self, nu):
-        # the small- and large-argument branches agree through [10, 14]
-        x = np.linspace(10.0, 14.0, 81)
-        ref = special.jv(nu, x)
-        assert np.max(np.abs(bessel_j(nu, x) - ref) / np.abs(ref).max()) < 1e-10
-
-    def test_at_zero(self):
-        assert bessel_j(0.0, 0.0) == 1.0
-        assert bessel_j(1.0, 0.0) == 0.0
-        assert bessel_j(0.5, 0.0) == 0.0
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            bessel_j(0.3, 1.0)
 
 
 class TestLowFreqMass:
@@ -164,7 +132,8 @@ class TestDecayBounds:
 
 
 class TestHankel:
-    @pytest.mark.parametrize("d", [3, 4, 5])
+    # d = 3 .. 13 covers the Bessel orders nu = (d-2)/2 = 0.5 .. 5.5, both parities
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 10, 11, 13])
     def test_gaussian_pair(self, d):
         # amp e^{-(r/w)^2}  <->  amp (w^2/2)^{d/2} e^{-(w s/2)^2}, unitary convention
         grid = grid_for_span(d, 14.0, 2e-3, 1e-3)
@@ -174,6 +143,19 @@ class TestHankel:
         spec = sp.hankel_spectrum(u, s)
         exact = (w * w / 2.0) ** (d / 2.0) * np.exp(-(w * w / 4.0) * s * s)
         assert np.max(np.abs(spec.values - exact)) < 1e-4 * exact[0]
+
+    def test_batched_matches_single_field(self):
+        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
+        r = grid.nodes
+        fields = [RadialField(grid, np.exp(-((r / w) ** 2))) for w in (0.8, 1.3, 2.0)]
+        s = np.concatenate([np.geomspace(5e-4, 0.1, 25), np.linspace(0.12, 12.0, 140)])
+        batch = sp.hankel_spectra(fields, s)
+        for u, spec in zip(fields, batch):
+            single = sp.hankel_spectrum(u, s).values
+            assert np.max(np.abs(spec.values - single)) <= 1e-12 * np.max(np.abs(single))
+        other = grid_for_span(4, 14.0, 4e-3, 1e-3)
+        with pytest.raises(ValueError):
+            sp.hankel_spectra([fields[0], RadialField(other, np.exp(-other.nodes**2))], s)
 
     def test_zero_field(self):
         grid = grid_for_span(3, 10.0, 0.01, 0.005)
