@@ -27,12 +27,13 @@ from .radial import (
 )
 from .ground_state import GroundStateSpec, aubin_talenti, pohozaev_residual, rescale
 from .functionals import EnergyReport, SetMembership, classify_set, energy, kq_weight, nehari
-from .evolve import Snapshot, SolverState, Trajectory, Verdict, run_flow, step
+from .evolve import FlowSettings, Snapshot, SolverState, Trajectory, Verdict, run_flow, step
 from .spectral import SpectrumFn, decay_character, hankel_spectrum, linear_heat_l2_sq
 
 __all__ = [
     "CorruptionError",
     "EnergyReport",
+    "FlowSettings",
     "GroundStateSpec",
     "RadialField",
     "RadialGrid",

@@ -7,6 +7,7 @@ list), and returns a category exit code:
     0  success            2  configuration error     3  I/O error
     4  numerical corruption                          5  theorem-inconsistent sweep row
     1  partial: sweep rows without a decided verdict or without hypotheses
+    6  internal error: an exception the front end does not expect
 
 Identical (config, seed) pairs reproduce byte-identical CSV; manifests may
 differ in wall time only.
@@ -86,11 +87,7 @@ def _series_rows(traj: evolve.Trajectory) -> list[list]:
 
 
 def _load_config(path: str, seed: int | None, out_flag: str | None) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
-    cfg = parse_config(text)
+    cfg = parse_config(Path(path).read_text())
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if out_flag is not None:
@@ -332,6 +329,9 @@ def main(argv=None) -> int:
     except (ValueError, experiments.WindowTooShortError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # keep exit 1 for partial sweeps, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Run configuration: a JSON-compatible tree, validated with no silent defaults.
 
 `parse_config` fills every default and records it, so serializing the result
-and parsing it again yields an identical value. The content hash of the
+and parsing it again yields an identical value. Each default is the default of
+a dataclass field (`evolve.FlowSettings` for the flow parameters); `KEYS`
+places each field in the tree and says which values it accepts, and both
+`parse_config` and `RunConfig.to_json` read it. The content hash of the
 materialized configuration identifies a run in its output manifest.
 """
 
@@ -9,9 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from . import families
+from .evolve import NONLINEARITY_SIGN, FlowSettings
 from .radial import RadialGrid, make_grid
 
 
@@ -19,28 +25,16 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration; the message names the field."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(FlowSettings):
+    """The flow settings plus the grid, the initial data and the outputs."""
+
     dimension: int
     r_max: float
     n_nodes: int
-    stretch: float
+    stretch: float = 1.0
     family: str
     family_params: tuple
-    tol: float = 1e-5
-    dt_init: float = 1e-5
-    dt_min: float = 1e-12
-    t_max: float = 1e4
-    snapshot_first: float = 1e-3
-    snapshot_factor: float = 1.3
-    checkpoint_every: int = 4
-    forced_times: tuple = ()
-    eps_dissip_rel: float = 1e-6
-    kq_streak: int = 5
-    blowup_factor: float = 10.0
-    amp_cap: float = 1e8
-    nonlinearity: str = "focusing"
-    q: float | None = None
     fit_t_lo: float = 2.0
     seed: int = 0
     out_dir: str | None = None
@@ -53,33 +47,13 @@ class RunConfig:
         return make_grid(self.dimension, self.r_max, self.n_nodes, self.stretch)
 
     def to_json(self) -> str:
-        tree = {
-            "dimension": self.dimension,
-            "grid": {"R": self.r_max, "n": self.n_nodes, "stretch": self.stretch},
-            "family": {"name": self.family, **self.params},
-            "integrator": {
-                "tol": self.tol,
-                "dt_init": self.dt_init,
-                "dt_min": self.dt_min,
-                "t_max": self.t_max,
-                "nonlinearity": self.nonlinearity,
-            },
-            "snapshots": {
-                "first": self.snapshot_first,
-                "factor": self.snapshot_factor,
-                "checkpoint_every": self.checkpoint_every,
-                "forced_times": list(self.forced_times),
-            },
-            "verdict": {
-                "eps_dissip_rel": self.eps_dissip_rel,
-                "kq_streak": self.kq_streak,
-                "blowup_factor": self.blowup_factor,
-                "amp_cap": self.amp_cap,
-            },
-            "diagnostics": {"q": self.q, "fit_t_lo": self.fit_t_lo},
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        tree: dict = {}
+        for key in KEYS:
+            section, _, name = key.path.rpartition(".")
+            node = tree.setdefault(section, {}) if section else tree
+            value = getattr(self, key.field)
+            node[name] = list(value) if isinstance(value, tuple) else value
+        tree["family"].update(self.params)
         return json.dumps(tree, indent=2, sort_keys=True)
 
     def content_hash(self) -> str:
@@ -87,28 +61,103 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _require(tree: dict, key: str, kind, where: str):
-    if key not in tree:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    value = tree[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+def _expected(what: str, value, where: str) -> ConfigError:
+    return ConfigError(f"{where}: expected {what}, got {type(value).__name__}")
+
+
+def _int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected("an integer", value, where)
     return value
 
 
-def _optional(tree: dict, key: str, default, where: str):
-    if key not in tree or tree[key] is None:
-        return default
-    value = tree[key]
-    if isinstance(default, float) and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if default is not None and not isinstance(value, type(default)):
-        raise ConfigError(
-            f"{where}.{key}: expected {type(default).__name__}, got {type(value).__name__}"
-        )
+def _number(value, where: str):
+    """A finite number, kept as written so that an integer keeps its hash."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected("a number", value, where)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
     return value
+
+
+def _float(value, where: str) -> float:
+    return float(_number(value, where))
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise _expected("a string", value, where)
+    return value
+
+
+def _times(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise _expected("a list", value, where)
+    return tuple(_number(t, f"{where}[{i}]") for i, t in enumerate(value))
+
+
+def _positive(value) -> bool:
+    return value > 0
+
+
+class Key(NamedTuple):
+    """Where a RunConfig field lives in the JSON tree and what it accepts."""
+
+    path: str  # "section.key", or "key" at the top level
+    field: str
+    read: Callable  # (JSON value, path) -> field value, or ConfigError
+    ok: Callable = lambda value: True
+    rule: str = ""  # what `ok` demands, for the error message
+
+
+KEYS = (
+    Key("dimension", "dimension", _int, lambda v: v >= 3, ">= 3"),
+    Key("grid.R", "r_max", _float, _positive, "> 0"),
+    Key("grid.n", "n_nodes", _int, lambda v: v >= 16, ">= 16"),
+    Key("grid.stretch", "stretch", _float, lambda v: 1.0 <= v <= 1.2, "in [1, 1.2]"),
+    Key("family.name", "family", _text, lambda v: v in families.FAMILIES,
+        f"a registered family {sorted(families.FAMILIES)}"),
+    Key("integrator.tol", "tol", _float, _positive, "> 0"),
+    Key("integrator.dt_init", "dt_init", _float, _positive, "> 0"),
+    Key("integrator.dt_min", "dt_min", _float, _positive, "> 0"),
+    Key("integrator.t_max", "t_max", _float, _positive, "> 0"),
+    Key("integrator.nonlinearity", "nonlinearity", _text, lambda v: v in NONLINEARITY_SIGN,
+        f"one of {sorted(NONLINEARITY_SIGN)}"),
+    Key("snapshots.first", "snapshot_first", _float, _positive, "> 0"),
+    Key("snapshots.factor", "snapshot_factor", _float, lambda v: v > 1, "> 1"),
+    Key("snapshots.checkpoint_every", "checkpoint_every", _int, lambda v: v >= 1, ">= 1"),
+    Key("snapshots.forced_times", "forced_times", _times, lambda v: all(t > 0 for t in v),
+        "times > 0"),
+    Key("verdict.eps_dissip_rel", "eps_dissip_rel", _float, _positive, "> 0"),
+    Key("verdict.kq_streak", "kq_streak", _int, lambda v: v >= 1, ">= 1"),
+    Key("verdict.blowup_factor", "blowup_factor", _float, _positive, "> 0"),
+    Key("verdict.amp_cap", "amp_cap", _float, _positive, "> 0"),
+    Key("diagnostics.q", "q", _number, _positive, "> 0"),
+    Key("diagnostics.fit_t_lo", "fit_t_lo", _float),
+    Key("seed", "seed", _int, lambda v: v >= 0, ">= 0"),
+    Key("out_dir", "out_dir", _text),
+)
+
+#: (object, key) pairs the tree may hold, "" being the top level; the family
+#: object also holds the family's own parameters, and the `sweep` verb reads
+#: `sweep` from the same file
+_KNOWN = {key.path.rpartition(".")[::2] for key in KEYS}
+_KNOWN |= {("", section) for section, _ in _KNOWN if section} | {("", "sweep")}
+
+
+def _section(tree: dict, name: str) -> dict:
+    if not name:
+        return tree
+    node = tree.get(name)
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise _expected("an object", node, name)
+    return node
 
 
 def parse_config(text: str) -> RunConfig:
@@ -117,72 +166,30 @@ def parse_config(text: str) -> RunConfig:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # oversized integers, deep nesting
+        raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(tree, dict):
         raise ConfigError("top level must be an object")
+    for name, node in tree.items():
+        if ("", name) not in _KNOWN:
+            raise ConfigError(f"{name}: unknown key")
+        for key in node if isinstance(node, dict) and name != "family" else ():
+            if (name, key) not in _KNOWN:
+                raise ConfigError(f"{name}.{key}: unknown key")
 
-    dimension = _require(tree, "dimension", int, "config")
-    if dimension < 3:
-        raise ConfigError(f"dimension: must be >= 3, got {dimension}")
-
-    grid = _require(tree, "grid", dict, "config")
-    r_max = _require(grid, "R", float, "grid")
-    n_nodes = _require(grid, "n", int, "grid")
-    stretch = _optional(grid, "stretch", 1.0, "grid")
-    if r_max <= 0:
-        raise ConfigError(f"grid.R: must be positive, got {r_max}")
-    if n_nodes < 16:
-        raise ConfigError(f"grid.n: must be >= 16, got {n_nodes}")
-    if not 1.0 <= stretch <= 1.2:
-        raise ConfigError(f"grid.stretch: must lie in [1, 1.2], got {stretch}")
-
-    fam = _require(tree, "family", dict, "config")
-    name = _require(fam, "name", str, "family")
-    if name not in families.FAMILIES:
-        raise ConfigError(
-            f"family.name: unknown family {name!r}; registered: {sorted(families.FAMILIES)}"
-        )
-    params = {k: v for k, v in fam.items() if k != "name"}
-
-    integ = _optional(tree, "integrator", {}, "config")
-    snaps = _optional(tree, "snapshots", {}, "config")
-    verdict = _optional(tree, "verdict", {}, "config")
-    diag = _optional(tree, "diagnostics", {}, "config")
-
-    nonlinearity = _optional(integ, "nonlinearity", "focusing", "integrator")
-    if nonlinearity not in ("focusing", "defocusing", "off"):
-        raise ConfigError(f"integrator.nonlinearity: unknown mode {nonlinearity!r}")
-
-    cfg = RunConfig(
-        dimension=dimension,
-        r_max=r_max,
-        n_nodes=n_nodes,
-        stretch=stretch,
-        family=name,
-        family_params=tuple(sorted(params.items())),
-        tol=_optional(integ, "tol", 1e-5, "integrator"),
-        dt_init=_optional(integ, "dt_init", 1e-5, "integrator"),
-        dt_min=_optional(integ, "dt_min", 1e-12, "integrator"),
-        t_max=_optional(integ, "t_max", 1e4, "integrator"),
-        nonlinearity=nonlinearity,
-        snapshot_first=_optional(snaps, "first", 1e-3, "snapshots"),
-        snapshot_factor=_optional(snaps, "factor", 1.3, "snapshots"),
-        checkpoint_every=_optional(snaps, "checkpoint_every", 4, "snapshots"),
-        forced_times=tuple(_optional(snaps, "forced_times", [], "snapshots")),
-        eps_dissip_rel=_optional(verdict, "eps_dissip_rel", 1e-6, "verdict"),
-        kq_streak=_optional(verdict, "kq_streak", 5, "verdict"),
-        blowup_factor=_optional(verdict, "blowup_factor", 10.0, "verdict"),
-        amp_cap=_optional(verdict, "amp_cap", 1e8, "verdict"),
-        q=diag.get("q"),
-        fit_t_lo=_optional(diag, "fit_t_lo", 2.0, "diagnostics"),
-        seed=_optional(tree, "seed", 0, "config"),
-        out_dir=tree.get("out_dir"),
-    )
-    for field_name in ("tol", "dt_init", "dt_min", "t_max", "snapshot_first",
-                       "eps_dissip_rel", "blowup_factor", "amp_cap"):
-        if not getattr(cfg, field_name) > 0:
-            raise ConfigError(f"{field_name}: must be positive")
-    if cfg.snapshot_factor <= 1.0:
-        raise ConfigError(f"snapshots.factor: must exceed 1, got {cfg.snapshot_factor}")
-    if any(t <= 0 for t in cfg.forced_times):
-        raise ConfigError("snapshots.forced_times: entries must be positive")
-    return cfg
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    values = {}
+    for key in KEYS:
+        section, _, name = key.path.rpartition(".")
+        raw = _section(tree, section).get(name)
+        if raw is None:
+            if defaults[key.field] is MISSING:
+                raise ConfigError(f"{key.path}: missing required field")
+            values[key.field] = defaults[key.field]
+            continue
+        value = key.read(raw, key.path)
+        if not key.ok(value):
+            raise ConfigError(f"{key.path}: must be {key.rule}, got {value!r}")
+        values[key.field] = value
+    params = {k: v for k, v in _section(tree, "family").items() if k != "name"}
+    return RunConfig(family_params=tuple(sorted(params.items())), **values)

@@ -29,19 +29,37 @@ DISSIPATIVE = "Dissipative"
 BLOWUP = "Blowup"
 UNDECIDED = "Undecided"
 
-#: step-collapse floor, amplitude cap, and gradient-growth factor for the
-#: blowup detector; blowup is self-similar with unbounded amplitude, so step
-#: collapse plus an amplitude cap is a robust proxy for the maximal time
-DT_MIN = 1e-12
-AMP_CAP = 1e8
-BLOWUP_FACTOR = 10.0
-
-#: dissipation fires when the critical norm has dropped by this factor and the
-#: weighted-norm diagnostic has decreased over the last KQ_STREAK snapshots
-EPS_DISSIP_REL = 1e-6
-KQ_STREAK = 5
+#: sign of the nonlinearity |u|^{2*-2} u for each mode
+NONLINEARITY_SIGN = {"focusing": 1.0, "defocusing": -1.0, "off": 0.0}
 
 _BRACKET_SAFETY = 1e3
+
+
+@dataclass(frozen=True, kw_only=True)
+class FlowSettings:
+    """Every parameter of one flow, with its default: the only place either is
+    defined. `config.RunConfig` extends it; `run_flow` reads it."""
+
+    t_max: float = 1e4
+    tol: float = 1e-5
+    dt_init: float = 1e-5
+    nonlinearity: str = "focusing"
+    #: exponent of the weighted-norm diagnostic; None picks functionals.default_q
+    q: float | None = None
+    snapshot_first: float = 1e-3
+    snapshot_factor: float = 1.3
+    checkpoint_every: int = 4
+    forced_times: tuple = ()
+    #: step-collapse floor, gradient-growth factor and amplitude cap for the
+    #: blowup detector; blowup is self-similar with unbounded amplitude, so step
+    #: collapse plus an amplitude cap is a robust proxy for the maximal time
+    dt_min: float = 1e-12
+    blowup_factor: float = 10.0
+    amp_cap: float = 1e8
+    #: dissipation fires when the critical norm has dropped by this factor and
+    #: the weighted-norm diagnostic has decreased over the last kq_streak snapshots
+    eps_dissip_rel: float = 1e-6
+    kq_streak: int = 5
 
 
 class StepCollapseError(RuntimeError):
@@ -121,12 +139,12 @@ class HeatProblem:
     measured energy-identity residual reflects time discretization only.
     """
 
-    def __init__(self, grid: RadialGrid, nonlinearity: str = "focusing"):
-        if nonlinearity not in ("focusing", "defocusing", "off"):
+    def __init__(self, grid: RadialGrid, nonlinearity: str = FlowSettings.nonlinearity):
+        if nonlinearity not in NONLINEARITY_SIGN:
             raise ValueError(f"unknown nonlinearity mode {nonlinearity!r}")
         self.grid = grid
         self.nonlinearity = nonlinearity
-        self.sign = {"focusing": 1.0, "defocusing": -1.0, "off": 0.0}[nonlinearity]
+        self.sign = NONLINEARITY_SIGN[nonlinearity]
         self.power = 4.0 / (grid.d - 2.0)
         self.two_star = 2.0 * grid.d / (grid.d - 2.0)
         self.lo, self.di, self.up = grid.conservative_bands
@@ -178,7 +196,7 @@ def step(
     state: SolverState,
     tol: float,
     problem: HeatProblem | None = None,
-    dt_min: float = DT_MIN,
+    dt_min: float = FlowSettings.dt_min,
     dt_cap: float | None = None,
 ) -> SolverState:
     """Advance one accepted step, adapting dt to keep the local error <= tol.
@@ -230,7 +248,7 @@ def step(
 def detect_dissipation(
     snapshots: list[Snapshot],
     eps_dissip: float,
-    streak: int = KQ_STREAK,
+    streak: int = FlowSettings.kq_streak,
 ) -> bool:
     """Critical norm below threshold and weighted norm monotonically down.
 
@@ -250,8 +268,8 @@ def detect_blowup(
     snapshots: list[Snapshot],
     initial_h1_sq: float,
     collapsed: bool,
-    blowup_factor: float = BLOWUP_FACTOR,
-    amp_cap: float = AMP_CAP,
+    blowup_factor: float = FlowSettings.blowup_factor,
+    amp_cap: float = FlowSettings.amp_cap,
 ) -> bool:
     """Amplitude above the cap, or gradient growth plus step collapse."""
     if float(np.max(np.abs(state.u.values))) > amp_cap:
@@ -272,13 +290,13 @@ def _nehari_persisted_negative(snapshots: list[Snapshot]) -> bool:
     return len(snapshots) > 1 and all(s.report.nehari < 0.0 for s in snapshots[:-1])
 
 
-def _snapshot_ladder(first: float, factor: float, t_max: float, forced: tuple) -> list[float]:
-    times = set(t for t in forced if 0.0 < t <= t_max)
-    t = first
-    while t < t_max:
+def _snapshot_ladder(settings: FlowSettings) -> list[float]:
+    times = set(t for t in settings.forced_times if 0.0 < t <= settings.t_max)
+    t = settings.snapshot_first
+    while t < settings.t_max:
         times.add(t)
-        t *= factor
-    times.add(t_max)
+        t *= settings.snapshot_factor
+    times.add(settings.t_max)
     return sorted(times)
 
 
@@ -299,24 +317,12 @@ def run_flow(
     u0: RadialField,
     e_w: float,
     grad_sq_w: float,
-    t_max: float,
-    tol: float = 1e-5,
-    dt_init: float = 1e-6,
-    dt_min: float = DT_MIN,
-    nonlinearity: str = "focusing",
-    q: float | None = None,
-    snapshot_first: float = 1e-3,
-    snapshot_factor: float = 1.3,
-    checkpoint_every: int = 4,
-    forced_times: tuple = (),
-    eps_dissip_rel: float = EPS_DISSIP_REL,
-    kq_streak: int = KQ_STREAK,
-    blowup_factor: float = BLOWUP_FACTOR,
-    amp_cap: float = AMP_CAP,
+    settings: FlowSettings,
+    *,
     threshold_guard: bool = True,
     e_w_run: float | None = None,
 ) -> Trajectory:
-    """Integrate from u0 until a verdict fires or t reaches t_max.
+    """Integrate from u0 until a verdict fires or t reaches settings.t_max.
 
     Near-threshold data (inside `threshold_band`) is ill-conditioned for the
     dichotomy and is reported Undecided without stepping. Numerical
@@ -324,10 +330,9 @@ def run_flow(
     """
     grid = u0.grid
     d = grid.d
-    if q is None:
-        q = functionals.default_q(d)
+    q = functionals.default_q(d) if settings.q is None else settings.q
     traj = Trajectory(d=d, grid=grid, e_w=e_w, grad_sq_w=grad_sq_w)
-    problem = HeatProblem(grid, nonlinearity)
+    problem = HeatProblem(grid, settings.nonlinearity)
 
     def take_snapshot(state: SolverState, with_field: bool) -> Snapshot:
         rep = energy_report(state.t, state.u)
@@ -350,7 +355,7 @@ def run_flow(
         traj.snapshots.append(snap)
         return snap
 
-    state = SolverState(t=0.0, u=u0.copy(), dt=dt_init)
+    state = SolverState(t=0.0, u=u0.copy(), dt=settings.dt_init)
     try:
         take_snapshot(state, with_field=True)
     except CorruptionError:
@@ -366,9 +371,9 @@ def run_flow(
             return traj
 
     init_h1 = traj.initial_h1_sq
-    eps_dissip = eps_dissip_rel * init_h1 + 1e-300
-    ladder = _snapshot_ladder(snapshot_first, snapshot_factor, t_max, forced_times)
-    forced = set(forced_times)
+    eps_dissip = settings.eps_dissip_rel * init_h1 + 1e-300
+    ladder = _snapshot_ladder(settings)
+    forced = set(settings.forced_times)
     snap_index = 0
 
     def finish(kind: str, t_end: float, detail: dict) -> Trajectory:
@@ -378,11 +383,13 @@ def run_flow(
     for t_next in ladder:
         while state.t < t_next:
             try:
-                state = step(state, tol, problem, dt_min=dt_min, dt_cap=t_next - state.t)
+                state = step(state, settings.tol, problem, dt_min=settings.dt_min,
+                             dt_cap=t_next - state.t)
             except StepCollapseError as exc:
                 take_snapshot(state, with_field=True)
                 if detect_blowup(state, traj.snapshots, init_h1, collapsed=True,
-                                 blowup_factor=blowup_factor, amp_cap=amp_cap):
+                                 blowup_factor=settings.blowup_factor,
+                                 amp_cap=settings.amp_cap):
                     detail = {
                         "t_bracket": (state.t, state.t + exc.dt * _BRACKET_SAFETY),
                         "nehari_negative_persisted": _nehari_persisted_negative(traj.snapshots),
@@ -393,7 +400,7 @@ def run_flow(
                 return finish(UNDECIDED, state.t, {"reason": "corruption"})
             if abs(state.t - t_next) <= 1e-12 * max(t_next, 1.0):
                 state.t = t_next
-            if float(np.max(np.abs(state.u.values))) > amp_cap:
+            if float(np.max(np.abs(state.u.values))) > settings.amp_cap:
                 take_snapshot(state, with_field=True)
                 detail = {
                     "t_bracket": (state.t, state.t + state.dt * _BRACKET_SAFETY),
@@ -405,11 +412,11 @@ def run_flow(
         try:
             take_snapshot(
                 state,
-                with_field=(snap_index % checkpoint_every == 0) or state.t in forced,
+                with_field=(snap_index % settings.checkpoint_every == 0) or state.t in forced,
             )
         except CorruptionError:
             return finish(UNDECIDED, state.t, {"reason": "corruption"})
-        if detect_dissipation(traj.snapshots, eps_dissip, kq_streak):
+        if detect_dissipation(traj.snapshots, eps_dissip, settings.kq_streak):
             return finish(
                 DISSIPATIVE, state.t, {"final_h1_sq": traj.snapshots[-1].report.h1_sq}
             )

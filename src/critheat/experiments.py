@@ -69,26 +69,7 @@ def _setup(cfg: RunConfig) -> tuple[RadialField, float]:
 
 def _integrate(cfg: RunConfig, u0: RadialField, e_w_run: float) -> evolve.Trajectory:
     ref = ground_state.reference(cfg.dimension)
-    return evolve.run_flow(
-        u0,
-        e_w=ref.e_w,
-        grad_sq_w=ref.grad_sq_w,
-        t_max=cfg.t_max,
-        tol=cfg.tol,
-        dt_init=cfg.dt_init,
-        dt_min=cfg.dt_min,
-        nonlinearity=cfg.nonlinearity,
-        q=cfg.q,
-        snapshot_first=cfg.snapshot_first,
-        snapshot_factor=cfg.snapshot_factor,
-        checkpoint_every=cfg.checkpoint_every,
-        forced_times=cfg.forced_times,
-        eps_dissip_rel=cfg.eps_dissip_rel,
-        kq_streak=cfg.kq_streak,
-        blowup_factor=cfg.blowup_factor,
-        amp_cap=cfg.amp_cap,
-        e_w_run=e_w_run,
-    )
+    return evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, cfg, e_w_run=e_w_run)
 
 
 def run_config(cfg: RunConfig) -> evolve.Trajectory:
@@ -168,7 +149,7 @@ def fit_window(traj: evolve.Trajectory, t_lo: float, t_hi: float | None = None):
 def decay_fit(
     traj: evolve.Trajectory,
     spec0: spectral.SpectrumFn,
-    t_lo: float = 2.0,
+    t_lo: float = RunConfig.fit_t_lo,
     t_hi: float | None = None,
 ) -> DecayFit:
     """Fitted decay exponent of the critical norm against the predicted rate.

@@ -15,6 +15,7 @@ from critheat import cli, evolve, experiments, families, spectral
 from critheat import functionals as fn
 from critheat import ground_state as gs
 from critheat.config import RunConfig, parse_config
+from critheat.evolve import FlowSettings
 from critheat.radial import RadialField, grid_for_span
 
 
@@ -132,8 +133,9 @@ def test_criterion_02_stationarity():
     w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
     u0 = w.copy()
     u0.values[-1] = 0.0
-    traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, t_max=1.0, tol=1e-6, dt_init=1e-6,
-                           forced_times=(1.0,), threshold_guard=False)
+    traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
+                           FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6, forced_times=(1.0,)),
+                           threshold_guard=False)
     diff = RadialField(grid, traj.checkpoint_at(1.0).field.values - w.values)
     drift = math.sqrt(fn.h1_norm_sq(diff) / fn.h1_norm_sq(w))
     ok = drift <= 1e-3
@@ -196,8 +198,9 @@ def test_criterion_05_energy_identity(suite):
     u0.values[-1] = 0.0
     residuals = {}
     for tol in (1e-5, 5e-6):
-        traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, t_max=1.0, tol=tol, dt_init=1e-6,
-                               forced_times=(0.1, 1.0), threshold_guard=False)
+        traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
+                               FlowSettings(t_max=1.0, tol=tol, dt_init=1e-6,
+                                            forced_times=(0.1, 1.0)), threshold_guard=False)
         residuals[tol] = evolve.energy_identity_residual(traj, 0.1, 1.0)
     e_ref = abs(traj.checkpoint_at(0.1).form_energy)
     gain = residuals[1e-5] / residuals[5e-6]

@@ -1,10 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from critheat import cli, families
-from critheat.config import ConfigError, parse_config
+from critheat import cli, experiments, families
+from critheat.config import KEYS, ConfigError, parse_config
 from critheat.radial import CorruptionError, grid_for_span
 
 
@@ -20,6 +23,53 @@ def run_config_text(tmp_out=None, **overrides):
     if tmp_out is not None:
         tree["out_dir"] = str(tmp_out)
     return json.dumps(tree)
+
+
+#: every key a configuration may hold, so that generated trees reach past the
+#: top level now and then
+KEY_NAMES = sorted({part for key in KEYS for part in key.path.split(".")} | {"a", "sweep"})
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEY_NAMES) | st.text(max_size=6), inner, max_size=6),
+    max_leaves=24,
+)
+FULL_CONFIG = {
+    "dimension": 4,
+    "grid": {"R": 160.0, "n": 1047, "stretch": 1.004},
+    "family": {"name": "gaussian", "amp": 0.05, "width": 1.0},
+    "integrator": {"tol": 1e-6, "dt_init": 1e-6, "dt_min": 1e-12, "t_max": 40.0,
+                   "nonlinearity": "focusing"},
+    "snapshots": {"first": 0.05, "factor": 1.3, "checkpoint_every": 2, "forced_times": [1.0]},
+    "verdict": {"eps_dissip_rel": 1e-6, "kq_streak": 5, "blowup_factor": 10.0, "amp_cap": 1e8},
+    "diagnostics": {"q": 3.5, "fit_t_lo": 2.0},
+    "seed": 0,
+    "out_dir": "out",
+}
+
+
+@st.composite
+def mutated_configs(draw) -> dict:
+    """FULL_CONFIG with one value replaced by arbitrary JSON, or one key added."""
+    tree = copy.deepcopy(FULL_CONFIG)
+    objects = [tree] + [v for v in tree.values() if isinstance(v, dict)]
+    node = draw(st.sampled_from(objects))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node)))
+    else:
+        key = draw(st.sampled_from(KEY_NAMES) | st.text(max_size=6))
+    node[key] = draw(json_leaves | st.lists(json_leaves, max_size=3) | json_trees)
+    return tree
+
+
+def assert_parses_or_rejects(tree) -> None:
+    """parse_config raises ConfigError or nothing; what it accepts round-trips."""
+    try:
+        cfg = parse_config(json.dumps(tree))
+    except ConfigError:
+        return
+    assert parse_config(cfg.to_json()).content_hash() == cfg.content_hash()
 
 
 class TestParseConfig:
@@ -58,6 +108,18 @@ class TestParseConfig:
         a = parse_config(run_config_text())
         b = parse_config(run_config_text(out_dir="/somewhere/else"))
         assert a.content_hash() == b.content_hash()
+
+    @given(tree=json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_trees_raise_only_config_error(self, tree):
+        assert_parses_or_rejects(tree)
+
+    @given(tree=mutated_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_valid_config_raises_only_config_error(self, tree):
+        parse_config(json.dumps(FULL_CONFIG))  # each example changes one thing of a valid config
+        assert_parses_or_rejects(tree)
+
 
 
 @pytest.fixture()
@@ -197,6 +259,40 @@ class TestCommands:
         assert manifest["splitting"]["c_tilde"] > 0
         rows = (tmp_path / "split" / "splitting.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) >= -1e-9 for r in rows)
+
+
+#: id: (location the error names, object ("" for the top level), key, JSON text of the value)
+BAD_INPUTS = {
+    "R_inf": ("grid.R", "grid", "R", "1e999"),
+    "forced_time_inf": ("snapshots.forced_times[0]", "snapshots", "forced_times", "[1e999]"),
+    "q_string": ("diagnostics.q", "diagnostics", "q", '"abc"'),
+    "forced_time_string": ("snapshots.forced_times[0]", "snapshots", "forced_times", '["x"]'),
+    "checkpoint_every_zero": ("snapshots.checkpoint_every", "snapshots", "checkpoint_every", "0"),
+    "kq_streak_negative": ("verdict.kq_streak", "verdict", "kq_streak", "-3"),
+    "typo_in_section": ("integrator.tmax", "integrator", "tmax", "1e6"),
+    "typo_at_top_level": ("seeed", "", "seeed", "1"),
+}
+
+
+@pytest.mark.parametrize("where, section, key, value", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_before_stepping(tmp_path, cfg_file, capsys, where, section, key, value):
+    tree = json.loads(run_config_text())
+    (tree.setdefault(section, {}) if section else tree)[key] = "VALUE"
+    path = cfg_file("bad.json", json.dumps(tree).replace('"VALUE"', value))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()  # refused before the output directory, let alone a step
+
+
+def test_unexpected_exception_exits_6(tmp_path, cfg_file, capsys, monkeypatch):
+    def broken(cfg):
+        raise KeyError("p")
+
+    monkeypatch.setattr(experiments, "run_config", broken)
+    path = cfg_file("run.json", run_config_text(tmp_path / "out"))
+    assert cli.main(["run", "--config", path]) == 6
+    assert capsys.readouterr().err == "internal error: KeyError: 'p'\n"
 
 
 class TestCheckpointFormat:

@@ -7,6 +7,7 @@ from critheat import evolve
 from critheat import families
 from critheat import functionals as fn
 from critheat import ground_state as gs
+from critheat.evolve import FlowSettings
 from critheat.radial import RadialField, grid_for_span
 
 
@@ -62,8 +63,10 @@ class TestLinearMode:
         a0 = 0.25
         u0 = RadialField(grid, np.exp(-grid.nodes**2 / (4 * a0)))
         traj = evolve.run_flow(
-            u0, e_w=1.0, grad_sq_w=1.0, t_max=1.0, tol=1e-7, dt_init=1e-6,
-            nonlinearity="off", forced_times=(1.0,), threshold_guard=False,
+            u0, e_w=1.0, grad_sq_w=1.0,
+            settings=FlowSettings(t_max=1.0, tol=1e-7, dt_init=1e-6, nonlinearity="off",
+                                  forced_times=(1.0,)),
+            threshold_guard=False,
         )
         got = traj.checkpoint_at(1.0).field.values
         want = (a0 / (a0 + 1.0)) ** 1.5 * np.exp(-grid.nodes**2 / (4 * (a0 + 1.0)))
@@ -79,18 +82,18 @@ class TestStationarity:
         w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
         u0 = w.copy()
         u0.values[-1] = 0.0
-        traj = evolve.run_flow(
-            u0, ref5.e_w, ref5.grad_sq_w, t_max=1.0, tol=1e-6, dt_init=1e-6,
-            forced_times=(1.0,), threshold_guard=False,
-        )
+        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
+                               FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
+                                            forced_times=(1.0,)), threshold_guard=False)
         diff = RadialField(grid, traj.checkpoint_at(1.0).field.values - w.values)
         drift = math.sqrt(fn.h1_norm_sq(diff) / fn.h1_norm_sq(w))
         assert drift <= 1e-3
 
     def test_bubble_never_reaches_a_verdict(self, ref5):
         u0, _ = make_w_data(5, 2000.0, h0=0.0025, eps=0.001)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, t_max=1.5, tol=1e-6,
-                               dt_init=1e-6, threshold_guard=False)
+        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
+                               FlowSettings(t_max=1.5, tol=1e-6, dt_init=1e-6),
+                               threshold_guard=False)
         assert traj.verdict.kind == evolve.UNDECIDED
         assert traj.verdict.detail["reason"] == "t_max_reached"
 
@@ -100,8 +103,8 @@ class TestStationarity:
         u0, _ = make_w_data(5, 600.0, a=1.0, h0=0.004, eps=0.0015)
         e_w_here = gs.ground_state_energy(5, u0.grid)
         w_here = gs.aubin_talenti(gs.GroundStateSpec(5), u0.grid)
-        traj = evolve.run_flow(u0, e_w_here, fn.h1_norm_sq(w_here), t_max=5.0,
-                               tol=1e-5, dt_init=1e-5)
+        traj = evolve.run_flow(u0, e_w_here, fn.h1_norm_sq(w_here),
+                               FlowSettings(t_max=5.0, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.UNDECIDED
         assert traj.verdict.detail["reason"] == "at_threshold"
 
@@ -110,14 +113,15 @@ class TestDetectors:
     def test_dissipation_fires_for_zero_data(self):
         grid = grid_for_span(4, 20.0, 0.05, 0.01)
         u0 = RadialField(grid, np.zeros(grid.n))
-        traj = evolve.run_flow(u0, 1.0, 1.0, t_max=10.0, tol=1e-6, dt_init=1e-4,
+        traj = evolve.run_flow(u0, 1.0, 1.0, FlowSettings(t_max=10.0, tol=1e-6, dt_init=1e-4),
                                threshold_guard=False)
         assert traj.verdict.kind == evolve.DISSIPATIVE
         assert traj.snapshots[-1].t < 10.0  # fired at the first cadence, not t_max
 
     def test_dissipative_run_subthreshold(self, ref4):
         u0, _ = make_w_data(4, 5000.0, a=0.5)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=3e6, tol=1e-5, dt_init=1e-5)
+        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                               FlowSettings(t_max=3e6, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.DISSIPATIVE
         final = traj.snapshots[-1].report.h1_sq
         assert final <= 1e-6 * traj.initial_h1_sq
@@ -127,7 +131,8 @@ class TestDetectors:
 
     def test_blowup_run_superthreshold(self, ref5):
         u0, _ = make_w_data(5, 600.0, a=1.2)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, t_max=50.0, tol=1e-5, dt_init=1e-5)
+        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
+                               FlowSettings(t_max=50.0, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.BLOWUP
         lo, hi = traj.verdict.detail["t_bracket"]
         assert lo <= traj.verdict.t_end <= hi
@@ -142,16 +147,18 @@ class TestDetectors:
         grid = grid_for_span(5, 100.0, 0.05, 0.01)
         u0 = RadialField(grid, 1e9 * np.exp(-grid.nodes**2))
         u0.values[-1] = 0.0
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, t_max=1.0, tol=1e-5,
-                               dt_init=1e-8, threshold_guard=False)
+        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
+                               FlowSettings(t_max=1.0, tol=1e-5, dt_init=1e-8),
+                               threshold_guard=False)
         assert traj.verdict.kind == evolve.BLOWUP
 
 
 class TestEnergyBookkeeping:
     def test_identity_residual_stationary(self, ref5):
         u0, _ = make_w_data(5, 2000.0, h0=0.0025, eps=0.001)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, t_max=1.0, tol=1e-6,
-                               dt_init=1e-6, forced_times=(0.1, 1.0), threshold_guard=False)
+        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
+                               FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
+                                            forced_times=(0.1, 1.0)), threshold_guard=False)
         res = evolve.energy_identity_residual(traj, 0.1, 1.0)
         d_tally = traj.checkpoint_at(1.0).dissipation - traj.checkpoint_at(0.1).dissipation
         scale = abs(traj.snapshots[0].form_energy)
@@ -165,8 +172,9 @@ class TestEnergyBookkeeping:
         u0.values[-1] = 0.0
         residuals = {}
         for tol in (1e-5, 5e-6):
-            traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=1.0, tol=tol,
-                                   dt_init=1e-6, forced_times=(0.1, 1.0), threshold_guard=False)
+            traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                                   FlowSettings(t_max=1.0, tol=tol, dt_init=1e-6,
+                                                forced_times=(0.1, 1.0)), threshold_guard=False)
             residuals[tol] = evolve.energy_identity_residual(traj, 0.1, 1.0)
         e_ref = abs(traj.checkpoint_at(0.1).form_energy)
         assert residuals[1e-5] <= 1e-3 * e_ref
@@ -174,14 +182,16 @@ class TestEnergyBookkeeping:
 
     def test_missing_checkpoint(self, ref4):
         u0, _ = make_w_data(4, 400.0, a=0.8)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=0.5, tol=1e-5,
-                               dt_init=1e-5, checkpoint_every=10**6)
+        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                               FlowSettings(t_max=0.5, tol=1e-5, dt_init=1e-5,
+                                            checkpoint_every=10**6))
         with pytest.raises(evolve.MissingCheckpointError):
             evolve.energy_identity_residual(traj, 0.1, 0.4)
 
     def test_energy_nonincreasing_across_runs(self, ref4):
         u0, _ = make_w_data(4, 400.0, a=0.8)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=10.0, tol=1e-5, dt_init=1e-5)
+        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                               FlowSettings(t_max=10.0, tol=1e-5, dt_init=1e-5))
         assert evolve.energy_nonincreasing(traj)
 
 
@@ -189,8 +199,9 @@ class TestFlowInvariants:
     def test_positivity_preserved(self, ref4):
         grid = grid_for_span(4, 160.0, 0.01, 0.004)
         u0 = families.build_initial("gaussian", {"amp": 0.05, "width": 1.0}, grid)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=100.0, tol=1e-5,
-                               dt_init=1e-6, checkpoint_every=2)
+        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                               FlowSettings(t_max=100.0, tol=1e-5, dt_init=1e-6,
+                                            checkpoint_every=2))
         floor = -1e-8 * float(np.max(u0.values))
         for snap in traj.snapshots:
             if snap.field is not None:
@@ -200,9 +211,9 @@ class TestFlowInvariants:
         # d(1/2 ||u||^2)/dt = -J(u), checked between close snapshots
         grid = grid_for_span(4, 60.0, 0.01, 0.004)
         u0 = families.build_initial("gaussian", {"amp": 0.3, "width": 1.0}, grid)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=2.0, tol=1e-7,
-                               dt_init=1e-7, snapshot_first=0.25, snapshot_factor=1.05,
-                               threshold_guard=False)
+        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                               FlowSettings(t_max=2.0, tol=1e-7, dt_init=1e-7, snapshot_first=0.25,
+                                            snapshot_factor=1.05), threshold_guard=False)
         snaps = [s for s in traj.snapshots if s.t >= 0.25]
         assert len(snaps) > 10
         for s1, s2 in zip(snaps[:-1], snaps[1:]):
@@ -212,12 +223,14 @@ class TestFlowInvariants:
 
     def test_lyapunov_tail_exists_on_dissipative_run(self, ref4):
         u0, _ = make_w_data(4, 5000.0, a=0.9)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w, t_max=3e6, tol=1e-5, dt_init=1e-5)
+        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
+                               FlowSettings(t_max=3e6, tol=1e-5, dt_init=1e-5))
         idx = evolve.lyapunov_tail_index(traj)
         assert idx is not None
 
     def test_defocusing_mode_dissipates(self, ref5):
         u0, _ = make_w_data(5, 600.0, a=1.2)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, t_max=1e5, tol=1e-5,
-                               dt_init=1e-5, nonlinearity="defocusing", threshold_guard=False)
+        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
+                               FlowSettings(t_max=1e5, tol=1e-5, dt_init=1e-5,
+                                            nonlinearity="defocusing"), threshold_guard=False)
         assert traj.verdict.kind == evolve.DISSIPATIVE

@@ -7,6 +7,7 @@ from critheat import evolve, experiments, families, spectral
 from critheat import functionals as fn
 from critheat import ground_state as gs
 from critheat.config import RunConfig
+from critheat.evolve import FlowSettings
 from critheat.radial import RadialField, grid_for_span
 
 
@@ -161,9 +162,9 @@ class TestSplitting:
         w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
         u0 = RadialField(grid, w.values.copy())
         u0.values[-1] = 0.0
-        traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, t_max=1.0, tol=1e-6,
-                               dt_init=1e-6, snapshot_first=0.05, checkpoint_every=1,
-                               threshold_guard=False)
+        traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
+                               FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6, snapshot_first=0.05,
+                                            checkpoint_every=1), threshold_guard=False)
         report = experiments.splitting_diagnostic(traj, c_range=(1e-3, 50.0))
         worst = min(report.margins) if report.c_tilde is None else min(report.margins)
         assert worst >= -5e-3
