@@ -1,8 +1,10 @@
 """Command-line front end: run, sweep, decayfit, character, splitting.
 
-Every command reads a JSON configuration, writes RFC-4180-style CSV plus a
-JSON manifest (config hash, tool version, grid summary, wall time, output
-list), and returns a category exit code:
+Every command reads its JSON configuration once (`config` parses it), computes
+its result, and only then writes RFC-4180-style CSV plus a JSON manifest
+(config hash, tool version, grid summary, wall time, output list), each file
+renamed into place from a temporary name, `manifest.json` last. A command
+that fails writes nothing. It returns a category exit code:
 
     0  success            2  configuration error     3  I/O error
     4  numerical corruption                          5  theorem-inconsistent sweep row
@@ -18,14 +20,27 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, evolve, experiments, families, spectral
-from .config import ConfigError, RunConfig, parse_config
+from .config import (
+    CharacterConfig, ConfigError, RunConfig, parse_character, parse_config, parse_sweep,
+)
 from .radial import CorruptionError
+
+
+class Result(NamedTuple):
+    """What a command produced, for `_write_outputs`, and its exit code."""
+
+    files: dict[str, Callable[[Path], None]]  # name -> writer of the file at a path
+    manifest: dict  # entries beyond the common ones
+    code: int = 0
 
 
 def _fmt(value) -> str:
@@ -34,37 +49,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _prepare_out(out_dir: str, overwrite: bool) -> Path:
+def _check_out(out_dir: str, overwrite: bool) -> None:
     out = Path(out_dir)
     if out.exists():
         if not out.is_dir():
             raise OSError(f"output path {out} exists and is not a directory")
         if any(out.iterdir()) and not overwrite:
             raise OSError(f"output directory {out} is not empty (use --overwrite)")
+
+
+def _csv(header: list[str], rows: list[list]) -> Callable[[Path], None]:
+    def write(path: Path) -> None:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+
+    return write
+
+
+def _write_outputs(out_dir: str, result: Result, wall: float) -> None:
+    """Write each file under a temporary name and rename it into place,
+    `manifest.json` last."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    manifest = {"tool": "critheat", "version": __version__, "outputs": list(result.files),
+                "wall_time_s": wall, **result.manifest}
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    for name, write in [*result.files.items(), ("manifest.json", lambda p: p.write_text(text))]:
+        tmp = out / f".{name}.tmp"
+        try:
+            write(tmp)
+            os.replace(tmp, out / name)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_manifest(out: Path, cfg: RunConfig, files: list[str], wall: float, extra: dict) -> None:
-    manifest = {
-        "tool": "critheat",
-        "version": __version__,
+def _described(cfg: RunConfig) -> dict:
+    return {
         "config_hash": cfg.content_hash(),
         "config": json.loads(cfg.to_json()),
         "grid": {"d": cfg.dimension, "R": cfg.r_max, "n": cfg.n_nodes, "stretch": cfg.stretch},
-        "outputs": files,
-        "wall_time_s": wall,
     }
-    manifest.update(extra)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _series_rows(traj: evolve.Trajectory) -> list[list]:
@@ -86,70 +113,25 @@ def _series_rows(traj: evolve.Trajectory) -> list[list]:
     return rows
 
 
-def _load_config(path: str, seed: int | None, out_flag: str | None) -> RunConfig:
-    cfg = parse_config(Path(path).read_text())
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out_flag is not None:
-        cfg = replace(cfg, out_dir=out_flag)
-    if cfg.out_dir is None:
-        raise ConfigError("out_dir: missing (set in config or pass --out)")
-    return cfg
-
-
 def _exit_for_verdict(verdict: evolve.Verdict) -> int:
     if verdict.kind == evolve.UNDECIDED and verdict.detail.get("reason") == "corruption":
         return 4
     return 0
 
 
-def cmd_run(cfg: RunConfig, overwrite: bool) -> int:
-    t0 = time.time()
-    out = _prepare_out(cfg.out_dir, overwrite)
+def cmd_run(cfg: RunConfig) -> Result:
     traj = experiments.run_config(cfg)
-    files = ["series.csv"]
-    _write_csv(out / "series.csv", ["t", "quantity", "value"], _series_rows(traj))
+    files = {"series.csv": _csv(["t", "quantity", "value"], _series_rows(traj))}
     checkpoints = [s for s in traj.snapshots if s.field is not None]
     for i, snap in enumerate(checkpoints):
-        name = f"checkpoint_{i:04d}.txt"
-        families.save_checkpoint(out / name, snap.field, snap.t)
-        files.append(name)
-    _write_manifest(
-        out, cfg, files, time.time() - t0,
-        {"verdict": {"kind": traj.verdict.kind, "t_end": traj.verdict.t_end,
-                     "detail": _jsonable(traj.verdict.detail)}},
-    )
-    return _exit_for_verdict(traj.verdict)
+        files[f"checkpoint_{i:04d}.txt"] = partial(families.save_checkpoint, field=snap.field,
+                                                   t=snap.t)
+    verdict = {"kind": traj.verdict.kind, "t_end": traj.verdict.t_end,
+               "detail": traj.verdict.detail}
+    return Result(files, {**_described(cfg), "verdict": verdict}, _exit_for_verdict(traj.verdict))
 
 
-def _jsonable(detail: dict) -> dict:
-    out = {}
-    for key, val in detail.items():
-        out[key] = list(val) if isinstance(val, tuple) else val
-    return out
-
-
-def _sweep_configs(cfg: RunConfig, path: str) -> list[RunConfig]:
-    tree = json.loads(Path(path).read_text())
-    points = tree.get("sweep")
-    if not points:
-        return [cfg]
-    if not isinstance(points, list):
-        raise ConfigError("sweep: expected a list of parameter objects")
-    configs = []
-    for point in points:
-        if not isinstance(point, dict):
-            raise ConfigError("sweep: entries must be objects")
-        params = dict(cfg.params)
-        params.update(point)
-        configs.append(replace(cfg, family_params=tuple(sorted(params.items()))))
-    return configs
-
-
-def cmd_sweep(cfg: RunConfig, path: str, overwrite: bool, threads: int) -> int:
-    t0 = time.time()
-    out = _prepare_out(cfg.out_dir, overwrite)
-    configs = _sweep_configs(cfg, path)
+def cmd_sweep(configs: list[RunConfig], threads: int) -> Result:
     rows = experiments.dichotomy_sweep(configs, threads=threads)
     table = []
     for i, row in enumerate(rows):
@@ -158,122 +140,71 @@ def cmd_sweep(cfg: RunConfig, path: str, overwrite: bool, threads: int) -> int:
             row.e_ratio, row.grad_ratio, row.l2_finite, row.hypothesis_branch,
             row.verdict.kind, row.verdict.t_end, row.consistent_with_theorem,
         ])
-    _write_csv(
-        out / "sweep.csv",
+    files = {"sweep.csv": _csv(
         ["index", "family", "params", "d", "e_over_ew", "grad_over_gradw",
          "l2_finite", "hypothesis_branch", "verdict", "t_end", "consistent_with_theorem"],
         table,
-    )
+    )}
     summary = {
         "rows": len(rows),
         "inconsistent": sum(not r.consistent_with_theorem for r in rows),
         "undecided": sum(r.verdict.kind == evolve.UNDECIDED for r in rows),
         "without_hypotheses": sum(r.hypothesis_branch == "none" for r in rows),
     }
-    _write_manifest(out, cfg, ["sweep.csv"], time.time() - t0, {"sweep": summary})
+    manifest = {"config_hash": [cfg.content_hash() for cfg in configs],
+                "config": [json.loads(cfg.to_json()) for cfg in configs],
+                "grid": _described(configs[0])["grid"], "sweep": summary}
     if summary["inconsistent"]:
-        return 5
+        return Result(files, manifest, 5)
     if summary["undecided"] or summary["without_hypotheses"]:
-        return 1
-    return 0
+        return Result(files, manifest, 1)
+    return Result(files, manifest)
 
 
-def cmd_decayfit(cfg: RunConfig, overwrite: bool) -> int:
-    t0 = time.time()
-    out = _prepare_out(cfg.out_dir, overwrite)
+def cmd_decayfit(cfg: RunConfig) -> Result:
     traj = experiments.run_config(cfg)
     code = _exit_for_verdict(traj.verdict)
     if code:
-        return code
+        return Result({}, {}, code)
     spec0 = families.initial_spectrum(cfg.family, cfg.params, cfg.dimension)
     if spec0 is None:
-        grid = cfg.make_grid()
-        u0 = families.build_initial(cfg.family, cfg.params, grid, cfg.seed)
-        import numpy as np
-
-        s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 40), np.geomspace(0.11, 20.0, 80)])
-        spec0 = spectral.hankel_spectrum(u0, s_nodes)
+        spec0 = spectral.hankel_spectrum(traj.snapshots[0].field, experiments.DECAYFIT_NODES)
     fit = experiments.decay_fit(traj, spec0, t_lo=cfg.fit_t_lo)
-    _write_csv(
-        out / "decayfit.csv",
+    files = {"decayfit.csv": _csv(
         ["d", "law", "exponent", "predicted", "q_star", "t_lo", "t_hi", "r2",
          "envelope_constant"],
         [[cfg.dimension, fit.law, fit.exponent, fit.predicted, fit.q_star,
           fit.window[0], fit.window[1], fit.r2,
           fit.envelope_constant if fit.envelope_constant is not None else ""]],
-    )
-    _write_manifest(out, cfg, ["decayfit.csv"], time.time() - t0,
-                    {"verdict": {"kind": traj.verdict.kind, "t_end": traj.verdict.t_end}})
-    return 0
+    )}
+    verdict = {"kind": traj.verdict.kind, "t_end": traj.verdict.t_end}
+    return Result(files, {**_described(cfg), "verdict": verdict})
 
 
-def _spectrum_from_tree(tree: dict) -> spectral.SpectrumFn:
-    if "dimension" not in tree:
-        raise ConfigError("config: missing required field 'dimension'")
-    d = tree["dimension"]
-    if not isinstance(d, int) or d < 3:
-        raise ConfigError(f"dimension: must be an integer >= 3, got {d!r}")
-    spec_tree = tree.get("spectrum")
-    if not isinstance(spec_tree, dict) or "kind" not in spec_tree:
-        raise ConfigError("spectrum: missing object with a 'kind' field")
-    kind = spec_tree["kind"]
-    if kind == "power_gauss":
-        return spectral.gaussian_spectrum(
-            d, k=float(spec_tree.get("k", 0.0)), amp=float(spec_tree.get("amp", 1.0)),
-            sig=float(spec_tree.get("sig", 1.0)),
-        )
-    if kind == "power":
-        return spectral.power_spectrum(
-            d, k=float(spec_tree["k"]), amp=float(spec_tree.get("amp", 1.0)),
-            s_max=float(spec_tree.get("s_max", 50.0)),
-        )
-    if kind == "file":
-        return spectral.load_spectrum(spec_tree["path"])
-    raise ConfigError(f"spectrum.kind: unknown kind {kind!r}")
-
-
-def cmd_character(path: str, out_flag: str | None, overwrite: bool) -> int:
-    t0 = time.time()
-    tree = json.loads(Path(path).read_text())
-    out_dir = out_flag or tree.get("out_dir")
-    if out_dir is None:
-        raise ConfigError("out_dir: missing (set in config or pass --out)")
-    spec = _spectrum_from_tree(tree)
-    out = _prepare_out(out_dir, overwrite)
+def cmd_character(cfg: CharacterConfig) -> Result:
+    spec = cfg.spectrum()
     est = spectral.decay_character(spec)
     lam = spectral.decay_character(spectral.lambda_spectrum(spec))
-    _write_csv(
-        out / "character.csv",
+    files = {"character.csv": _csv(
         ["d", "description", "r_star", "p_r_value", "fit_residual", "rho_lo",
          "rho_hi", "flag", "lambda_r_star"],
         [[spec.d, spec.description, est.r_star, est.p_r_value, est.fit_residual,
           est.window[0], est.window[1], est.flag or "", lam.r_star]],
-    )
-    manifest = {
-        "tool": "critheat", "version": __version__, "outputs": ["character.csv"],
-        "wall_time_s": time.time() - t0, "spectrum": {"d": spec.d, "kind": spec.kind},
-    }
-    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return 0
+    )}
+    return Result(files, {"spectrum": {"d": spec.d, "kind": spec.kind}})
 
 
-def cmd_splitting(cfg: RunConfig, overwrite: bool, g_choice: str) -> int:
-    t0 = time.time()
-    out = _prepare_out(cfg.out_dir, overwrite)
+def cmd_splitting(cfg: RunConfig, g_choice: str) -> Result:
     traj = experiments.run_config(cfg)
     code = _exit_for_verdict(traj.verdict)
     if code:
-        return code
+        return Result({}, {}, code)
     alpha = cfg.dimension / 2.0 + 1.5 if g_choice == "power" else None
     report = experiments.splitting_diagnostic(traj, g_choice=g_choice, alpha=alpha)
     rows = [[t, m] for t, m in zip(report.times, report.margins)]
-    _write_csv(out / "splitting.csv", ["t_mid", "normalized_margin"], rows)
-    _write_manifest(
-        out, cfg, ["splitting.csv"], time.time() - t0,
-        {"splitting": {"g": report.g_choice, "c_tilde": report.c_tilde,
-                       "alpha": report.alpha}},
-    )
-    return 0
+    splitting = {"g": report.g_choice, "c_tilde": report.c_tilde, "alpha": report.alpha}
+    return Result({"splitting.csv": _csv(["t_mid", "normalized_margin"], rows)},
+                  {**_described(cfg), "splitting": splitting})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,31 +233,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overridden(cfg, args):
+    """The configuration with the --out and --seed flags applied."""
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=args.out)
+    if args.seed is not None and isinstance(cfg, RunConfig):
+        cfg = replace(cfg, seed=args.seed)
+    if cfg.out_dir is None:
+        raise ConfigError("out_dir: missing (set in config or pass --out)")
+    return cfg
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        if args.command == "character":
-            return cmd_character(args.config, args.out, args.overwrite)
-        cfg = _load_config(args.config, args.seed, args.out)
-        if args.command == "run":
-            return cmd_run(cfg, args.overwrite)
+        text = Path(args.config).read_text()
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.config, args.overwrite, args.threads)
-        if args.command == "decayfit":
-            return cmd_decayfit(cfg, args.overwrite)
-        if args.command == "splitting":
-            return cmd_splitting(cfg, args.overwrite, args.weight)
-        raise AssertionError(f"unhandled command {args.command}")
+            configs = [_overridden(cfg, args) for cfg in parse_sweep(text)]
+            cfg, verb = configs[0], partial(cmd_sweep, configs, args.threads)
+        elif args.command == "character":
+            cfg = _overridden(parse_character(text), args)
+            verb = partial(cmd_character, cfg)
+        elif args.command == "splitting":
+            cfg = _overridden(parse_config(text), args)
+            verb = partial(cmd_splitting, cfg, args.weight)
+        else:
+            cfg = _overridden(parse_config(text), args)
+            verb = partial(cmd_run if args.command == "run" else cmd_decayfit, cfg)
+        _check_out(cfg.out_dir, args.overwrite)
+        result = verb()
+        if result.files:
+            _write_outputs(cfg.out_dir, result, time.time() - t0)
+        return result.code
     except CorruptionError as exc:
         print(f"numerical corruption: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, experiments.WindowTooShortError) as exc:
+    except (ValueError, experiments.WindowTooShortError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # keep exit 1 for partial sweeps, never a traceback

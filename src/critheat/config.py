@@ -1,22 +1,25 @@
-"""Run configuration: a JSON-compatible tree, validated with no silent defaults.
+"""Configuration: JSON-compatible trees, validated with no silent defaults.
 
-`parse_config` fills every default and records it, so serializing the result
-and parsing it again yields an identical value. Each default is the default of
-a dataclass field (`evolve.FlowSettings` for the flow parameters); `KEYS`
-places each field in the tree and says which values it accepts, and both
-`parse_config` and `RunConfig.to_json` read it. The content hash of the
-materialized configuration identifies a run in its output manifest.
+The only module that reads a configuration tree. `parse_config` fills every
+default and records it, so serializing the result and parsing it again yields
+an identical value. Each default is the default of a dataclass field
+(`evolve.FlowSettings` for the flow parameters); `KEYS` places each field in
+the tree and says which values it accepts, and both `parse_config` and
+`RunConfig.to_json` read it (`parse_sweep` and `parse_character` likewise).
+The content hash of the materialized configuration identifies a run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
-from . import families
+from . import families, functionals, spectral
 from .evolve import NONLINEARITY_SIGN, FlowSettings
 from .radial import RadialGrid, make_grid
 
@@ -71,10 +74,10 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _number(value, where: str):
+def _number(value, where: str, what: str = "a number"):
     """A finite number, kept as written so that an integer keeps its hash."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _expected("a number", value, where)
+        raise _expected(what, value, where)
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
@@ -105,7 +108,7 @@ def _positive(value) -> bool:
 
 
 class Key(NamedTuple):
-    """Where a RunConfig field lives in the JSON tree and what it accepts."""
+    """Where a configuration field lives in the JSON tree and what it accepts."""
 
     path: str  # "section.key", or "key" at the top level
     field: str
@@ -142,12 +145,6 @@ KEYS = (
     Key("out_dir", "out_dir", _text),
 )
 
-#: (object, key) pairs the tree may hold, "" being the top level; the family
-#: object also holds the family's own parameters, and the `sweep` verb reads
-#: `sweep` from the same file
-_KNOWN = {key.path.rpartition(".")[::2] for key in KEYS}
-_KNOWN |= {("", section) for section, _ in _KNOWN if section} | {("", "sweep")}
-
 
 def _section(tree: dict, name: str) -> dict:
     if not name:
@@ -160,26 +157,24 @@ def _section(tree: dict, name: str) -> dict:
     return node
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration, materializing every default."""
-    try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # oversized integers, deep nesting
-        raise ConfigError(f"not valid JSON: {exc}") from exc
-    if not isinstance(tree, dict):
-        raise ConfigError("top level must be an object")
-    for name, node in tree.items():
-        if ("", name) not in _KNOWN:
-            raise ConfigError(f"{name}: unknown key")
-        for key in node if isinstance(node, dict) and name != "family" else ():
-            if (name, key) not in _KNOWN:
-                raise ConfigError(f"{name}.{key}: unknown key")
+def _read(tree: dict, keys, defaults: dict, also=(), free=()) -> dict:
+    """Field values of `keys`: each tree value checked, else the field's default.
 
-    defaults = {f.name: f.default for f in fields(RunConfig)}
+    A key that neither `keys` nor `also` places in the tree is refused, except
+    the top-level keys `free` and whatever they hold.
+    """
+    known = {key.path.rpartition(".")[::2] for key in (*keys, *also)}
+    known |= {("", section) for section, _ in known if section}
+    for name, node in tree.items():
+        if name in free:
+            continue
+        if ("", name) not in known:
+            raise ConfigError(f"{name}: unknown key")
+        for key in node if isinstance(node, dict) else ():
+            if (name, key) not in known:
+                raise ConfigError(f"{name}.{key}: unknown key")
     values = {}
-    for key in KEYS:
+    for key in keys:
         section, _, name = key.path.rpartition(".")
         raw = _section(tree, section).get(name)
         if raw is None:
@@ -191,5 +186,105 @@ def parse_config(text: str) -> RunConfig:
         if not key.ok(value):
             raise ConfigError(f"{key.path}: must be {key.rule}, got {value!r}")
         values[key.field] = value
-    params = {k: v for k, v in _section(tree, "family").items() if k != "name"}
+    return values
+
+
+def _load(text: str) -> dict:
+    try:
+        tree = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # oversized integers, deep nesting
+        raise ConfigError(f"not valid JSON: {exc}") from exc
+    if not isinstance(tree, dict):
+        raise ConfigError("top level must be an object")
+    return tree
+
+
+def _run_config(tree: dict) -> RunConfig:
+    # the family object also holds the family's own parameters, and the
+    # `sweep` verb reads `sweep` from the same file
+    values = _read(tree, KEYS, {f.name: f.default for f in fields(RunConfig)},
+                   free=("family", "sweep"))
+    params = {k: v if isinstance(v, str) else _number(v, f"family.{k}", "a number or a string")
+              for k, v in tree["family"].items() if k != "name"}
+    d, q = values["dimension"], values["q"]
+    lo, hi = functionals.kq_inv_window(d)
+    if q is not None and not lo < 1.0 / q < hi:
+        raise ConfigError(f"diagnostics.q: must lie in ({1 / hi:.6g}, {1 / lo:.6g}) in d={d}, "
+                          f"got {q!r}")
     return RunConfig(family_params=tuple(sorted(params.items())), **values)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a JSON configuration, materializing every default."""
+    return _run_config(_load(text))
+
+
+def parse_sweep(text: str) -> list[RunConfig]:
+    """One configuration per `sweep` entry; the file's own if it has none.
+
+    Each entry is an object whose keys (`name` included) override those of
+    the `family` object. Every merged tree is checked as `parse_config` checks
+    a file, so a row's family and parameters are exactly what it runs.
+    """
+    tree = _load(text)
+    entries = tree.get("sweep")
+    if entries is None or entries == []:
+        return [_run_config(tree)]
+    if not isinstance(entries, list):
+        raise _expected("a list", entries, "sweep")
+    configs = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise _expected("an object", entry, f"sweep[{i}]")
+        try:
+            configs.append(_run_config({**tree, "family": {**_section(tree, "family"), **entry}}))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep[{i}]: {exc}") from exc
+    return configs
+
+
+#: the `character` verb's spectrum kinds and their builders; a builder's
+#: parameters after `d` are the kind's keys, required where it has no default
+SPECTRUM_KINDS = {
+    "power_gauss": spectral.gaussian_spectrum,
+    "power": spectral.power_spectrum,
+    "file": lambda d, path: spectral.load_spectrum(path),
+}
+
+#: the `character` configuration: three keys, then every kind's spectrum keys
+CHARACTER_KEYS = (
+    Key("dimension", "d", _int, lambda v: v >= 3, ">= 3"),
+    Key("spectrum.kind", "kind", _text, lambda v: v in SPECTRUM_KINDS,
+        f"one of {sorted(SPECTRUM_KINDS)}"),
+    Key("out_dir", "out_dir", _text),
+    Key("spectrum.k", "k", _float),
+    Key("spectrum.amp", "amp", _float),
+    Key("spectrum.sig", "sig", _float, _positive, "> 0"),
+    Key("spectrum.s_max", "s_max", _float, _positive, "> 0"),
+    Key("spectrum.path", "path", _text),
+)
+
+
+@dataclass(frozen=True)
+class CharacterConfig:
+    """The `character` verb's input: its spectrum, built on demand, and where to write."""
+
+    spectrum: Callable[[], spectral.SpectrumFn]
+    out_dir: str | None = None
+
+
+def parse_character(text: str) -> CharacterConfig:
+    """Parse and validate the `character` verb's configuration."""
+    tree = _load(text)
+    head = CHARACTER_KEYS[:3]
+    values = _read(tree, head, {"d": MISSING, "kind": MISSING, "out_dir": None},
+                   also=CHARACTER_KEYS)
+    build = SPECTRUM_KINDS[values["kind"]]
+    defaults = {p.name: MISSING if p.default is p.empty else p.default
+                for p in list(inspect.signature(build).parameters.values())[1:]}
+    # a second pass refuses the keys of other kinds
+    args = _read(tree, [key for key in CHARACTER_KEYS if key.field in defaults], defaults,
+                 also=head)
+    return CharacterConfig(partial(build, values["d"], **args), values["out_dir"])

@@ -152,10 +152,7 @@ class HeatProblem:
         self._face_over_h = (
             sphere_area(grid.d) * grid.cell_faces ** (grid.d - 1) / grid.spacings
         )
-        m = grid.n - 1
-        self._ab = np.zeros((3, m))
-        self._up_solve = self.up.copy()
-        self._up_solve[-1] = 0.0  # Dirichlet neighbor contributes nothing
+        self._ab = np.zeros((3, grid.n - 1))
 
     def nonlinear_term(self, u: np.ndarray) -> np.ndarray:
         if self.sign == 0.0:
@@ -167,7 +164,7 @@ class HeatProblem:
         m = self.grid.n - 1
         rhs = u[:m] + dt * self.nonlinear_term(u[:m])
         ab = self._ab
-        ab[0, 1:] = -dt * self._up_solve[:-1]
+        ab[0, 1:] = -dt * self.up[:-1]  # the last row's Dirichlet neighbor is not solved for
         ab[1, :] = 1.0 - dt * self.di
         ab[2, :-1] = -dt * self.lo[1:]
         out = np.empty_like(u)
@@ -265,7 +262,6 @@ def detect_dissipation(
 
 def detect_blowup(
     state: SolverState,
-    snapshots: list[Snapshot],
     initial_h1_sq: float,
     collapsed: bool,
     blowup_factor: float = FlowSettings.blowup_factor,
@@ -387,7 +383,7 @@ def run_flow(
                              dt_cap=t_next - state.t)
             except StepCollapseError as exc:
                 take_snapshot(state, with_field=True)
-                if detect_blowup(state, traj.snapshots, init_h1, collapsed=True,
+                if detect_blowup(state, init_h1, collapsed=True,
                                  blowup_factor=settings.blowup_factor,
                                  amp_cap=settings.amp_cap):
                     detail = {

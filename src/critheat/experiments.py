@@ -146,6 +146,10 @@ def fit_window(traj: evolve.Trajectory, t_lo: float, t_hi: float | None = None):
     return t, h1
 
 
+#: frequencies at which `decayfit` transforms u0 when its family has no closed-form spectrum
+DECAYFIT_NODES = np.concatenate([np.geomspace(1e-4, 0.1, 40), np.geomspace(0.11, 20.0, 80)])
+
+
 def decay_fit(
     traj: evolve.Trajectory,
     spec0: spectral.SpectrumFn,

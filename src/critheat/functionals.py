@@ -53,7 +53,7 @@ def l2_norm_sq(u: RadialField) -> float:
 
 def l2_tail_heavy(u: RadialField) -> bool:
     """True when the outer quarter of [0, R] carries > 1% of the L2 mass."""
-    w = u.grid.quad_weights(0)
+    w = u.grid.quad_weights
     sq = u.values**2
     total = float(w @ sq)
     if total == 0.0:

@@ -99,17 +99,10 @@ class RadialGrid:
         w[1:-1] = 0.5 * (h[:-1] + h[1:])
         return w
 
-    def quad_weights(self, moment: int = 0) -> np.ndarray:
-        """Weights w with sum(w * f) = omega_{d-1} int_0^R f r^{d-1+moment} dr."""
-        if moment not in (0, 1, 2):
-            raise ValueError(f"moment must be 0, 1 or 2, got {moment}")
-        return self._moment_weights[moment]
-
     @cached_property
-    def _moment_weights(self) -> dict:
-        base = self.line_weights * sphere_area(self.d)
-        r = self.nodes
-        return {m: base * r ** (self.d - 1 + m) for m in (0, 1, 2)}
+    def quad_weights(self) -> np.ndarray:
+        """Weights w with sum(w * f) = omega_{d-1} int_0^R f r^{d-1} dr."""
+        return self.line_weights * sphere_area(self.d) * self.nodes ** (self.d - 1)
 
     @cached_property
     def cell_faces(self) -> np.ndarray:
@@ -215,10 +208,10 @@ def assert_finite(f: RadialField) -> None:
         raise CorruptionError("field holds non-finite values")
 
 
-def radial_integral(f: RadialField, moment: int = 0) -> float:
-    """omega_{d-1} int_0^R f(r) r^{d-1+moment} dr by composite trapezoid."""
+def radial_integral(f: RadialField) -> float:
+    """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid."""
     assert_finite(f)
-    return float(f.grid.quad_weights(moment) @ f.values)
+    return float(f.grid.quad_weights @ f.values)
 
 
 def _fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:

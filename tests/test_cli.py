@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critheat import cli, experiments, families
-from critheat.config import KEYS, ConfigError, parse_config
+from critheat import cli, evolve, experiments, families
+from critheat.config import (
+    CHARACTER_KEYS, KEYS, SPECTRUM_KINDS, ConfigError, parse_character, parse_config, parse_sweep,
+)
 from critheat.radial import CorruptionError, grid_for_span
 
 
@@ -27,8 +30,10 @@ def run_config_text(tmp_out=None, **overrides):
 
 #: every key a configuration may hold, so that generated trees reach past the
 #: top level now and then
-KEY_NAMES = sorted({part for key in KEYS for part in key.path.split(".")} | {"a", "sweep"})
-json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+KEY_NAMES = sorted({part for key in KEYS + CHARACTER_KEYS for part in key.path.split(".")}
+                   | {"a", "sweep"})
+json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.sampled_from(sorted(SPECTRUM_KINDS)))
 json_trees = st.recursive(
     json_leaves,
     lambda inner: st.lists(inner, max_size=4)
@@ -43,17 +48,25 @@ FULL_CONFIG = {
                    "nonlinearity": "focusing"},
     "snapshots": {"first": 0.05, "factor": 1.3, "checkpoint_every": 2, "forced_times": [1.0]},
     "verdict": {"eps_dissip_rel": 1e-6, "kq_streak": 5, "blowup_factor": 10.0, "amp_cap": 1e8},
-    "diagnostics": {"q": 3.5, "fit_t_lo": 2.0},
+    "diagnostics": {"q": 5.0, "fit_t_lo": 2.0},
     "seed": 0,
+    "out_dir": "out",
+}
+FULL_SWEEP = {**FULL_CONFIG, "sweep": [{"amp": 0.1}, {"name": "aW", "a": 0.9}]}
+FULL_CHARACTER = {
+    "dimension": 3,
+    "spectrum": {"kind": "power", "k": 1.0, "amp": 2.0, "s_max": 40.0},
     "out_dir": "out",
 }
 
 
 @st.composite
-def mutated_configs(draw) -> dict:
-    """FULL_CONFIG with one value replaced by arbitrary JSON, or one key added."""
-    tree = copy.deepcopy(FULL_CONFIG)
+def mutated_configs(draw, base=FULL_CONFIG) -> dict:
+    """`base` with one value replaced by arbitrary JSON, or one key added."""
+    tree = copy.deepcopy(base)
     objects = [tree] + [v for v in tree.values() if isinstance(v, dict)]
+    objects += [v for entries in tree.values() if isinstance(entries, list)
+                for v in entries if isinstance(v, dict)]
     node = draw(st.sampled_from(objects))
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(node)))
@@ -64,12 +77,19 @@ def mutated_configs(draw) -> dict:
 
 
 def assert_parses_or_rejects(tree) -> None:
-    """parse_config raises ConfigError or nothing; what it accepts round-trips."""
+    """The parsers raise ConfigError or nothing; what they accept round-trips."""
+    text = json.dumps(tree)
+    for parse in (lambda text: [parse_config(text)], parse_sweep):
+        try:
+            configs = parse(text)
+        except ConfigError:
+            continue
+        for cfg in configs:
+            assert parse_config(cfg.to_json()).content_hash() == cfg.content_hash()
     try:
-        cfg = parse_config(json.dumps(tree))
+        parse_character(text)
     except ConfigError:
-        return
-    assert parse_config(cfg.to_json()).content_hash() == cfg.content_hash()
+        pass
 
 
 class TestParseConfig:
@@ -120,6 +140,62 @@ class TestParseConfig:
         parse_config(json.dumps(FULL_CONFIG))  # each example changes one thing of a valid config
         assert_parses_or_rejects(tree)
 
+    @given(tree=mutated_configs(FULL_SWEEP))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_valid_sweep_raises_only_config_error(self, tree):
+        assert len(parse_sweep(json.dumps(FULL_SWEEP))) == 2
+        assert_parses_or_rejects(tree)
+
+    @given(tree=mutated_configs(FULL_CHARACTER))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_valid_character_config_raises_only_config_error(self, tree):
+        parse_character(json.dumps(FULL_CHARACTER))
+        assert_parses_or_rejects(tree)
+
+    @pytest.mark.parametrize("value", ["1e999", "Infinity", "true", "[1]", '{"x": 1}', "null"])
+    def test_family_parameter_must_be_a_number_or_a_string(self, value):
+        text = run_config_text().replace('"a": 0.9', f'"a": {value}')
+        with pytest.raises(ConfigError, match=r"family\.a"):
+            parse_config(text)
+
+    def test_q_window_depends_on_the_dimension(self):
+        parse_config(run_config_text(diagnostics={"q": 3.5}))  # d=5: 10/3 < q < 14/3
+        with pytest.raises(ConfigError, match=r"diagnostics\.q.*d=5"):
+            parse_config(run_config_text(diagnostics={"q": 5.0}))
+
+
+class TestParseSweep:
+    def test_without_entries_the_file_is_the_one_row(self):
+        assert parse_sweep(run_config_text()) == [parse_config(run_config_text())]
+
+    def test_entry_overrides_family_keys_including_name(self):
+        tree = json.loads(run_config_text())
+        tree["sweep"] = [{"a": 1.2}, {"name": "gaussian", "amp": 0.1}]
+        first, second = parse_sweep(json.dumps(tree))
+        assert (first.family, first.params) == ("aW", {"a": 1.2})
+        assert (second.family, second.params) == ("gaussian", {"a": 0.9, "amp": 0.1})
+
+    def test_entry_error_names_the_row_and_key(self):
+        tree = json.loads(run_config_text())
+        tree["sweep"] = [{"a": 0.5}, {"name": "mystery"}]
+        with pytest.raises(ConfigError, match=r"sweep\[1\]: family\.name"):
+            parse_sweep(json.dumps(tree))
+
+
+class TestParseCharacter:
+    def test_defaults_come_from_the_spectrum_builder(self):
+        cfg = parse_character(json.dumps({"dimension": 4, "spectrum": {"kind": "power_gauss"}}))
+        spec = cfg.spectrum()
+        assert (spec.d, spec.kind, spec.k, spec.amp, spec.sig) == (4, "power_gauss", 0.0, 1.0, 1.0)
+        spec = parse_character(json.dumps({"dimension": 4, "spectrum": {"kind": "power", "k": 2}})
+                               ).spectrum()
+        assert (spec.kind, spec.k, spec.amp, spec.s_max) == ("power", 2.0, 1.0, 50.0)
+
+    def test_key_of_another_kind_is_refused(self):
+        tree = {"dimension": 4, "spectrum": {"kind": "power_gauss", "s_max": 10.0}}
+        with pytest.raises(ConfigError, match=r"spectrum\.s_max"):
+            parse_character(json.dumps(tree))
+
 
 
 @pytest.fixture()
@@ -144,6 +220,8 @@ class TestCommands:
             assert (out / name).exists()
         header = (out / "series.csv").read_text().splitlines()[0]
         assert header.strip() == "t,quantity,value"
+        # every file renamed into place: no temporary left behind
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
 
     def test_determinism_byte_identical_csv(self, tmp_path, cfg_file):
         path = cfg_file("run.json", run_config_text())
@@ -180,6 +258,7 @@ class TestCommands:
         tree["family"] = {"name": "from_file", "path": str(ckpt)}
         path = cfg_file("corrupt.json", json.dumps(tree))
         assert cli.main(["run", "--config", path]) == 4
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_rows_and_exit(self, tmp_path, cfg_file):
         tree = json.loads(run_config_text(tmp_path / "sw"))
@@ -190,6 +269,17 @@ class TestCommands:
         rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 rows
         assert "Dissipative" in rows[1] and "Blowup" in rows[2]
+
+    def test_sweep_entry_name_runs_that_family(self, tmp_path, cfg_file):
+        tree = json.loads(run_config_text(tmp_path / "sw"))
+        tree["sweep"] = [{"name": "gaussian"}]
+        path = cfg_file("sweep.json", json.dumps(tree))
+        assert cli.main(["sweep", "--config", path]) == 0
+        with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["family"] == "gaussian"
+        assert json.loads(row["params"]) == {"a": 0.9}  # "name" is the family, not a parameter
+        assert row["verdict"] == "Dissipative"
 
     def test_sweep_partial_exit_for_undecided_row(self, tmp_path, cfg_file):
         tree = json.loads(run_config_text(tmp_path / "sw"))
@@ -271,6 +361,8 @@ BAD_INPUTS = {
     "kq_streak_negative": ("verdict.kq_streak", "verdict", "kq_streak", "-3"),
     "typo_in_section": ("integrator.tmax", "integrator", "tmax", "1e6"),
     "typo_at_top_level": ("seeed", "", "seeed", "1"),
+    "q_outside_window": ("diagnostics.q", "diagnostics", "q", "100.0"),
+    "family_param_inf": ("family.a", "family", "a", "1e999"),
 }
 
 
@@ -293,6 +385,47 @@ def test_unexpected_exception_exits_6(tmp_path, cfg_file, capsys, monkeypatch):
     path = cfg_file("run.json", run_config_text(tmp_path / "out"))
     assert cli.main(["run", "--config", path]) == 6
     assert capsys.readouterr().err == "internal error: KeyError: 'p'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def character_tree(**spectrum) -> dict:
+    return {"dimension": 3, "spectrum": {"kind": "power_gauss", **spectrum}}
+
+
+#: id: (verb, configuration tree with "VALUE" standing for 1e999, what the error names)
+PROBES = {
+    "sweep_entry_inf": ("sweep", {**json.loads(run_config_text()), "sweep": [{"a": "VALUE"}]},
+                        "sweep[0]: family.a"),
+    "family_param_inf": ("sweep", json.loads(run_config_text(family={"name": "aW", "a": "VALUE"})),
+                         "family.a"),
+    "q_outside_window": ("run", json.loads(run_config_text(diagnostics={"q": 100})),
+                         "diagnostics.q"),
+    "character_k_list": ("character", character_tree(k=[1]), "spectrum.k"),
+    "character_power_without_k": ("character", character_tree(kind="power"), "spectrum.k"),
+    "character_file_without_path": ("character", character_tree(kind="file"), "spectrum.path"),
+    "character_typo": ("character", character_tree(kk=1.0), "spectrum.kk"),
+    "character_sweep_key": ("character", {**character_tree(), "sweep": 3}, "sweep"),
+}
+
+
+@pytest.mark.parametrize("verb, tree, where", PROBES.values(), ids=PROBES)
+def test_probe_exits_2_without_output(tmp_path, cfg_file, capsys, verb, tree, where):
+    path = cfg_file("bad.json", json.dumps(tree).replace('"VALUE"', "1e999"))
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", path, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["decayfit", "splitting"])
+def test_corrupted_run_leaves_no_output(tmp_path, cfg_file, monkeypatch, verb):
+    corrupted = evolve.Trajectory(d=5, grid=None, e_w=1.0, grad_sq_w=1.0,
+                                  verdict=evolve.Verdict(evolve.UNDECIDED, 0.0,
+                                                         {"reason": "corruption"}))
+    monkeypatch.setattr(experiments, "run_config", lambda cfg: corrupted)
+    path = cfg_file("run.json", run_config_text(tmp_path / "out"))
+    assert cli.main([verb, "--config", path]) == 4
+    assert not (tmp_path / "out").exists()
 
 
 class TestCheckpointFormat:

@@ -89,12 +89,7 @@ class TestRadialIntegral:
         # volume of the radius-2 ball in R^4: 2 pi^2 * 2^4 / 4 = 8 pi^2
         g = make_grid(4, 2.0, 4097, 1.0)
         f = RadialField(g, np.ones(g.n))
-        assert radial_integral(f, moment=0) == pytest.approx(8 * math.pi**2, rel=1e-7)
-
-    def test_moment_validation(self):
-        g = make_grid(3, 2.0, 32, 1.0)
-        with pytest.raises(ValueError):
-            radial_integral(RadialField(g, np.ones(g.n)), moment=3)
+        assert radial_integral(f) == pytest.approx(8 * math.pi**2, rel=1e-7)
 
     def test_corruption_detected(self):
         g = make_grid(3, 2.0, 32, 1.0)
