@@ -69,11 +69,23 @@ def _csv(header: list[str], rows: list[list]) -> Callable[[Path], None]:
     return write
 
 
+def _listed_outputs(out: Path) -> set[str]:
+    """The files that an earlier manifest in `out` lists as its outputs."""
+    try:
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        return {name for name in listed if Path(name).name == name and (out / name).is_file()}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+
+
 def _write_outputs(out_dir: str, result: Result, wall: float) -> None:
-    """Write each file under a temporary name and rename it into place,
-    `manifest.json` last."""
+    """Remove the outputs an earlier manifest lists that this result does not
+    write, then write each file under a temporary name and rename it into
+    place, `manifest.json` last."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _listed_outputs(out) - set(result.files):
+        (out / name).unlink()
     manifest = {"tool": "critheat", "version": __version__, "outputs": list(result.files),
                 "wall_time_s": wall, **result.manifest}
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -225,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--overwrite", action="store_true", help="allow writing into a non-empty directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "character":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
         if name == "splitting":
@@ -237,7 +250,7 @@ def _overridden(cfg, args):
     """The configuration with the --out and --seed flags applied."""
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None and isinstance(cfg, RunConfig):
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if cfg.out_dir is None:
         raise ConfigError("out_dir: missing (set in config or pass --out)")

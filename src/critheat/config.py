@@ -6,7 +6,10 @@ an identical value. Each default is the default of a dataclass field
 (`evolve.FlowSettings` for the flow parameters); `KEYS` places each field in
 the tree and says which values it accepts, and both `parse_config` and
 `RunConfig.to_json` read it (`parse_sweep` and `parse_character` likewise).
-The content hash of the materialized configuration identifies a run.
+A family's or a spectrum's parameters are the keyword-only parameters of its
+builder, checked against `PARAMS` and recorded as written: their defaults stay
+in the builder's signature. The content hash of the configuration identifies
+a run.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _number(value, where: str, what: str = "a number"):
+def _number(value, where: str):
     """A finite number, kept as written so that an integer keeps its hash."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _expected(what, value, where)
+        raise _expected("a number", value, where)
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
@@ -157,13 +160,20 @@ def _section(tree: dict, name: str) -> dict:
     return node
 
 
-def _read(tree: dict, keys, defaults: dict, also=(), free=()) -> dict:
+def _checked(key: Key, raw):
+    value = key.read(raw, key.path)
+    if not key.ok(value):
+        raise ConfigError(f"{key.path}: must be {key.rule}, got {value!r}")
+    return value
+
+
+def _read(tree: dict, keys, defaults: dict, free=()) -> dict:
     """Field values of `keys`: each tree value checked, else the field's default.
 
-    A key that neither `keys` nor `also` places in the tree is refused, except
-    the top-level keys `free` and whatever they hold.
+    A key that `keys` does not place in the tree is refused, except the
+    top-level keys `free` and whatever they hold.
     """
-    known = {key.path.rpartition(".")[::2] for key in (*keys, *also)}
+    known = {key.path.rpartition(".")[::2] for key in keys}
     known |= {("", section) for section, _ in known if section}
     for name, node in tree.items():
         if name in free:
@@ -182,11 +192,48 @@ def _read(tree: dict, keys, defaults: dict, also=(), free=()) -> dict:
                 raise ConfigError(f"{key.path}: missing required field")
             values[key.field] = defaults[key.field]
             continue
-        value = key.read(raw, key.path)
-        if not key.ok(value):
-            raise ConfigError(f"{key.path}: must be {key.rule}, got {value!r}")
-        values[key.field] = value
+        values[key.field] = _checked(key, raw)
     return values
+
+
+#: every keyword-only parameter of a family or spectrum builder: its reader and range
+PARAMS = {
+    "a": (_number,),
+    "amp": (_number,),
+    "p": (_number,),
+    "spread": (_number,),
+    "k": (_float,),
+    "lam": (_number, _positive, "> 0"),
+    "width": (_number, _positive, "> 0"),
+    "rho_c": (_number, _positive, "> 0"),
+    "taper": (_number, _positive, "> 0"),
+    "sig": (_float, _positive, "> 0"),
+    "s_max": (_float, _positive, "> 0"),
+    "n_bumps": (_int, lambda v: v >= 1, ">= 1"),
+    "path": (_text,),
+}
+
+
+def _arguments(build: Callable, section: str, node: dict, chooser: str) -> dict:
+    """The keyword-only arguments of `build` that the object `section` sets
+    besides `chooser`, each checked against `PARAMS`, kept as written.
+
+    Unknown keys, `null` and missing required parameters are refused; an
+    omitted parameter takes the default in the signature of `build`.
+    """
+    params = {p.name: p for p in inspect.signature(build).parameters.values()
+              if p.kind is p.KEYWORD_ONLY}
+    args = {}
+    for name, raw in node.items():
+        if name == chooser:
+            continue
+        if name not in params:
+            raise ConfigError(f"{section}.{name}: unknown key")
+        args[name] = _checked(Key(f"{section}.{name}", name, *PARAMS[name]), raw)
+    for name, p in params.items():
+        if p.default is p.empty and name not in args:
+            raise ConfigError(f"{section}.{name}: missing required field")
+    return args
 
 
 def _load(text: str) -> dict:
@@ -206,8 +253,7 @@ def _run_config(tree: dict) -> RunConfig:
     # `sweep` verb reads `sweep` from the same file
     values = _read(tree, KEYS, {f.name: f.default for f in fields(RunConfig)},
                    free=("family", "sweep"))
-    params = {k: v if isinstance(v, str) else _number(v, f"family.{k}", "a number or a string")
-              for k, v in tree["family"].items() if k != "name"}
+    params = _arguments(families.FAMILIES[values["family"]], "family", tree["family"], "name")
     d, q = values["dimension"], values["q"]
     lo, hi = functionals.kq_inv_window(d)
     if q is not None and not lo < 1.0 / q < hi:
@@ -224,9 +270,10 @@ def parse_config(text: str) -> RunConfig:
 def parse_sweep(text: str) -> list[RunConfig]:
     """One configuration per `sweep` entry; the file's own if it has none.
 
-    Each entry is an object whose keys (`name` included) override those of
-    the `family` object. Every merged tree is checked as `parse_config` checks
-    a file, so a row's family and parameters are exactly what it runs.
+    Each entry is an object. One that sets `name` replaces the `family`
+    object; any other overrides the keys of the `family` object. Every merged
+    tree is checked as `parse_config` checks a file, so a row's family and
+    parameters are exactly what it runs.
     """
     tree = _load(text)
     entries = tree.get("sweep")
@@ -239,31 +286,27 @@ def parse_sweep(text: str) -> list[RunConfig]:
         if not isinstance(entry, dict):
             raise _expected("an object", entry, f"sweep[{i}]")
         try:
-            configs.append(_run_config({**tree, "family": {**_section(tree, "family"), **entry}}))
+            family = entry if "name" in entry else {**_section(tree, "family"), **entry}
+            configs.append(_run_config({**tree, "family": family}))
         except ConfigError as exc:
             raise ConfigError(f"sweep[{i}]: {exc}") from exc
     return configs
 
 
 #: the `character` verb's spectrum kinds and their builders; a builder's
-#: parameters after `d` are the kind's keys, required where it has no default
+#: keyword-only parameters are the kind's keys, required where it has no default
 SPECTRUM_KINDS = {
     "power_gauss": spectral.gaussian_spectrum,
     "power": spectral.power_spectrum,
-    "file": lambda d, path: spectral.load_spectrum(path),
+    "file": lambda d, *, path: spectral.load_spectrum(path, d),
 }
 
-#: the `character` configuration: three keys, then every kind's spectrum keys
+#: the `character` configuration; `spectrum` also holds the kind's keys
 CHARACTER_KEYS = (
     Key("dimension", "d", _int, lambda v: v >= 3, ">= 3"),
     Key("spectrum.kind", "kind", _text, lambda v: v in SPECTRUM_KINDS,
         f"one of {sorted(SPECTRUM_KINDS)}"),
     Key("out_dir", "out_dir", _text),
-    Key("spectrum.k", "k", _float),
-    Key("spectrum.amp", "amp", _float),
-    Key("spectrum.sig", "sig", _float, _positive, "> 0"),
-    Key("spectrum.s_max", "s_max", _float, _positive, "> 0"),
-    Key("spectrum.path", "path", _text),
 )
 
 
@@ -278,13 +321,8 @@ class CharacterConfig:
 def parse_character(text: str) -> CharacterConfig:
     """Parse and validate the `character` verb's configuration."""
     tree = _load(text)
-    head = CHARACTER_KEYS[:3]
-    values = _read(tree, head, {"d": MISSING, "kind": MISSING, "out_dir": None},
-                   also=CHARACTER_KEYS)
+    values = _read(tree, CHARACTER_KEYS, {"d": MISSING, "kind": MISSING, "out_dir": None},
+                   free=("spectrum",))
     build = SPECTRUM_KINDS[values["kind"]]
-    defaults = {p.name: MISSING if p.default is p.empty else p.default
-                for p in list(inspect.signature(build).parameters.values())[1:]}
-    # a second pass refuses the keys of other kinds
-    args = _read(tree, [key for key in CHARACTER_KEYS if key.field in defaults], defaults,
-                 also=head)
+    args = _arguments(build, "spectrum", tree["spectrum"], "kind")
     return CharacterConfig(partial(build, values["d"], **args), values["out_dir"])

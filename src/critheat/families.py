@@ -1,9 +1,10 @@
 """Named initial-data families and the checkpoint file format.
 
-Families produce a radial field from a parameter dict; names are registered so
-configurations can be validated up front. Where the transform is known in
-closed form the family also supplies its frequency profile, which the
-decay-rate machinery prefers over a numerical transform.
+A family builder takes the grid, a seeded generator and its parameters as
+keyword arguments; its signature is the one definition of those parameters and
+their defaults, and `config` reads it to check a configuration up front. Where
+the transform is known in closed form the family also supplies its frequency
+profile, which the decay-rate machinery prefers over a numerical transform.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from .radial import CorruptionError, RadialField, RadialGrid
 CHECKPOINT_MAGIC = "# critheat checkpoint v1"
 
 
-def _w_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
-    a = params.get("a", 1.0)
-    lam = params.get("lam", 1.0)
+def _w_family(grid: RadialGrid, rng, *, a=1.0, lam=1.0) -> np.ndarray:
     return a * ground_state.bubble_values(grid.d, grid.nodes, lam)
 
 
-def _gaussian_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
-    amp = params.get("amp", 0.05)
-    width = params.get("width", 1.0)
+def _gaussian_family(grid: RadialGrid, rng, *, amp=0.05, width=1.0) -> np.ndarray:
     return amp * np.exp(-((grid.nodes / width) ** 2))
 
 
@@ -40,28 +37,23 @@ def _cutoff_taper(r: np.ndarray, rho_c: float, width: float) -> np.ndarray:
     return chi
 
 
-def _w_cutoff_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
-    a = params.get("a", 1.2)
-    rho_c = params.get("rho_c", grid.rmax / 4.0)
-    width = params.get("taper", rho_c / 4.0)
-    if rho_c + width >= grid.rmax:
-        raise ValueError(f"cutoff {rho_c}+{width} must end inside R={grid.rmax}")
+def _w_cutoff_family(grid: RadialGrid, rng, *, a=1.2, rho_c=None, taper=None) -> np.ndarray:
+    """a*W cut off at rho_c (default R/4) with a taper (default rho_c/4)."""
+    rho_c = grid.rmax / 4.0 if rho_c is None else rho_c
+    taper = rho_c / 4.0 if taper is None else taper
+    if rho_c + taper >= grid.rmax:
+        raise ValueError(f"family.rho_c: cutoff {rho_c}+{taper} must end inside R={grid.rmax}")
     w = ground_state.bubble_values(grid.d, grid.nodes)
-    return a * w * _cutoff_taper(grid.nodes, rho_c, width)
+    return a * w * _cutoff_taper(grid.nodes, rho_c, taper)
 
 
-def _power_tail_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
-    amp = params.get("amp", 0.1)
-    p = params["p"]
+def _power_tail_family(grid: RadialGrid, rng, *, p, amp=0.1) -> np.ndarray:
     return amp * (1.0 + grid.nodes**2) ** (-p / 2.0)
 
 
-def _bumps_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
+def _bumps_family(grid: RadialGrid, rng, *, n_bumps=3, amp=0.05, spread=4.0) -> np.ndarray:
     """Sum of symmetrized off-center bumps; smooth at the origin by even
     extension, so u_r(0) = 0 holds exactly."""
-    n_bumps = int(params.get("n_bumps", 3))
-    amp = params.get("amp", 0.05)
-    spread = params.get("spread", 4.0)
     r = grid.nodes
     out = np.zeros_like(r)
     for _ in range(n_bumps):
@@ -72,8 +64,8 @@ def _bumps_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
     return out
 
 
-def _from_file_family(grid: RadialGrid, params: dict, rng) -> np.ndarray:
-    field, _t = load_checkpoint(params["path"])
+def _from_file_family(grid: RadialGrid, rng, *, path) -> np.ndarray:
+    field, _t = load_checkpoint(path)
     if field.grid.d != grid.d:
         raise ValueError(f"checkpoint dimension {field.grid.d} does not match run {grid.d}")
     if field.grid.n == grid.n and np.allclose(field.grid.nodes, grid.nodes):
@@ -101,7 +93,7 @@ def build_initial(name: str, params: dict, grid: RadialGrid, seed: int = 0) -> R
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; registered: {sorted(FAMILIES)}")
     rng = np.random.default_rng(seed)
-    values = np.asarray(FAMILIES[name](grid, dict(params), rng), dtype=float)
+    values = np.asarray(FAMILIES[name](grid, rng, **params), dtype=float)
     values[-1] = 0.0
     return RadialField(grid, values)
 
@@ -113,8 +105,8 @@ def initial_spectrum(name: str, params: dict, d: int) -> spectral.SpectrumFn | N
     amp*(w^2/2)^{d/2} exp(-(w s/2)^2) under the unitary convention.
     """
     if name == "gaussian":
-        amp = params.get("amp", 0.05)
-        width = params.get("width", 1.0)
+        args = {**_gaussian_family.__kwdefaults__, **params}  # the builder's defaults
+        amp, width = args["amp"], args["width"]
         return spectral.gaussian_spectrum(
             d, k=0.0, amp=amp * (width * width / 2.0) ** (d / 2.0), sig=2.0 / width
         )

@@ -108,13 +108,13 @@ class SpectrumFn:
         return math.log(abs(v1 / v0)) / math.log(s1 / s0), v0
 
 
-def gaussian_spectrum(d: int, k: float = 0.0, amp: float = 1.0, sig: float = 1.0) -> SpectrumFn:
+def gaussian_spectrum(d: int, *, k: float = 0.0, amp: float = 1.0, sig: float = 1.0) -> SpectrumFn:
     """amp * s^k * exp(-(s/sig)^2); decay character k."""
     return SpectrumFn(d=d, kind="power_gauss", k=k, amp=amp, sig=sig,
                       description=f"s^{k} gaussian")
 
 
-def power_spectrum(d: int, k: float, amp: float = 1.0, s_max: float = 50.0) -> SpectrumFn:
+def power_spectrum(d: int, *, k: float, amp: float = 1.0, s_max: float = 50.0) -> SpectrumFn:
     return SpectrumFn(d=d, kind="power", k=k, amp=amp, s_max=s_max, description=f"s^{k}")
 
 
@@ -337,9 +337,10 @@ def save_spectrum(spec: SpectrumFn, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def load_spectrum(path) -> SpectrumFn:
+def load_spectrum(path, d: int | None = None) -> SpectrumFn:
+    """A spectrum saved by `save_spectrum`; its `d=` header must equal `d` if given."""
     path = Path(path)
-    d = None
+    header_d = None
     rows = []
     for line in path.read_text().splitlines():
         line = line.strip()
@@ -348,12 +349,14 @@ def load_spectrum(path) -> SpectrumFn:
         if line.startswith("#"):
             for tokenized in line[1:].split():
                 if tokenized.startswith("d="):
-                    d = int(tokenized[2:])
+                    header_d = int(tokenized[2:])
             continue
         a, b = line.split()
         rows.append((float(a), float(b)))
-    if d is None:
+    if header_d is None:
         raise ValueError(f"{path}: missing 'd=' header")
+    if d is not None and header_d != d:
+        raise ValueError(f"dimension: {d} does not match the d={header_d} header of {path}")
     arr = np.array(rows)
-    return SpectrumFn(d=d, kind="tabulated", s_nodes=arr[:, 0], values=arr[:, 1],
+    return SpectrumFn(d=header_d, kind="tabulated", s_nodes=arr[:, 0], values=arr[:, 1],
                       description=f"loaded from {path.name}")

@@ -1,5 +1,6 @@
 import copy
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critheat import cli, evolve, experiments, families
+from critheat import cli, evolve, experiments, families, spectral
 from critheat.config import (
-    CHARACTER_KEYS, KEYS, SPECTRUM_KINDS, ConfigError, parse_character, parse_config, parse_sweep,
+    CHARACTER_KEYS, KEYS, PARAMS, SPECTRUM_KINDS, ConfigError, parse_character, parse_config,
+    parse_sweep,
 )
 from critheat.radial import CorruptionError, grid_for_span
 
@@ -28,10 +30,10 @@ def run_config_text(tmp_out=None, **overrides):
     return json.dumps(tree)
 
 
-#: every key a configuration may hold, so that generated trees reach past the
-#: top level now and then
+#: every key a configuration may hold, builder parameters included, so that
+#: generated trees reach past the top level now and then
 KEY_NAMES = sorted({part for key in KEYS + CHARACTER_KEYS for part in key.path.split(".")}
-                   | {"a", "sweep"})
+                   | set(PARAMS) | {"sweep"})
 json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
                | st.sampled_from(sorted(SPECTRUM_KINDS)))
 json_trees = st.recursive(
@@ -52,6 +54,16 @@ FULL_CONFIG = {
     "seed": 0,
     "out_dir": "out",
 }
+#: one valid `family` object per family, each setting every parameter of its builder
+FULL_FAMILIES = (
+    {"name": "aW", "a": 0.9, "lam": 1.0},
+    {"name": "gaussian", "amp": 0.05, "width": 1.0},
+    {"name": "aW_cutoff", "a": 1.2, "rho_c": 40.0, "taper": 10.0},
+    {"name": "power_tail", "p": 3.0, "amp": 0.1},
+    {"name": "bumps", "n_bumps": 3, "amp": 0.05, "spread": 4.0},
+    {"name": "from_file", "path": "u0.txt"},
+)
+FULL_CONFIGS = tuple({**FULL_CONFIG, "family": family} for family in FULL_FAMILIES)
 FULL_SWEEP = {**FULL_CONFIG, "sweep": [{"amp": 0.1}, {"name": "aW", "a": 0.9}]}
 FULL_CHARACTER = {
     "dimension": 3,
@@ -134,10 +146,11 @@ class TestParseConfig:
     def test_arbitrary_trees_raise_only_config_error(self, tree):
         assert_parses_or_rejects(tree)
 
-    @given(tree=mutated_configs())
+    @given(tree=st.sampled_from(FULL_CONFIGS).flatmap(mutated_configs))
     @settings(max_examples=300, deadline=None)
     def test_mutated_valid_config_raises_only_config_error(self, tree):
-        parse_config(json.dumps(FULL_CONFIG))  # each example changes one thing of a valid config
+        for base in FULL_CONFIGS:  # each example changes one thing of a valid config
+            parse_config(json.dumps(base))
         assert_parses_or_rejects(tree)
 
     @given(tree=mutated_configs(FULL_SWEEP))
@@ -158,6 +171,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"family\.a"):
             parse_config(text)
 
+    def test_every_builder_parameter_has_a_reader(self):
+        builders = [*families.FAMILIES.values(), *SPECTRUM_KINDS.values()]
+        names = {p.name for build in builders for p in inspect.signature(build).parameters.values()
+                 if p.kind is p.KEYWORD_ONLY}
+        assert names == set(PARAMS)
+        for family in FULL_FAMILIES:
+            assert set(family) - {"name"} == set(
+                inspect.signature(families.FAMILIES[family["name"]]).parameters) - {"grid", "rng"}
+
+    def test_family_parameters_are_recorded_as_written(self):
+        # no default is materialized, so a valid configuration keeps its hash
+        cfg = parse_config(run_config_text(family={"name": "gaussian", "amp": 1}))
+        assert cfg.family_params == (("amp", 1),)
+        assert parse_config(run_config_text()).content_hash() == "90d40b28bd958201"
+        assert parse_config(run_config_text(seed=3)).content_hash() == "2747fa1502007ffc"
+
     def test_q_window_depends_on_the_dimension(self):
         parse_config(run_config_text(diagnostics={"q": 3.5}))  # d=5: 10/3 < q < 14/3
         with pytest.raises(ConfigError, match=r"diagnostics\.q.*d=5"):
@@ -173,7 +202,8 @@ class TestParseSweep:
         tree["sweep"] = [{"a": 1.2}, {"name": "gaussian", "amp": 0.1}]
         first, second = parse_sweep(json.dumps(tree))
         assert (first.family, first.params) == ("aW", {"a": 1.2})
-        assert (second.family, second.params) == ("gaussian", {"a": 0.9, "amp": 0.1})
+        # an entry that sets `name` replaces the family object
+        assert (second.family, second.params) == ("gaussian", {"amp": 0.1})
 
     def test_entry_error_names_the_row_and_key(self):
         tree = json.loads(run_config_text())
@@ -190,6 +220,10 @@ class TestParseCharacter:
         spec = parse_character(json.dumps({"dimension": 4, "spectrum": {"kind": "power", "k": 2}})
                                ).spectrum()
         assert (spec.kind, spec.k, spec.amp, spec.s_max) == ("power", 2.0, 1.0, 50.0)
+
+    def test_null_is_refused(self):
+        with pytest.raises(ConfigError, match=r"spectrum\.k"):
+            parse_character(json.dumps(character_tree(k=None)))
 
     def test_key_of_another_kind_is_refused(self):
         tree = {"dimension": 4, "spectrum": {"kind": "power_gauss", "s_max": 10.0}}
@@ -278,7 +312,7 @@ class TestCommands:
         with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["family"] == "gaussian"
-        assert json.loads(row["params"]) == {"a": 0.9}  # "name" is the family, not a parameter
+        assert json.loads(row["params"]) == {}  # "name" is the family, not a parameter
         assert row["verdict"] == "Dissipative"
 
     def test_sweep_partial_exit_for_undecided_row(self, tmp_path, cfg_file):
@@ -415,6 +449,65 @@ def test_probe_exits_2_without_output(tmp_path, cfg_file, capsys, verb, tree, wh
     assert cli.main([verb, "--config", path, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
     assert not out.exists()
+
+
+#: id: (the run's family object, what the error names)
+FAMILY_PROBES = {
+    "typo": ({"name": "gaussian", "widht": 2.0}, "family.widht"),
+    "lam_negative": ({"name": "aW", "lam": -1.0}, "family.lam"),
+    "power_tail_without_p": ({"name": "power_tail"}, "family.p"),
+    "from_file_without_path": ({"name": "from_file"}, "family.path"),
+    "width_zero": ({"name": "gaussian", "width": 0}, "family.width"),
+    "a_string": ({"name": "aW", "a": "big"}, "family.a"),
+    "n_bumps_string": ({"name": "bumps", "n_bumps": "x"}, "family.n_bumps"),
+    "rho_c_past_R": ({"name": "aW_cutoff", "rho_c": 700.0}, "family.rho_c"),
+}
+
+
+@pytest.mark.parametrize("family, where", FAMILY_PROBES.values(), ids=FAMILY_PROBES)
+def test_family_probe_exits_2_without_output(tmp_path, cfg_file, capsys, family, where):
+    path = cfg_file("bad.json", run_config_text(family=family))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overwrite_removes_only_the_earlier_manifests_outputs(tmp_path, cfg_file):
+    tree = {"dimension": 5, "grid": {"R": 50.0, "n": 200}, "family": {"name": "gaussian"},
+            "integrator": {"t_max": 10.0}, "snapshots": {"checkpoint_every": 1}}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg_file("a.json", json.dumps(tree)),
+                     "--out", str(out)]) == 0
+    before = json.loads((out / "manifest.json").read_text())["outputs"]
+    (out / "notes.txt").write_text("not an output\n")
+    tree["snapshots"]["checkpoint_every"] = 8
+    assert cli.main(["run", "--config", cfg_file("b.json", json.dumps(tree)),
+                     "--out", str(out), "--overwrite"]) == 0
+    after = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(after) < len(before)
+    assert sorted(p.name for p in out.iterdir()) == sorted(after + ["manifest.json", "notes.txt"])
+
+
+def test_character_file_spectrum_must_match_the_dimension(tmp_path, cfg_file, capsys):
+    spectral.save_spectrum(spectral.gaussian_spectrum(5), tmp_path / "spec.txt")
+    tree = {"dimension": 3, "spectrum": {"kind": "file", "path": str(tmp_path / "spec.txt")}}
+    out = tmp_path / "out"
+    assert cli.main(["character", "--config", cfg_file("c.json", json.dumps(tree)),
+                     "--out", str(out)]) == 2
+    assert "dimension" in capsys.readouterr().err
+    assert not out.exists()
+    tree["dimension"] = 5
+    assert cli.main(["character", "--config", cfg_file("c.json", json.dumps(tree)),
+                     "--out", str(out)]) == 0
+
+
+def test_seed_flag_only_where_the_configuration_has_a_seed(tmp_path, cfg_file):
+    path = cfg_file("c.json", json.dumps(character_tree()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["character", "--config", path, "--out", str(tmp_path / "out"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("verb", ["decayfit", "splitting"])

@@ -122,6 +122,16 @@ class TestDecayFit:
         bound = fit.envelope_constant / np.log(math.e + t) ** 2
         assert np.all(h1 <= bound * (1 + 1e-12))
 
+    def test_initial_spectrum_uses_the_builder_defaults(self, monkeypatch):
+        spec = families.initial_spectrum("gaussian", {}, 4)
+        same = families.initial_spectrum("gaussian", {"amp": 0.05, "width": 1.0}, 4)
+        assert (spec.amp, spec.sig) == (same.amp, same.sig)
+        # the defaults are read from the builder's signature, not copied
+        monkeypatch.setattr(families._gaussian_family, "__kwdefaults__",
+                            {"amp": 0.2, "width": 2.0})
+        spec = families.initial_spectrum("gaussian", {}, 4)
+        assert (spec.amp, spec.sig) == (0.2 * 2.0**2, 1.0)
+
 
 class TestSplitting:
     def test_zero_solution_trivial(self):

@@ -191,6 +191,13 @@ class TestSpectrumIO:
         assert np.array_equal(back.s_nodes, spec.s_nodes)
         assert np.array_equal(back.values, spec.values)
 
+    def test_dimension_must_match_the_header(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        sp.save_spectrum(sp.gaussian_spectrum(5), path)
+        assert sp.load_spectrum(path, 5).d == 5
+        with pytest.raises(ValueError, match="dimension"):
+            sp.load_spectrum(path, 3)
+
     def test_closed_form_export_is_tabulated(self, tmp_path):
         spec = sp.gaussian_spectrum(3, k=1.0)
         path = tmp_path / "gauss.txt"
