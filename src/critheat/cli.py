@@ -143,8 +143,8 @@ def cmd_run(cfg: RunConfig) -> Result:
     return Result(files, {**_described(cfg), "verdict": verdict}, _exit_for_verdict(traj.verdict))
 
 
-def cmd_sweep(configs: list[RunConfig], threads: int) -> Result:
-    rows = experiments.dichotomy_sweep(configs, threads=threads)
+def cmd_sweep(configs: list[RunConfig], workers: int) -> Result:
+    rows = experiments.dichotomy_sweep(configs, workers)
     table = []
     for i, row in enumerate(rows):
         table.append([
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "character":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "sweep":
-            p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+            p.add_argument("--workers", type=int, default=1,
+                           help="processes that run sweep rows in parallel")
         if name == "splitting":
             p.add_argument("--weight", default="log_cubed", choices=("log_cubed", "power"))
     return parser
@@ -258,13 +259,16 @@ def _overridden(cfg, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     t0 = time.time()
     try:
         text = Path(args.config).read_text()
         if args.command == "sweep":
             configs = [_overridden(cfg, args) for cfg in parse_sweep(text)]
-            cfg, verb = configs[0], partial(cmd_sweep, configs, args.threads)
+            cfg, verb = configs[0], partial(cmd_sweep, configs, args.workers)
         elif args.command == "character":
             cfg = _overridden(parse_character(text), args)
             verb = partial(cmd_character, cfg)

@@ -254,6 +254,11 @@ def _run_config(tree: dict) -> RunConfig:
     values = _read(tree, KEYS, {f.name: f.default for f in fields(RunConfig)},
                    free=("family", "sweep"))
     params = _arguments(families.FAMILIES[values["family"]], "family", tree["family"], "name")
+    if values["family"] == "aW_cutoff":  # the one family whose range depends on the grid
+        try:
+            families.cutoff_window(values["r_max"], params.get("rho_c"), params.get("taper"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     d, q = values["dimension"], values["q"]
     lo, hi = functionals.kq_inv_window(d)
     if q is not None and not lo < 1.0 / q < hi:

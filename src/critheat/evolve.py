@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import functionals
 from .functionals import EnergyReport, energy_report
@@ -152,7 +152,6 @@ class HeatProblem:
         self._face_over_h = (
             sphere_area(grid.d) * grid.cell_faces ** (grid.d - 1) / grid.spacings
         )
-        self._ab = np.zeros((3, grid.n - 1))
 
     def nonlinear_term(self, u: np.ndarray) -> np.ndarray:
         if self.sign == 0.0:
@@ -160,16 +159,17 @@ class HeatProblem:
         return self.sign * np.abs(u) ** self.power * u
 
     def substep(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """One IMEX step: (I - dt L) u_new = u + dt N(u), u_new(R) = 0."""
+        """One IMEX step: (I - dt L) u_new = u + dt N(u), u_new(R) = 0, solved by
+        LAPACK's gtsv in place on fresh bands; the last row's Dirichlet
+        neighbor is not solved for."""
         m = self.grid.n - 1
         rhs = u[:m] + dt * self.nonlinear_term(u[:m])
-        ab = self._ab
-        ab[0, 1:] = -dt * self.up[:-1]  # the last row's Dirichlet neighbor is not solved for
-        ab[1, :] = 1.0 - dt * self.di
-        ab[2, :-1] = -dt * self.lo[1:]
+        _, _, _, x, info = dgtsv(-dt * self.lo[1:], 1.0 - dt * self.di, -dt * self.up[:-1],
+                                 rhs, 1, 1, 1, 1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gtsv failed with info={info}")
         out = np.empty_like(u)
-        with np.errstate(all="ignore"):
-            out[:m] = solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=True)
+        out[:m] = x
         out[m] = 0.0
         return out
 

@@ -11,7 +11,7 @@ envelope beyond), with q* estimated from the initial spectrum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +112,13 @@ def _sweep_row(cfg: RunConfig) -> SweepRow:
     )
 
 
-def dichotomy_sweep(configs: list[RunConfig], threads: int = 1) -> list[SweepRow]:
-    """One run per configuration; rows come back in input order."""
-    if threads <= 1:
+def dichotomy_sweep(configs: list[RunConfig], workers: int = 1) -> list[SweepRow]:
+    """One run per configuration; rows come back in input order, each with
+    its trajectory. Several rows and workers: a pool of at most one process
+    per row; otherwise the rows run here, one after another."""
+    if workers <= 1 or len(configs) <= 1:
         return [_sweep_row(cfg) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         return list(pool.map(_sweep_row, configs))
 
 

@@ -37,12 +37,19 @@ def _cutoff_taper(r: np.ndarray, rho_c: float, width: float) -> np.ndarray:
     return chi
 
 
-def _w_cutoff_family(grid: RadialGrid, rng, *, a=1.2, rho_c=None, taper=None) -> np.ndarray:
-    """a*W cut off at rho_c (default R/4) with a taper (default rho_c/4)."""
-    rho_c = grid.rmax / 4.0 if rho_c is None else rho_c
+def cutoff_window(r_max: float, rho_c=None, taper=None) -> tuple[float, float]:
+    """The `aW_cutoff` cutoff radius (default R/4) and taper width (default
+    rho_c/4) on [0, r_max]; the taper must end inside the domain."""
+    rho_c = r_max / 4.0 if rho_c is None else rho_c
     taper = rho_c / 4.0 if taper is None else taper
-    if rho_c + taper >= grid.rmax:
-        raise ValueError(f"family.rho_c: cutoff {rho_c}+{taper} must end inside R={grid.rmax}")
+    if rho_c + taper >= r_max:
+        raise ValueError(f"family.rho_c: cutoff {rho_c}+{taper} must end inside R={r_max}")
+    return rho_c, taper
+
+
+def _w_cutoff_family(grid: RadialGrid, rng, *, a=1.2, rho_c=None, taper=None) -> np.ndarray:
+    """a*W cut off at rho_c with a taper; see `cutoff_window`."""
+    rho_c, taper = cutoff_window(grid.rmax, rho_c, taper)
     w = ground_state.bubble_values(grid.d, grid.nodes)
     return a * w * _cutoff_taper(grid.nodes, rho_c, taper)
 

@@ -35,6 +35,14 @@ class TailMassError(ValueError):
     """Physical field has not decayed enough at r = R for a clean transform."""
 
 
+#: the fields each spectrum kind reads, which a spectrum of that kind must set
+KIND_FIELDS = {
+    "power_gauss": ("k", "amp", "sig", "s_max"),
+    "power": ("k", "amp", "s_max"),
+    "tabulated": ("s_nodes", "values"),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumFn:
     """Radial frequency profile with dimension attached.
@@ -42,22 +50,26 @@ class SpectrumFn:
     Closed forms: "power_gauss" is amp * s^k * exp(-(s/sig)^2), "power" is
     amp * s^k on (0, s_max]. Tabulated spectra interpolate (s_nodes, values)
     monotone-cubically and continue below the first node with the local power
-    law fitted to the lowest two nodes.
+    law fitted to the lowest two nodes. A kind's fields (`KIND_FIELDS`) have
+    no default here: the builders' signatures hold the defaults.
     """
 
     d: int
     kind: str
-    k: float = 0.0
-    amp: float = 1.0
-    sig: float = 1.0
+    k: float | None = None
+    amp: float | None = None
+    sig: float | None = None
     s_nodes: np.ndarray | None = None
     values: np.ndarray | None = None
-    s_max: float = 50.0
+    s_max: float | None = None
     description: str = ""
 
     def __post_init__(self):
-        if self.kind not in CLOSED_FORM_KINDS + ("tabulated",):
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
+        missing = [name for name in KIND_FIELDS[self.kind] if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"a {self.kind} spectrum needs {', '.join(missing)}")
         if self.kind == "tabulated":
             s = np.asarray(self.s_nodes, dtype=float)
             v = np.asarray(self.values, dtype=float)
@@ -110,7 +122,8 @@ class SpectrumFn:
 
 def gaussian_spectrum(d: int, *, k: float = 0.0, amp: float = 1.0, sig: float = 1.0) -> SpectrumFn:
     """amp * s^k * exp(-(s/sig)^2); decay character k."""
-    return SpectrumFn(d=d, kind="power_gauss", k=k, amp=amp, sig=sig,
+    # s_max is where its integrals stop, a fixed cutoff rather than a parameter
+    return SpectrumFn(d=d, kind="power_gauss", k=k, amp=amp, sig=sig, s_max=50.0,
                       description=f"s^{k} gaussian")
 
 

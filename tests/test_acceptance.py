@@ -78,7 +78,7 @@ def suite():
             cfg_for(d, 160.0, "gaussian", {"amp": GAUSS_AMP[d], "width": 1.0},
                     t_max=200.0, tol=1e-6, dt_init=1e-6)
         )
-    rows = experiments.dichotomy_sweep(configs, threads=2)
+    rows = experiments.dichotomy_sweep(configs, workers=2)
     return dict(zip(keys, rows))
 
 

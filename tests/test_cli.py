@@ -211,6 +211,19 @@ class TestParseSweep:
         with pytest.raises(ConfigError, match=r"sweep\[1\]: family\.name"):
             parse_sweep(json.dumps(tree))
 
+    def test_cutoff_past_R_names_the_row_at_parse_time(self):
+        tree = json.loads(run_config_text())
+        tree["sweep"] = [{"a": 0.9}, {"a": 0.5}, {"name": "aW_cutoff", "rho_c": 700.0}]
+        with pytest.raises(ConfigError, match=r"sweep\[2\]: family\.rho_c"):
+            parse_sweep(json.dumps(tree))
+
+    def test_cutoff_default_taper_counts(self):
+        # the default taper rho_c/4 ends at 625 > R = 600
+        with pytest.raises(ConfigError, match=r"family\.rho_c"):
+            parse_config(run_config_text(family={"name": "aW_cutoff", "rho_c": 500.0}))
+        assert families.cutoff_window(600.0) == (150.0, 37.5)
+        assert families.cutoff_window(600.0, 400.0) == (400.0, 100.0)
+
 
 class TestParseCharacter:
     def test_defaults_come_from_the_spectrum_builder(self):
@@ -299,10 +312,54 @@ class TestCommands:
         tree["integrator"]["t_max"] = 1e6
         tree["sweep"] = [{"a": 0.9}, {"a": 1.2}]
         path = cfg_file("sweep.json", json.dumps(tree))
-        assert cli.main(["sweep", "--config", path, "--threads", "2"]) == 0
+        assert cli.main(["sweep", "--config", path, "--workers", "2"]) == 0
         rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 rows
         assert "Dissipative" in rows[1] and "Blowup" in rows[2]
+
+    def test_sweep_workers_write_identical_csv(self, tmp_path, cfg_file):
+        tree = json.loads(run_config_text())
+        tree["sweep"] = [{"a": 0.9}, {"a": 1.2}, {"a": 0.8}]
+        path = cfg_file("sweep.json", json.dumps(tree))
+        written = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["sweep", "--config", path, "--out", str(out),
+                             "--workers", workers]) == 0
+            written.append((out / "sweep.csv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_refuses_fewer_than_one_worker(self, tmp_path, cfg_file, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "dichotomy_sweep", None)  # never reached
+        path = cfg_file("sweep.json", run_config_text(tmp_path / "sw"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", path, "--workers", workers])
+        assert exc.value.code == 2
+        assert not (tmp_path / "sw").exists()
+
+    def test_config_error_in_a_worker_exits_2(self, tmp_path, cfg_file, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise ConfigError("family.a: refused while building the row")
+
+        # the pool's processes start after the patch and inherit it
+        monkeypatch.setattr(families, "build_initial", refuse)
+        tree = json.loads(run_config_text(tmp_path / "sw"))
+        tree["sweep"] = [{"a": 0.9}, {"a": 1.2}]
+        path = cfg_file("sweep.json", json.dumps(tree))
+        assert cli.main(["sweep", "--config", path, "--workers", "2"]) == 2
+        assert "config error: family.a: refused" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_sweep_bad_cutoff_row_exits_before_stepping(self, tmp_path, cfg_file, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr(experiments, "dichotomy_sweep", None)  # never reached
+        tree = json.loads(run_config_text(tmp_path / "sw"))
+        tree["sweep"] = [{"a": 0.9}, {"a": 0.5}, {"name": "aW_cutoff", "rho_c": 700.0}]
+        path = cfg_file("sweep.json", json.dumps(tree))
+        assert cli.main(["sweep", "--config", path]) == 2
+        assert "sweep[2]: family.rho_c" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_entry_name_runs_that_family(self, tmp_path, cfg_file):
         tree = json.loads(run_config_text(tmp_path / "sw"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from critheat import evolve
 from critheat import families
@@ -54,6 +55,39 @@ class TestStep:
             assert state.accumulated_dissipation >= last
             last = state.accumulated_dissipation
         assert last > 0
+
+
+#: the acceptance matrix's bubble grids: dimension -> outer radius
+ACCEPTANCE_R = {3: 2e6, 5: 600.0, 6: 250.0}
+
+
+class TestSubstep:
+    @pytest.mark.parametrize("d", sorted(ACCEPTANCE_R))
+    @pytest.mark.parametrize("dt", [1e-4, 0.5])
+    def test_matches_solve_banded(self, d, dt):
+        u0, _ = make_w_data(d, ACCEPTANCE_R[d], a=0.9)
+        problem = evolve.HeatProblem(u0.grid)
+        u = u0.values
+        m = u0.grid.n - 1
+        ab = np.zeros((3, m))
+        ab[0, 1:] = -dt * problem.up[:-1]
+        ab[1, :] = 1.0 - dt * problem.di
+        ab[2, :-1] = -dt * problem.lo[1:]
+        rhs = u[:m] + dt * problem.nonlinear_term(u[:m])
+        out = problem.substep(u, dt)
+        assert out[:m].tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        assert out[m] == 0.0
+
+    def test_overflowing_explicit_term_collapses_the_step(self):
+        # |u|^4 u overflows at u = 1e80 in d = 3: every candidate is non-finite,
+        # so dt shrinks until it falls below the floor
+        grid = grid_for_span(3, 20.0, 0.05, 0.01)
+        u = np.full(grid.n, 1e80)
+        u[-1] = 0.0
+        state = evolve.SolverState(t=0.0, u=RadialField(grid, u), dt=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(evolve.StepCollapseError):
+            evolve.step(state, tol=1e-6, dt_min=1e-9)
 
 
 class TestLinearMode:

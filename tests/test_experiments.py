@@ -21,15 +21,17 @@ def base_config(d, R, n_for=None, family="aW", params=(), **kw):
     return RunConfig(**defaults)
 
 
+SWEEP_CONFIGS = [
+    base_config(5, 600.0, params={"a": 0.9}.items(), t_max=1e6),
+    base_config(5, 600.0, params={"a": 1.2}.items(), t_max=50.0),
+    base_config(6, 250.0, params={"a": 0.5}.items(), t_max=1e5),
+    base_config(6, 250.0, params={"a": 1.5}.items(), t_max=50.0),
+]
+
+
 @pytest.fixture(scope="module")
 def sweep_rows():
-    cfgs = [
-        base_config(5, 600.0, params={"a": 0.9}.items(), t_max=1e6),
-        base_config(5, 600.0, params={"a": 1.2}.items(), t_max=50.0),
-        base_config(6, 250.0, params={"a": 0.5}.items(), t_max=1e5),
-        base_config(6, 250.0, params={"a": 1.5}.items(), t_max=50.0),
-    ]
-    return experiments.dichotomy_sweep(cfgs, threads=2)
+    return experiments.dichotomy_sweep(SWEEP_CONFIGS, workers=2)
 
 
 class TestSweep:
@@ -44,6 +46,38 @@ class TestSweep:
         assert row.family == "aW" and row.d == 5
         assert row.e_ratio < 1.0 and row.grad_ratio < 1.0
         assert row.l2_finite
+
+    def test_pooled_rows_match_serial_rows(self, sweep_rows):
+        serial = experiments.dichotomy_sweep(SWEEP_CONFIGS, workers=1)
+        assert [r.params for r in serial] == [r.params for r in sweep_rows]
+        for one, pooled in zip(serial, sweep_rows):
+            assert one.verdict == pooled.verdict
+            h1 = [np.array([s.report.h1_sq for s in r.trajectory.snapshots]).tobytes()
+                  for r in (one, pooled)]
+            assert h1[0] == h1[1]
+
+    @pytest.mark.parametrize("workers, rows, pool", [(500, 3, [3]), (2, 3, [2]), (1, 3, []),
+                                                     (4, 1, []), (0, 2, [])])
+    def test_pool_has_at_most_one_process_per_row(self, monkeypatch, workers, rows, pool):
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(experiments, "_sweep_row", lambda cfg: cfg.seed)
+        configs = [base_config(6, 250.0, seed=i) for i in range(rows)]
+        assert experiments.dichotomy_sweep(configs, workers) == list(range(rows))
+        assert sizes == pool
 
     def test_near_threshold_row_is_undecided(self):
         cfg = base_config(5, 600.0, params={"a": 1.001}.items(), t_max=10.0)
