@@ -225,16 +225,18 @@ def splitting_diagnostic(
     s_hi = min(max(2.0 * r_needed, 1.0), s_cap)
     s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
     specs = spectral.hankel_spectra([s.field for s in snaps], s_nodes)
+    lams = [spectral.lambda_spectrum(f) for f in specs]
 
     def margins(c_tilde: float) -> np.ndarray:
         out = []
-        for (s1, f1), (s2, f2) in zip(zip(snaps, specs), zip(snaps[1:], specs[1:])):
+        for (s1, l1), (s2, l2) in zip(zip(snaps, lams), zip(snaps[1:], lams[1:])):
             tm = 0.5 * (s1.t + s2.t)
             lhs = (g(s2.t) * s2.report.h1_sq - g(s1.t) * s1.report.h1_sq) / (s2.t - s1.t)
             radius = math.sqrt(gp(tm) / (c_tilde * g(tm)))
-            mass = 0.5 * (
-                spectral.ball_h1_mass(f1, radius) + spectral.ball_h1_mass(f2, radius)
-            )
+            # the ball's share of the critical norm, omega_{d-1} int_0^radius
+            # s^2 |vhat|^2 s^{d-1} ds, is the low-frequency mass of Lambda v
+            rho = min(radius, l1.s_max)
+            mass = 0.5 * (spectral.low_freq_mass(l1, rho) + spectral.low_freq_mass(l2, rho))
             rhs = gp(tm) * mass
             scale = abs(lhs) + abs(rhs) + 1e-300
             out.append((rhs - lhs) / scale)

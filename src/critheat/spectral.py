@@ -75,6 +75,8 @@ class SpectrumFn:
             v = np.asarray(self.values, dtype=float)
             if s.ndim != 1 or s.shape != v.shape or len(s) < 4:
                 raise ValueError("tabulated spectrum needs matching 1-d arrays, >= 4 nodes")
+            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+                raise ValueError("tabulated nodes and values must be finite")
             if np.any(np.diff(s) <= 0) or s[0] <= 0:
                 raise ValueError("tabulated nodes must be positive and strictly increasing")
             if s[0] > 1e-3:
@@ -142,6 +144,21 @@ def _mass_integrand(spec: SpectrumFn):
     return f
 
 
+def _refine(pts: np.ndarray) -> np.ndarray:
+    """`pts` with 3 evenly spaced points inside each interval, so quadrature
+    over a table is not table-limited; the same bits as `np.linspace(a, b, 5)`
+    interval by interval."""
+    inner = np.linspace(pts[:-1], pts[1:], 5, axis=1)[:, :-1].ravel()
+    return np.concatenate([inner, pts[-1:]])
+
+
+def _stub_mass(spec: SpectrumFn) -> float:
+    """Mass below the first tabulated node, from the fitted power law."""
+    p, v0 = spec._low_power
+    expo = 2.0 * p + spec.d
+    return sphere_area(spec.d) * v0 * v0 * spec.s_nodes[0] ** spec.d / expo if expo > 0.0 else 0.0
+
+
 def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     """F(rho) = omega_{d-1} int_0^rho |vhat(s)|^2 s^{d-1} ds."""
     if not 0.0 < rho <= spec.s_max:
@@ -156,22 +173,8 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
         val, _ = quad(f, 0.0, rho, epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
     s = spec.s_nodes
-    inner = s[s < rho]
-    pts = np.concatenate([inner, [rho]])
-    # refine between tabulated nodes so the quadrature is not table-limited
-    fine = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        fine.append(np.linspace(a, b, 5)[:-1])
-    fine.append([rho])
-    grid = np.concatenate(fine)
-    vals = f(grid)
-    total = float(np.trapezoid(vals, grid))
-    # stub below the first node via the fitted power law
-    p, v0 = spec._low_power
-    expo = 2.0 * p + spec.d
-    if expo > 0.0:
-        total += sphere_area(spec.d) * v0 * v0 * s[0] ** spec.d / expo
-    return total
+    grid = _refine(np.concatenate([s[s < rho], [rho]]))
+    return float(np.trapezoid(f(grid), grid)) + _stub_mass(spec)
 
 
 def decay_indicator(spec: SpectrumFn, r: float, rhos) -> list[float]:
@@ -258,19 +261,9 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
             0.0, spec.s_max, epsabs=0.0, epsrel=1e-10, limit=400,
         )
         return float(val)
-    s = spec.s_nodes
-    fine = []
-    for a, b in zip(s[:-1], s[1:]):
-        fine.append(np.linspace(a, b, 5)[:-1])
-    fine.append([s[-1]])
-    grid = np.concatenate(fine)
+    grid = _refine(spec.s_nodes)
     vals = f(grid) * np.exp(-2.0 * t * grid * grid)
-    total = float(np.trapezoid(vals, grid))
-    p, v0 = spec._low_power
-    expo = 2.0 * p + spec.d
-    if expo > 0.0:
-        total += sphere_area(spec.d) * v0 * v0 * s[0] ** spec.d / expo
-    return total
+    return float(np.trapezoid(vals, grid)) + _stub_mass(spec)
 
 
 def decay_bounds_check(spec: SpectrumFn, r_star: float, t_grid) -> tuple[float, float]:
@@ -326,13 +319,6 @@ def hankel_spectrum(u: RadialField, s_nodes) -> SpectrumFn:
     return hankel_spectra([u], s_nodes)[0]
 
 
-def ball_h1_mass(spec: SpectrumFn, radius: float) -> float:
-    """omega_{d-1} int_0^radius s^2 |vhat|^2 s^{d-1} ds, the low-frequency part
-    of the critical norm used by the splitting diagnostic."""
-    lam = lambda_spectrum(spec)
-    return low_freq_mass(lam, min(radius, lam.s_max))
-
-
 def save_spectrum(spec: SpectrumFn, path) -> None:
     """Two-column text export with a header: dimension, kind, normalization."""
     path = Path(path)
@@ -355,21 +341,28 @@ def load_spectrum(path, d: int | None = None) -> SpectrumFn:
     path = Path(path)
     header_d = None
     rows = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tokenized in line[1:].split():
-                if tokenized.startswith("d="):
-                    header_d = int(tokenized[2:])
-            continue
-        a, b = line.split()
-        rows.append((float(a), float(b)))
+        try:
+            if line.startswith("#"):
+                for tokenized in line[1:].split():
+                    if tokenized.startswith("d="):
+                        header_d = int(tokenized[2:])
+            elif line:
+                a, b = line.split()
+                rows.append((float(a), float(b)))
+        except ValueError:
+            raise ValueError(f"{path}: line {number}: expected an integer d= or two numbers, "
+                             f"got {line!r}") from None
     if header_d is None:
         raise ValueError(f"{path}: missing 'd=' header")
     if d is not None and header_d != d:
         raise ValueError(f"dimension: {d} does not match the d={header_d} header of {path}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     arr = np.array(rows)
-    return SpectrumFn(d=header_d, kind="tabulated", s_nodes=arr[:, 0], values=arr[:, 1],
-                      description=f"loaded from {path.name}")
+    try:
+        return SpectrumFn(d=header_d, kind="tabulated", s_nodes=arr[:, 0], values=arr[:, 1],
+                          description=f"loaded from {path.name}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

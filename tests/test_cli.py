@@ -559,6 +559,42 @@ def test_character_file_spectrum_must_match_the_dimension(tmp_path, cfg_file, ca
                      "--out", str(out)]) == 0
 
 
+def _replace_data_line(text, new_line):
+    """`text` with its fifth data row replaced by `new_line(row)`."""
+    lines = text.splitlines()
+    i = [k for k, line in enumerate(lines) if not line.startswith("#")][4]
+    lines[i] = new_line(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+#: id: a saved spectrum file made bad, what the error names besides the file
+BAD_SPECTRUM_FILES = {
+    "no_data_rows": (lambda text: "".join(ln for ln in text.splitlines(True) if ln[0] == "#"),
+                     "no data rows"),
+    "three_columns": (lambda text: _replace_data_line(text, lambda row: row + " 2.0"),
+                      "line 8: expected"),
+    "dimension_not_an_integer": (lambda text: text.replace("d=3", "d=three"), "line 2: expected"),
+    "nan_value": (lambda text: _replace_data_line(text, lambda row: row.split()[0] + " nan"),
+                  "finite"),
+    "nan_node": (lambda text: _replace_data_line(text, lambda row: "nan " + row.split()[1]),
+                 "finite"),
+}
+
+
+@pytest.mark.parametrize("spoil, what", BAD_SPECTRUM_FILES.values(), ids=BAD_SPECTRUM_FILES)
+def test_bad_spectrum_file_exits_2_naming_it(tmp_path, cfg_file, capsys, spoil, what):
+    path = tmp_path / "spec.txt"
+    spectral.save_spectrum(spectral.gaussian_spectrum(3), path)
+    path.write_text(spoil(path.read_text()))
+    tree = {"dimension": 3, "spectrum": {"kind": "file", "path": str(path)}}
+    out = tmp_path / "out"
+    assert cli.main(["character", "--config", cfg_file("c.json", json.dumps(tree)),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and what in err
+    assert not out.exists()
+
+
 def test_seed_flag_only_where_the_configuration_has_a_seed(tmp_path, cfg_file):
     path = cfg_file("c.json", json.dumps(character_tree()))
     with pytest.raises(SystemExit) as exc:

@@ -167,22 +167,38 @@ class TestDecayFit:
         assert (spec.amp, spec.sig) == (0.2 * 2.0**2, 1.0)
 
 
+def zero_trajectory(times) -> evolve.Trajectory:
+    """The zero solution in d = 4 with a field checkpoint at each time."""
+    grid = grid_for_span(4, 40.0, 0.02, 0.01)
+    zero = RadialField(grid, np.zeros(grid.n))
+    traj = evolve.Trajectory(d=4, grid=grid, e_w=1.0, grad_sq_w=1.0)
+    for t in times:
+        traj.snapshots.append(
+            evolve.Snapshot(
+                t=t, report=fn.energy_report(t, zero), kq=0.0, dt=0.1,
+                dissipation=0.0, form_energy=0.0, field=zero.copy(),
+            )
+        )
+    return traj
+
+
 class TestSplitting:
     def test_zero_solution_trivial(self):
         # both sides of the inequality vanish identically on the zero solution
-        grid = grid_for_span(4, 40.0, 0.02, 0.01)
-        zero = RadialField(grid, np.zeros(grid.n))
-        traj = evolve.Trajectory(d=4, grid=grid, e_w=1.0, grad_sq_w=1.0)
-        problem = evolve.HeatProblem(grid)
-        for t in (0.5, 1.0, 2.0, 4.0):
-            traj.snapshots.append(
-                evolve.Snapshot(
-                    t=t, report=fn.energy_report(t, zero), kq=0.0, dt=0.1,
-                    dissipation=0.0, form_energy=0.0, field=zero.copy(),
-                )
-            )
-        report = experiments.splitting_diagnostic(traj)
+        report = experiments.splitting_diagnostic(zero_trajectory((0.5, 1.0, 2.0, 4.0)))
         assert all(m == 0.0 for m in report.margins)
+
+    def test_one_lambda_spectrum_per_checkpoint(self, monkeypatch):
+        # the margins are evaluated at several constants (here c_lo, c_hi and
+        # the fit), each over every pair of neighbouring checkpoints; the Lambda
+        # spectra they integrate are built once per checkpoint all the same
+        built = []
+        lambda_spectrum = spectral.lambda_spectrum
+        monkeypatch.setattr(spectral, "lambda_spectrum",
+                            lambda spec: built.append(spec) or lambda_spectrum(spec))
+        traj = zero_trajectory((0.5, 1.0, 2.0, 4.0, 8.0))
+        experiments.splitting_diagnostic(traj)
+        assert len(built) == len(traj.snapshots)
 
     def test_dissipative_margins_nonnegative(self):
         cfg = base_config(

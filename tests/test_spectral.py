@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critheat import functionals as fn
 from critheat import spectral as sp
@@ -33,6 +35,64 @@ class TestLowFreqMass:
             sp.low_freq_mass(spec, -1.0)
         with pytest.raises(sp.SpectrumDomainError):
             sp.low_freq_mass(spec, 1e9)
+
+
+def per_interval_grid(pts):
+    """The quadrature grid as it was built before `_refine`: one linspace per interval."""
+    fine = [np.linspace(a, b, 5)[:-1] for a, b in zip(pts[:-1], pts[1:])]
+    fine.append([pts[-1]])
+    return np.concatenate(fine)
+
+
+def reference_table_integral(spec, grid, weight):
+    """Trapezoid over `grid` plus the power-law stub below the first node."""
+    v = spec(grid)
+    vals = sphere_area(spec.d) * v * v * grid ** (spec.d - 1) * weight
+    total = float(np.trapezoid(vals, grid))
+    p, v0 = spec._low_power
+    expo = 2.0 * p + spec.d
+    if expo > 0.0:
+        total += sphere_area(spec.d) * v0 * v0 * spec.s_nodes[0] ** spec.d / expo
+    return total
+
+
+def assert_refinement_bit_exact(spec, rho, t):
+    s = spec.s_nodes
+    grid = per_interval_grid(np.concatenate([s[s < rho], [rho]]))
+    assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0)
+    grid = per_interval_grid(s)
+    want = reference_table_integral(spec, grid, np.exp(-2.0 * t * grid * grid))
+    assert sp.linear_heat_l2_sq(spec, t) == want
+
+
+@st.composite
+def tabulated_spectra(draw):
+    first = draw(st.floats(1e-6, 1e-3))
+    gaps = draw(st.lists(st.floats(1e-6, 5.0), min_size=3, max_size=40))
+    s = first + np.cumsum([0.0] + gaps)
+    values = draw(st.lists(st.floats(0.01, 10.0), min_size=len(s), max_size=len(s)))
+    return sp.SpectrumFn(d=draw(st.integers(3, 11)), kind="tabulated", s_nodes=s,
+                         values=np.array(values))
+
+
+class TestRefinement:
+    """The vectorized quadrature grid reproduces the per-interval one bit for bit."""
+
+    @pytest.mark.parametrize("where", ["below_first_node", "on_a_node", "between_nodes", "s_max"])
+    def test_tabulated_integrals_match_the_per_interval_grid(self, where):
+        s = np.geomspace(1e-4, 7.0, 90)
+        spec = sp.SpectrumFn(d=4, kind="tabulated", s_nodes=s, values=np.exp(-s) * np.cos(s))
+        rho = {"below_first_node": 5e-5, "on_a_node": s[40], "between_nodes": 0.37,
+               "s_max": s[-1]}[where]
+        for t in (0.0, 0.3, 20.0):
+            assert_refinement_bit_exact(spec, rho, t)
+
+    @given(spec=tabulated_spectra(), u=st.floats(0.0, 1.0), t=st.floats(0.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_any_increasing_nodes(self, spec, u, t):
+        s = spec.s_nodes
+        assert np.array_equal(sp._refine(s), per_interval_grid(s))
+        assert_refinement_bit_exact(spec, min(s[0] + u * (s[-1] - s[0]), s[-1]), t)
 
 
 class TestDecayIndicator:
