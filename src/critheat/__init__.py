@@ -2,7 +2,8 @@
 
 Modules
 -------
-radial        graded grids, quadrature, radial derivative, finite-volume Laplacian
+radial        graded grids, quadrature, finite-volume Laplacian and its
+              Dirichlet form, the one discrete gradient
 ground_state  the explicit bubble, scalings, Pohozaev/energy calibration
 functionals   energy, Nehari functional, set membership, weighted-norm decay
 evolve        adaptive IMEX integration with dissipation/blowup verdicts
@@ -20,7 +21,6 @@ from .radial import (
     CorruptionError,
     RadialField,
     RadialGrid,
-    ddr,
     make_grid,
     radial_integral,
     sphere_area,
@@ -45,7 +45,6 @@ __all__ = [
     "Verdict",
     "aubin_talenti",
     "classify_set",
-    "ddr",
     "decay_character",
     "energy",
     "hankel_spectrum",

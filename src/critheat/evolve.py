@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import functionals
 from .functionals import EnergyReport, energy_report
-from .radial import CorruptionError, RadialField, RadialGrid, sphere_area
+from .radial import CorruptionError, RadialField, RadialGrid
 
 DISSIPATIVE = "Dissipative"
 BLOWUP = "Blowup"
@@ -149,9 +149,6 @@ class HeatProblem:
         self.two_star = 2.0 * grid.d / (grid.d - 2.0)
         self.lo, self.di, self.up = grid.conservative_bands
         self.volumes = grid.cell_volumes
-        self._face_over_h = (
-            sphere_area(grid.d) * grid.cell_faces ** (grid.d - 1) / grid.spacings
-        )
 
     def nonlinear_term(self, u: np.ndarray) -> np.ndarray:
         if self.sign == 0.0:
@@ -179,7 +176,7 @@ class HeatProblem:
     def form_energy(self, u: np.ndarray) -> float:
         """Energy in the solver frame: the Laplacian's Dirichlet form plus the
         matching pointwise potential; exactly dissipated by the flow."""
-        grad = float(self._face_over_h @ np.diff(u) ** 2)
+        grad = float(self.grid.face_weights @ np.diff(u) ** 2)
         pot = float(self.volumes @ np.abs(u) ** self.two_star)
         return 0.5 * grad - self.sign * pot / self.two_star
 

@@ -146,7 +146,7 @@ def default_radius(d: int) -> float:
     """Radius at which W's gradient tail drops below DEFAULT_TAIL_REL.
 
     The tail integral is omega_{d-1} c_d^2 (d-2) R^{-(d-2)} for the far-field
-    coefficient c_d = W(0); stencil error then dominates truncation error."""
+    coefficient c_d = W(0); discretization error then dominates truncation error."""
     c_sq = bubble_amplitude(d) ** 2
     tail_coeff = sphere_area(d) * c_sq * (d - 2.0)
     return (tail_coeff / (grad_norm_sq_closed_form(d) * DEFAULT_TAIL_REL)) ** (1.0 / (d - 2.0))

@@ -1,11 +1,12 @@
-"""Radial grids, quadrature, and differential operators on a truncated ball.
+"""Radial grids, quadrature, and the finite-volume Laplacian on a truncated ball.
 
 Radially symmetric functions on R^d (d >= 3) are represented by samples on a
 graded one-dimensional grid 0 = r_0 < r_1 < ... < r_{n-1} = R. Integrals carry
-the surface measure of the unit (d-1)-sphere; the first derivative uses
-second-order finite differences that honor the symmetry condition u_r(0) = 0,
-and the Laplacian is the conservative finite-volume operator
-r^{1-d} (r^{d-1} u_r)_r on the grid's dual cells.
+the surface measure of the unit (d-1)-sphere. The only discrete gradient is
+the difference quotient on the midpoint faces between nodes: the Laplacian is
+the conservative finite-volume operator r^{1-d} (r^{d-1} u_r)_r built from it
+on the grid's dual cells, and its Dirichlet form (`face_weights`) is the
+discrete ||grad u||^2.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ class RadialGrid:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     @cached_property
+    def face_weights(self) -> np.ndarray:
+        """Weights a with sum(a * diff(u)^2) the Dirichlet form of the
+        finite-volume Laplacian: face area omega_{d-1} f^{d-1} over spacing."""
+        return sphere_area(self.d) * self.cell_faces ** (self.d - 1) / self.spacings
+
+    @cached_property
     def cell_volumes(self) -> np.ndarray:
         """Exact shell volumes (sphere measure included) of the dual cells."""
         f = self.cell_faces
@@ -212,49 +219,3 @@ def radial_integral(f: RadialField) -> float:
     """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid."""
     assert_finite(f)
     return float(f.grid.quad_weights @ f.values)
-
-
-def _fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 (Fornberg)."""
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def ddr(f: RadialField) -> RadialField:
-    """Second-order first derivative; u_r(0) = 0 by radial symmetry."""
-    grid = f.grid
-    if grid.n < 3:
-        raise ValueError("derivative stencils need at least 3 nodes")
-    r = grid.nodes
-    u = f.values
-    out = np.empty_like(u)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (
-        (-hp / (hm * (hm + hp))) * u[:-2]
-        + ((hp - hm) / (hm * hp)) * u[1:-1]
-        + (hm / (hp * (hm + hp))) * u[2:]
-    )
-    out[0] = 0.0
-    out[-1] = _fd_weights(r[-3:], r[-1], 1) @ u[-3:]
-    return RadialField(grid, out)

@@ -152,11 +152,15 @@ def _refine(pts: np.ndarray) -> np.ndarray:
     return np.concatenate([inner, pts[-1:]])
 
 
-def _stub_mass(spec: SpectrumFn) -> float:
-    """Mass below the first tabulated node, from the fitted power law."""
+def _stub_mass(spec: SpectrumFn, rho: float = math.inf) -> float:
+    """Mass below min(rho, first tabulated node), from the fitted power law."""
     p, v0 = spec._low_power
     expo = 2.0 * p + spec.d
-    return sphere_area(spec.d) * v0 * v0 * spec.s_nodes[0] ** spec.d / expo if expo > 0.0 else 0.0
+    if expo <= 0.0:
+        return 0.0
+    s0 = spec.s_nodes[0]
+    # the stub's mass grows like s^expo; the factor is exactly 1 for rho >= s0
+    return sphere_area(spec.d) * v0 * v0 * s0**spec.d / expo * (min(rho, s0) / s0) ** expo
 
 
 def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
@@ -174,7 +178,7 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
         return float(val)
     s = spec.s_nodes
     grid = _refine(np.concatenate([s[s < rho], [rho]]))
-    return float(np.trapezoid(f(grid), grid)) + _stub_mass(spec)
+    return float(np.trapezoid(f(grid), grid)) + _stub_mass(spec, rho)
 
 
 def decay_indicator(spec: SpectrumFn, r: float, rhos) -> list[float]:

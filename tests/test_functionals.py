@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from critheat import functionals as fn
 from critheat import ground_state as gs
+from critheat.evolve import HeatProblem
 from critheat.radial import RadialField, grid_for_span, make_grid
 
 from test_ground_state import closed_form_grad_sq
@@ -58,6 +59,28 @@ class TestEnergyAndNehari:
         rep = fn.energy_report(0.0, scaled(bubble5, 0.8))
         assert rep.energy == 0.5 * rep.h1_sq - rep.l2star_pow / fn.crit_exponent(5)
         assert rep.nehari == rep.h1_sq - rep.l2star_pow
+
+
+class TestGradient:
+    @pytest.mark.parametrize("d", [3, 5, 6])
+    def test_h1_is_the_dirichlet_form_the_flow_dissipates(self, d):
+        # one discrete gradient: the reported ||grad u||^2 is the solver's own
+        grid = grid_for_span(d, 40.0, 0.01, 0.004)
+        u = RadialField(grid, np.exp(-grid.nodes**2 / 4) * np.cos(grid.nodes))
+        assert HeatProblem(grid, "off").form_energy(u.values) == 0.5 * fn.h1_norm_sq(u)
+
+    def test_second_order_convergence(self):
+        # ||grad e^{-r^2}||^2 in d = 3 is 16 pi int r^4 e^{-2 r^2} dr = 6 pi sqrt(pi/32);
+        # the tail beyond R = 6 is below e^{-70}
+        exact = 6 * math.pi * math.sqrt(math.pi / 32)
+        errs = []
+        for n in (101, 201, 401):
+            g = make_grid(3, 6.0, n, 1.0)
+            errs.append(abs(fn.h1_norm_sq(RadialField(g, np.exp(-g.nodes**2))) - exact))
+        rate1 = math.log2(errs[0] / errs[1])
+        rate2 = math.log2(errs[1] / errs[2])
+        assert 1.8 <= rate1 <= 2.2
+        assert 1.8 <= rate2 <= 2.2
 
 
 class TestClassification:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from critheat.radial import (
     CorruptionError,
     RadialField,
-    ddr,
     grid_for_span,
     make_grid,
     radial_integral,
@@ -114,30 +113,6 @@ class TestRadialIntegral:
         rate2 = math.log2(errs[1] / errs[2])
         assert 1.8 <= rate1 <= 2.2
         assert 1.8 <= rate2 <= 2.2
-
-
-class TestDerivatives:
-    def test_ddr_quadratic_exact(self):
-        g = make_grid(3, 10.0, 101, 1.0)
-        out = ddr(RadialField(g, g.nodes**2))
-        assert out.values[0] == 0.0
-        assert np.allclose(out.values[1:], 2 * g.nodes[1:], rtol=1e-11, atol=1e-11)
-
-    def test_ddr_annihilates_constants(self):
-        g = make_grid(5, 7.0, 64, 1.02)
-        out = ddr(RadialField(g, np.full(g.n, 3.7)))
-        assert np.allclose(out.values, 0.0, atol=1e-12)
-
-    def test_ddr_second_order_convergence(self):
-        errs = []
-        for n in (101, 201, 401):
-            g = make_grid(3, 6.0, n, 1.0)
-            out = ddr(RadialField(g, np.sin(g.nodes)))
-            errs.append(np.max(np.abs(out.values[1:] - np.cos(g.nodes[1:]))))
-        rate = math.log2(errs[0] / errs[1])
-        assert 1.8 <= rate <= 2.2
-        rate = math.log2(errs[1] / errs[2])
-        assert 1.8 <= rate <= 2.2
 
 
 class TestConservativeOperator:

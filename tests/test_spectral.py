@@ -29,6 +29,13 @@ class TestLowFreqMass:
         vol = sphere_area(3) / 3 * rho**3
         assert sp.low_freq_mass(spec, rho) == pytest.approx(vol, rel=1e-4)
 
+    @pytest.mark.parametrize("rho", [1e-5, 1e-4, 5e-4])
+    def test_tabulated_below_first_node_is_the_ball_volume(self, rho):
+        # a flat table from s = 1e-3: below its first node F(rho) still falls like rho^3
+        s = np.geomspace(1e-3, 1.0, 50)
+        spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=np.ones(s.size))
+        assert sp.low_freq_mass(spec, rho) == pytest.approx(4 * math.pi / 3 * rho**3, rel=1e-12)
+
     def test_domain_validation(self):
         spec = sp.gaussian_spectrum(3)
         with pytest.raises(sp.SpectrumDomainError):
@@ -44,22 +51,23 @@ def per_interval_grid(pts):
     return np.concatenate(fine)
 
 
-def reference_table_integral(spec, grid, weight):
-    """Trapezoid over `grid` plus the power-law stub below the first node."""
+def reference_table_integral(spec, grid, weight, rho=math.inf):
+    """Trapezoid over `grid` plus the power-law stub below min(rho, first node)."""
     v = spec(grid)
     vals = sphere_area(spec.d) * v * v * grid ** (spec.d - 1) * weight
     total = float(np.trapezoid(vals, grid))
     p, v0 = spec._low_power
     expo = 2.0 * p + spec.d
     if expo > 0.0:
-        total += sphere_area(spec.d) * v0 * v0 * spec.s_nodes[0] ** spec.d / expo
+        s0 = spec.s_nodes[0]
+        total += sphere_area(spec.d) * v0 * v0 * s0**spec.d / expo * (min(rho, s0) / s0) ** expo
     return total
 
 
 def assert_refinement_bit_exact(spec, rho, t):
     s = spec.s_nodes
     grid = per_interval_grid(np.concatenate([s[s < rho], [rho]]))
-    assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0)
+    assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0, rho)
     grid = per_interval_grid(s)
     want = reference_table_integral(spec, grid, np.exp(-2.0 * t * grid * grid))
     assert sp.linear_heat_l2_sq(spec, t) == want
