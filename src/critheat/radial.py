@@ -3,10 +3,11 @@
 Radially symmetric functions on R^d (d >= 3) are represented by samples on a
 graded one-dimensional grid 0 = r_0 < r_1 < ... < r_{n-1} = R. Integrals carry
 the surface measure of the unit (d-1)-sphere. The only discrete gradient is
-the difference quotient on the midpoint faces between nodes: the Laplacian is
-the conservative finite-volume operator r^{1-d} (r^{d-1} u_r)_r built from it
-on the grid's dual cells, and its Dirichlet form (`face_weights`) is the
-discrete ||grad u||^2.
+the difference quotient on the midpoint faces between nodes, and its
+Dirichlet form (`face_weights`) is the discrete ||grad u||^2. The Laplacian is
+the conservative finite-volume operator r^{1-d} (r^{d-1} u_r)_r on the grid's
+dual cells, in symmetric form -V^{-1} K: K the stiffness matrix of
+`face_weights` (`stiffness_bands`), V the `cell_volumes`.
 """
 
 from __future__ import annotations
@@ -128,28 +129,13 @@ class RadialGrid:
         return vol
 
     @cached_property
-    def conservative_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tridiagonal finite-volume Laplacian, self-adjoint in cell volumes.
-
-        Rows cover nodes 0 .. n-2. Flux form r^{1-d} (r^{d-1} u_r)_r with
-        midpoint-face gradients; an M-matrix, so implicit diffusion preserves
-        positivity, and the associated Dirichlet form supplies an energy that
-        the semi-discrete flow dissipates exactly.
-        """
-        f = self.cell_faces
-        h = self.spacings
-        area = sphere_area(self.d) * f ** (self.d - 1)
-        vol = self.cell_volumes
-        m = self.n - 1
-        lo = np.zeros(m)
-        di = np.zeros(m)
-        up = np.zeros(m)
-        up[0] = area[0] / (h[0] * vol[0])
-        di[0] = -up[0]
-        lo[1:] = area[: m - 1] / (h[: m - 1] * vol[1:m])
-        up[1:] = area[1:m] / (h[1:m] * vol[1:m])
-        di[1:] = -(lo[1:] + up[1:])
-        return lo, di, up
+    def stiffness_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stiffness matrix K of `face_weights` as (diag, off) on nodes 0 .. n-2
+        (u = 0 at R): u K u is the Dirichlet form, -V^{-1} K the flux-form
+        Laplacian; V + dt K is a positive-definite M-matrix, so implicit
+        diffusion preserves positivity."""
+        a = self.face_weights
+        return a + np.concatenate(([0.0], a[:-1])), -a[:-1]
 
 
 @dataclass(eq=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,8 @@ class SpectrumFn:
     Closed forms: "power_gauss" is amp * s^k * exp(-(s/sig)^2), "power" is
     amp * s^k on (0, s_max]. Tabulated spectra interpolate (s_nodes, values)
     monotone-cubically and continue below the first node with the local power
-    law fitted to the lowest two nodes. A kind's fields (`KIND_FIELDS`) have
-    no default here: the builders' signatures hold the defaults.
+    law fitted to the nodes of the first decade. A kind's fields (`KIND_FIELDS`)
+    have no default here: the builders' signatures hold the defaults.
     """
 
     d: int
@@ -103,23 +104,25 @@ class SpectrumFn:
             out[low] = v0 * (s[low] / self.s_nodes[0]) ** p
         return out
 
-    @property
+    @cached_property
     def _interp(self) -> PchipInterpolator:
-        cached = self.__dict__.get("_interp_cache")
-        if cached is None:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                cached = PchipInterpolator(self.s_nodes, self.values, extrapolate=False)
-            self.__dict__["_interp_cache"] = cached
-        return cached
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return PchipInterpolator(self.s_nodes, self.values, extrapolate=False)
 
-    @property
+    @cached_property
     def _low_power(self) -> tuple[float, float]:
-        """Power-law continuation below the first tabulated node."""
-        s0, s1 = self.s_nodes[0], self.s_nodes[1]
-        v0, v1 = self.values[0], self.values[1]
-        if v0 == 0.0 or v1 == 0.0 or v0 * v1 < 0.0:
-            return 0.0, v0
-        return math.log(abs(v1 / v0)) / math.log(s1 / s0), v0
+        """Power-law continuation v0 (s/s0)^p below the first tabulated node s0:
+        p is the least-squares log-log slope over the nodes up to 10 s0 (at
+        least two), so no single pair of nodes decides the law; 0 if a value
+        there is zero or of the other sign."""
+        s, v = self.s_nodes, self.values
+        n = max(2, int(np.searchsorted(s, 10.0 * s[0], side="right")))
+        if np.any(v[:n] * v[0] <= 0.0):
+            return 0.0, v[0]
+        x = np.log(s[:n])
+        x -= x.mean()
+        y = np.log(np.abs(v[:n]))
+        return float(x @ (y - y.mean()) / (x @ x)), v[0]
 
 
 def gaussian_spectrum(d: int, *, k: float = 0.0, amp: float = 1.0, sig: float = 1.0) -> SpectrumFn:
@@ -134,6 +137,10 @@ def power_spectrum(d: int, *, k: float, amp: float = 1.0, s_max: float = 50.0) -
 
 
 def _mass_integrand(spec: SpectrumFn):
+    # |vhat| ~ s^p near 0 (s^k, or a table's stub), so F(rho) ~ rho^(2p+d)
+    expo = 2.0 * (spec.k if spec.kind in CLOSED_FORM_KINDS else spec._low_power[0]) + spec.d
+    if expo <= 0.0:
+        raise SpectrumDomainError(f"low-frequency mass diverges: 2p + d = {expo} <= 0")
     omega = sphere_area(spec.d)
     dm1 = spec.d - 1
 
@@ -156,8 +163,6 @@ def _stub_mass(spec: SpectrumFn, rho: float = math.inf) -> float:
     """Mass below min(rho, first tabulated node), from the fitted power law."""
     p, v0 = spec._low_power
     expo = 2.0 * p + spec.d
-    if expo <= 0.0:
-        return 0.0
     s0 = spec.s_nodes[0]
     # the stub's mass grows like s^expo; the factor is exactly 1 for rho >= s0
     return sphere_area(spec.d) * v0 * v0 * s0**spec.d / expo * (min(rho, s0) / s0) ** expo
@@ -169,11 +174,6 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
         raise SpectrumDomainError(f"rho={rho} outside (0, {spec.s_max}]")
     f = _mass_integrand(spec)
     if spec.kind in CLOSED_FORM_KINDS:
-        exponent = 2.0 * spec.k + spec.d - 1.0
-        if exponent <= -1.0:
-            raise SpectrumDomainError(
-                f"low-frequency mass diverges: local exponent {exponent} <= -1"
-            )
         val, _ = quad(f, 0.0, rho, epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
     s = spec.s_nodes

@@ -641,3 +641,17 @@ class TestCheckpointFormat:
         path.write_text("hello\n1 2\n")
         with pytest.raises(ValueError):
             families.load_checkpoint(path)
+
+
+def test_character_divergent_file_spectrum_exits_2(tmp_path, cfg_file, capsys):
+    # s^-2 in d=3: the power law below the table's first node has infinite
+    # mass, as the closed-form s^-2 spectrum does
+    s = np.geomspace(1e-3, 1.0, 50)
+    table = spectral.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=s**-2.0)
+    spectral.save_spectrum(table, tmp_path / "spec.txt")
+    tree = {"dimension": 3, "spectrum": {"kind": "file", "path": str(tmp_path / "spec.txt")}}
+    out = tmp_path / "out"
+    assert cli.main(["character", "--config", cfg_file("c.json", json.dumps(tree)),
+                     "--out", str(out)]) == 2
+    assert "diverges" in capsys.readouterr().err
+    assert not out.exists()

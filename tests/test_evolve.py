@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
 from critheat import evolve
 from critheat import families
@@ -65,18 +65,48 @@ class TestSubstep:
     @pytest.mark.parametrize("d", sorted(ACCEPTANCE_R))
     @pytest.mark.parametrize("dt", [1e-4, 0.5])
     def test_matches_solve_banded(self, d, dt):
+        # the oracle is scipy's symmetric banded solver, solveh_banded: its
+        # two-row path is ptsv = pttrf + pttrs, so the same bands and
+        # right-hand side give the same bits
         u0, _ = make_w_data(d, ACCEPTANCE_R[d], a=0.9)
         problem = evolve.HeatProblem(u0.grid)
         u = u0.values
         m = u0.grid.n - 1
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -dt * problem.up[:-1]
-        ab[1, :] = 1.0 - dt * problem.di
-        ab[2, :-1] = -dt * problem.lo[1:]
-        rhs = u[:m] + dt * problem.nonlinear_term(u[:m])
+        diag, off = u0.grid.stiffness_bands
+        vol = u0.grid.cell_volumes[:m]
+        ab = np.zeros((2, m))
+        ab[0, 1:] = dt * off
+        ab[1, :] = vol + dt * diag
+        rhs = (problem.nonlinear_term(u[:m]) * dt + u[:m]) * vol
         out = problem.substep(u, dt)
-        assert out[:m].tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        assert out[:m].tobytes() == solveh_banded(ab, rhs).tobytes()
         assert out[m] == 0.0
+
+    def test_factor_cache_is_keyed_on_dt(self):
+        u0, _ = make_w_data(5, ACCEPTANCE_R[5], a=0.9)
+        u = u0.values
+        cached = evolve.HeatProblem(u0.grid)
+
+        def fresh(v, dt):
+            return evolve.HeatProblem(u0.grid).substep(v, dt).tobytes()
+
+        for dt in (1e-3, 2e-3, 1e-3):
+            assert cached.substep(u, dt).tobytes() == fresh(u, dt)
+        big = cached.substep(u, 0.25)
+        half = cached.substep(u, 0.125)
+        small = cached.substep(half, 0.125)
+        assert big.tobytes() == fresh(u, 0.25)
+        assert half.tobytes() == fresh(u, 0.125)
+        assert small.tobytes() == fresh(half, 0.125)
+
+    def test_single_precision_input_is_solved(self):
+        # pttrs solves a float32 right-hand side on a float64 copy; substep
+        # must return that solution, not the right-hand side it built
+        u0, _ = make_w_data(5, ACCEPTANCE_R[5], a=0.9)
+        problem = evolve.HeatProblem(u0.grid)
+        u = u0.values.astype(np.float32)
+        want = problem.substep(u.astype(np.float64), 0.5)
+        assert np.allclose(problem.substep(u, 0.5), want, rtol=1e-5, atol=1e-6)
 
     def test_overflowing_explicit_term_collapses_the_step(self):
         # |u|^4 u overflows at u = 1e80 in d = 3: every candidate is non-finite,

@@ -119,13 +119,14 @@ class TestConservativeOperator:
     def test_conservative_laplacian_r_squared_exact(self):
         # the flux form with exact shell volumes also reproduces Delta r^2 = 2d
         g = make_grid(6, 8.0, 90, 1.01)
-        lo, di, up = g.conservative_bands
+        diag, off = g.stiffness_bands
         u = g.nodes**2
         m = g.n - 1
-        out = np.empty(m)
-        out[0] = di[0] * u[0] + up[0] * u[1]
-        out[1:] = lo[1:] * u[: m - 1] + di[1:] * u[1:m] + up[1:] * u[2 : m + 1]
-        assert np.allclose(out, 12.0, rtol=1e-9)
+        ku = diag * u[:m]
+        ku[:-1] += off * u[1:m]
+        ku[1:] += off * u[: m - 1]
+        ku[-1] -= g.face_weights[m - 1] * u[m]
+        assert np.allclose(-ku / g.cell_volumes[:m], 12.0, rtol=1e-9)
 
     def test_volumes_partition_the_ball(self):
         g = make_grid(4, 3.0, 64, 1.02)

@@ -36,6 +36,32 @@ class TestLowFreqMass:
         spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=np.ones(s.size))
         assert sp.low_freq_mass(spec, rho) == pytest.approx(4 * math.pi / 3 * rho**3, rel=1e-12)
 
+    def test_divergent_tabulated_stub_raises(self):
+        # s^-2 in d=3: the power law below the first node has infinite mass,
+        # as the closed-form s^-2 spectrum does
+        s = np.geomspace(1e-3, 1.0, 50)
+        spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=s**-2.0)
+        with pytest.raises(sp.SpectrumDomainError, match="diverges"):
+            sp.low_freq_mass(spec, 0.1)
+        with pytest.raises(sp.SpectrumDomainError, match="diverges"):
+            sp.linear_heat_l2_sq(spec, 1.0)
+        with pytest.raises(sp.SpectrumDomainError, match="diverges"):
+            sp.decay_character(spec)
+        with pytest.raises(sp.SpectrumDomainError, match="diverges"):
+            sp.low_freq_mass(sp.power_spectrum(3, k=-2.0), 0.1)
+
+    @pytest.mark.parametrize("k", [-1.2, 0.0, 1.0, 2.5])
+    def test_stub_of_a_power_table_is_its_power(self, k):
+        s = np.geomspace(1e-4, 1.0, 60)
+        spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=3.0 * s**k)
+        p, v0 = spec._low_power
+        assert p == pytest.approx(k, abs=1e-12) and v0 == spec.values[0]
+
+    def test_stub_is_flat_across_a_sign_change(self):
+        s = np.geomspace(1e-4, 1.0, 60)
+        spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=np.cos(3e3 * s))
+        assert spec._low_power == (0.0, spec.values[0])
+
     def test_domain_validation(self):
         spec = sp.gaussian_spectrum(3)
         with pytest.raises(sp.SpectrumDomainError):
@@ -100,7 +126,15 @@ class TestRefinement:
     def test_any_increasing_nodes(self, spec, u, t):
         s = spec.s_nodes
         assert np.array_equal(sp._refine(s), per_interval_grid(s))
-        assert_refinement_bit_exact(spec, min(s[0] + u * (s[-1] - s[0]), s[-1]), t)
+        rho = min(s[0] + u * (s[-1] - s[0]), s[-1])
+        if 2.0 * spec._low_power[0] + spec.d > 0.0:
+            assert_refinement_bit_exact(spec, rho, t)
+            return
+        # the stub below the first node has infinite mass
+        with pytest.raises(sp.SpectrumDomainError, match="diverges"):
+            sp.low_freq_mass(spec, rho)
+        with pytest.raises(sp.SpectrumDomainError, match="diverges"):
+            sp.linear_heat_l2_sq(spec, t)
 
 
 class TestDecayIndicator:
@@ -148,6 +182,18 @@ class TestDecayCharacter:
         est = sp.decay_character(spec)
         assert est.flag == "nonlinear_fit"
         assert not est.exists
+
+    def test_oscillatory_table_fails_the_residual_gate(self):
+        # the same table: its first two nodes alone give the stub 2p + d = -14.4,
+        # the first decade gives a convergent one, so the fit runs and the
+        # residual of log F about its line rejects it
+        s = np.geomspace(1e-5, 10.0, 400)
+        vals = s**-0.5 * (1.0 + 0.9 * np.sin(4.0 * np.log(s)))
+        spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=vals)
+        assert 2.0 * spec._low_power[0] + spec.d > 0.0
+        est = sp.decay_character(spec)
+        assert 0.05 < est.fit_residual < math.inf
+        assert est.flag == "nonlinear_fit"
 
 
 class TestLambdaSpectrum:
