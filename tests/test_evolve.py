@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from critheat import evolve
+from critheat import evolve, experiments
 from critheat import families
 from critheat import functionals as fn
 from critheat import ground_state as gs
+from critheat.config import RunConfig
 from critheat.evolve import FlowSettings
 from critheat.radial import RadialField, grid_for_span
 
@@ -55,6 +56,56 @@ class TestStep:
             assert state.accumulated_dissipation >= last
             last = state.accumulated_dissipation
         assert last > 0
+
+    @pytest.mark.parametrize("dt", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_stiff_mode_is_damped(self, dt):
+        # the extrapolated stability function has |R(z)| <= 1 on the negative
+        # real axis, where the symmetric Laplacian's spectrum lies, and
+        # R(-inf) = 0; a grid-scale alternating field is the stiffest mode
+        grid = grid_for_span(5, 20.0, 0.05, 0.01)
+        v = (-1.0) ** np.arange(grid.n)
+        v[-1] = 0.0
+        problem = evolve.HeatProblem(grid, "off")
+        state = evolve.SolverState(t=0.0, u=RadialField(grid, v), dt=dt)
+        new = evolve.step(state, tol=1e300, problem=problem)
+        assert new.t == dt  # no attempt was rejected
+        ratio = problem.l2_sq(new.u.values) / problem.l2_sq(v)
+        assert ratio <= 1.0
+        if dt == 1e6:
+            assert ratio < 1e-12
+
+
+def criterion_11_config(tol):
+    """The criterion-11 run (d=5, aW at a=0.9) at tolerance `tol`."""
+    return RunConfig(dimension=5, r_max=600.0, n_nodes=1375, stretch=1.004,
+                     family="aW", family_params=(("a", 0.9),), tol=tol, t_max=1e6)
+
+
+class TestExtrapolation:
+    def test_matches_a_tight_tolerance_run(self):
+        loose = experiments.run_config(criterion_11_config(1e-5))
+        tight = experiments.run_config(criterion_11_config(1e-9))
+        assert loose.verdict.kind == tight.verdict.kind == evolve.DISSIPATIVE
+        assert len(loose.snapshots) == len(tight.snapshots)
+        h1 = np.array([s.report.h1_sq for s in loose.snapshots])
+        h1_ref = np.array([s.report.h1_sq for s in tight.snapshots])
+        assert np.max(np.abs(h1 / h1_ref - 1.0)) < 5e-6
+
+    def test_a_decade_of_the_tail_takes_few_steps(self, monkeypatch):
+        # the fourth-order table crosses t in [10, 100) in a few dozen steps;
+        # the second-order step it replaced took about 800
+        accepted = []
+        plain_step = evolve.step
+
+        def counting_step(state, *args, **kwargs):
+            new = plain_step(state, *args, **kwargs)
+            accepted.append(new.t)
+            return new
+
+        monkeypatch.setattr(evolve, "step", counting_step)
+        traj = experiments.run_config(criterion_11_config(1e-5))
+        assert traj.verdict.t_end > 100.0
+        assert 0 < sum(10.0 <= t < 100.0 for t in accepted) <= 100
 
 
 #: the acceptance matrix's bubble grids: dimension -> outer radius
