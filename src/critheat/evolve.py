@@ -12,9 +12,12 @@ is the local error estimate, and the step-size controller uses the exponent
 1/4 that matches it. Dirichlet at r = R, symmetry at r = 0.
 
 A run records snapshots (time, scalar diagnostics, optional field checkpoint),
-events (Nehari sign changes, gradient-norm threshold crossings), and exactly
-one terminal verdict: Dissipative, Blowup (with an estimated-blowup-time
-bracket, never a claimed exact time), or Undecided with a reason code.
+events (Nehari sign changes, gradient-norm threshold crossings), the
+placement of its first snapshot against the ground-state threshold, and exactly
+one terminal verdict: Dissipative, Blowup, or Undecided with a reason code. A
+Blowup verdict's `t_bracket` is (t, t + 1e3 dt) at detection: it does not
+account for the time-discretization error accumulated before detection, so it
+need not contain the blowup time.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ class Trajectory:
     snapshots: list[Snapshot] = field(default_factory=list)
     events: list[tuple[float, str]] = field(default_factory=list)
     verdict: Verdict | None = None
+    membership: functionals.SetMembership | None = None
 
     @property
     def initial_h1_sq(self) -> float:
@@ -219,7 +223,7 @@ def _neville_row(prev: list, row_value, j: int) -> list:
 def step(
     state: SolverState,
     tol: float,
-    problem: HeatProblem | None = None,
+    problem: HeatProblem,
     dt_min: float = FlowSettings.dt_min,
     dt_cap: float | None = None,
 ) -> SolverState:
@@ -234,8 +238,6 @@ def step(
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if problem is None:
-        problem = HeatProblem(state.u.grid)
     u = state.u.values
     clipped = dt_cap is not None and dt_cap < state.dt
     dt = min(state.dt, dt_cap) if clipped else state.dt
@@ -294,22 +296,6 @@ def detect_dissipation(
     return all(b <= a * (1.0 + 1e-12) for a, b in zip(kqs, kqs[1:]))
 
 
-def detect_blowup(
-    state: SolverState,
-    initial_h1_sq: float,
-    collapsed: bool,
-    blowup_factor: float = FlowSettings.blowup_factor,
-    amp_cap: float = FlowSettings.amp_cap,
-) -> bool:
-    """Amplitude above the cap, or gradient growth plus step collapse."""
-    if float(np.max(np.abs(state.u.values))) > amp_cap:
-        return True
-    if collapsed:
-        h1 = functionals.h1_norm_sq(state.u)
-        return h1 > blowup_factor**2 * initial_h1_sq
-    return False
-
-
 def _nehari_persisted_negative(snapshots: list[Snapshot]) -> bool:
     """J < 0 on every snapshot strictly before the firing snapshot.
 
@@ -330,19 +316,6 @@ def _snapshot_ladder(settings: FlowSettings) -> list[float]:
     return sorted(times)
 
 
-def threshold_band(e_w: float, e_w_run: float | None = None) -> float:
-    """Half-width of the AtThreshold band around E(W).
-
-    Ten classification tolerances of E(W), widened to twice the run grid's
-    own E(W) bias when a same-grid reference `e_w_run` is supplied: a margin
-    inside the grid's quadrature error is not a resolvable margin.
-    """
-    band = 10.0 * functionals.TOL_THRESHOLD_REL * abs(e_w)
-    if e_w_run is not None:
-        band = max(band, 2.0 * abs(e_w_run - e_w))
-    return band
-
-
 def run_flow(
     u0: RadialField,
     e_w: float,
@@ -354,9 +327,13 @@ def run_flow(
 ) -> Trajectory:
     """Integrate from u0 until a verdict fires or t reaches settings.t_max.
 
-    Near-threshold data (inside `threshold_band`) is ill-conditioned for the
-    dichotomy and is reported Undecided without stepping. Numerical
-    corruption is reported as Undecided("corruption").
+    The first snapshot is placed against the threshold once, by
+    `functionals.classify_set`, and kept as `Trajectory.membership`. With the
+    guard on, AtThreshold data (inside `functionals.threshold_band`) is
+    ill-conditioned for the dichotomy and is reported Undecided without
+    stepping. A u0 that is not finite, or whose diagnostics overflow, raises
+    CorruptionError; a later snapshot whose diagnostics overflow ends the run
+    Undecided("corruption").
     """
     grid = u0.grid
     d = grid.d
@@ -385,20 +362,26 @@ def run_flow(
         traj.snapshots.append(snap)
         return snap
 
-    state = SolverState(t=0.0, u=u0.copy(), dt=settings.dt_init)
-    try:
-        take_snapshot(state, with_field=True)
-    except CorruptionError:
-        traj.verdict = Verdict(UNDECIDED, 0.0, {"reason": "corruption"})
+    def finish(kind: str, t_end: float, detail: dict) -> Trajectory:
+        traj.verdict = Verdict(kind, t_end, detail)
         return traj
 
-    if threshold_guard:
-        e0 = traj.snapshots[0].report.energy
-        if abs(e0 - e_w) < threshold_band(e_w, e_w_run):
-            traj.verdict = Verdict(
-                UNDECIDED, 0.0, {"reason": "at_threshold", "margin": abs(e0 - e_w)}
-            )
-            return traj
+    def blowup(dt: float, **detail) -> Trajectory:
+        """Blowup at the current state, whose snapshot is the last one taken."""
+        return finish(BLOWUP, state.t, {
+            "t_bracket": (state.t, state.t + dt * _BRACKET_SAFETY),
+            "nehari_negative_persisted": _nehari_persisted_negative(traj.snapshots),
+            **detail,
+        })
+
+    state = SolverState(t=0.0, u=u0.copy(), dt=settings.dt_init)
+    first = take_snapshot(state, with_field=True)
+    traj.membership = functionals.classify_set(
+        first.report, e_w, grad_sq_w, functionals.threshold_band(e_w, e_w_run)
+    )
+    if threshold_guard and traj.membership.verdict == functionals.AT_THRESHOLD:
+        return finish(UNDECIDED, 0.0, {"reason": "at_threshold",
+                                       "margin": traj.membership.margin})
 
     init_h1 = traj.initial_h1_sq
     eps_dissip = settings.eps_dissip_rel * init_h1 + 1e-300
@@ -406,38 +389,23 @@ def run_flow(
     forced = set(settings.forced_times)
     snap_index = 0
 
-    def finish(kind: str, t_end: float, detail: dict) -> Trajectory:
-        traj.verdict = Verdict(kind, t_end, detail)
-        return traj
-
     for t_next in ladder:
         while state.t < t_next:
             try:
                 state = step(state, settings.tol, problem, dt_min=settings.dt_min,
                              dt_cap=t_next - state.t)
             except StepCollapseError as exc:
-                take_snapshot(state, with_field=True)
-                if detect_blowup(state, init_h1, collapsed=True,
-                                 blowup_factor=settings.blowup_factor,
-                                 amp_cap=settings.amp_cap):
-                    detail = {
-                        "t_bracket": (state.t, state.t + exc.dt * _BRACKET_SAFETY),
-                        "nehari_negative_persisted": _nehari_persisted_negative(traj.snapshots),
-                    }
-                    return finish(BLOWUP, state.t, detail)
+                snap = take_snapshot(state, with_field=True)
+                if (float(np.max(np.abs(state.u.values))) > settings.amp_cap
+                        or snap.report.h1_sq > settings.blowup_factor**2 * init_h1):
+                    return blowup(exc.dt)
                 return finish(UNDECIDED, state.t, {"reason": "step_collapse"})
-            except CorruptionError:
-                return finish(UNDECIDED, state.t, {"reason": "corruption"})
             if abs(state.t - t_next) <= 1e-12 * max(t_next, 1.0):
                 state.t = t_next
-            if float(np.max(np.abs(state.u.values))) > settings.amp_cap:
+            amplitude = float(np.max(np.abs(state.u.values)))
+            if amplitude > settings.amp_cap:
                 take_snapshot(state, with_field=True)
-                detail = {
-                    "t_bracket": (state.t, state.t + state.dt * _BRACKET_SAFETY),
-                    "nehari_negative_persisted": _nehari_persisted_negative(traj.snapshots),
-                    "amplitude": float(np.max(np.abs(state.u.values))),
-                }
-                return finish(BLOWUP, state.t, detail)
+                return blowup(state.dt, amplitude=amplitude)
         snap_index += 1
         try:
             take_snapshot(

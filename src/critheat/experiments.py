@@ -1,8 +1,9 @@
 """Experiment drivers: dichotomy sweeps, decay-rate fits, splitting diagnostic.
 
-Sweeps classify each initial datum against the ground-state threshold before
-running, record which dichotomy hypotheses actually hold, and flag any verdict
-that contradicts them; the flag is a recorded scientific failure, never hidden.
+Sweep rows read each datum's placement against the ground-state threshold
+off its run (`Trajectory.membership`), record which dichotomy hypotheses
+actually hold, and flag any verdict that contradicts them; the flag is a
+recorded scientific failure, never hidden.
 Decay fits turn trajectories into log-log slopes compared against the
 predicted exponent min{d/2 + q*, 1} (power law up to d = 10, an inverse-log
 envelope beyond), with q* estimated from the initial spectrum.
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import evolve, families, functionals, ground_state, spectral
 from .config import RunConfig
-from .radial import RadialField
 
 
 class WindowTooShortError(RuntimeError):
@@ -59,55 +59,33 @@ class SplittingReport:
     alpha: float | None = None
 
 
-def _setup(cfg: RunConfig) -> tuple[RadialField, float]:
-    """Initial field of a configuration on its grid, and E(W) on that grid."""
+def run_config(cfg: RunConfig) -> evolve.Trajectory:
+    """Build the grid and initial field of a configuration and integrate it;
+    E(W) on the run grid widens the threshold band to the grid's bias."""
     grid = cfg.make_grid()
     u0 = families.build_initial(cfg.family, cfg.params, grid, cfg.seed)
     w_run = ground_state.aubin_talenti(ground_state.GroundStateSpec(cfg.dimension), grid)
-    return u0, functionals.energy(w_run)
-
-
-def _integrate(cfg: RunConfig, u0: RadialField, e_w_run: float) -> evolve.Trajectory:
     ref = ground_state.reference(cfg.dimension)
-    return evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, cfg, e_w_run=e_w_run)
+    return evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, cfg, e_w_run=functionals.energy(w_run))
 
 
-def run_config(cfg: RunConfig) -> evolve.Trajectory:
-    """Build the grid and initial field of a configuration and integrate it."""
-    return _integrate(cfg, *_setup(cfg))
+#: (hypothesis branch, verdict) pairs that contradict the dichotomy
+CONTRADICTIONS = {("I", evolve.BLOWUP), ("II", evolve.DISSIPATIVE)}
 
 
 def _sweep_row(cfg: RunConfig) -> SweepRow:
-    u0, e_w_run = _setup(cfg)
-    ref = ground_state.reference(cfg.dimension)
-    rep = functionals.energy_report(0.0, u0)
-    e_ratio = rep.energy / ref.e_w
-    grad_ratio = math.sqrt(rep.h1_sq / ref.grad_sq_w)
-    l2_finite = rep.l2_sq is not None
-    margin_ok = abs(rep.energy - ref.e_w) > evolve.threshold_band(ref.e_w, e_w_run)
-    if margin_ok and rep.energy <= ref.e_w and grad_ratio < 1.0:
-        branch = "I"
-    elif margin_ok and rep.energy <= ref.e_w and grad_ratio > 1.0 and l2_finite:
-        branch = "II"
-    else:
-        branch = "none"
-    traj = _integrate(cfg, u0, e_w_run)
-    verdict = traj.verdict
-    consistent = True
-    if branch == "I" and verdict.kind == evolve.BLOWUP:
-        consistent = False
-    if branch == "II" and verdict.kind == evolve.DISSIPATIVE:
-        consistent = False
+    traj = run_config(cfg)
+    m = traj.membership
     return SweepRow(
         family=cfg.family,
         params=cfg.params,
         d=cfg.dimension,
-        e_ratio=e_ratio,
-        grad_ratio=grad_ratio,
-        l2_finite=l2_finite,
-        hypothesis_branch=branch,
-        verdict=verdict,
-        consistent_with_theorem=consistent,
+        e_ratio=m.e_ratio,
+        grad_ratio=m.grad_ratio,
+        l2_finite=traj.snapshots[0].report.l2_sq is not None,
+        hypothesis_branch=m.branch,
+        verdict=traj.verdict,
+        consistent_with_theorem=(m.branch, traj.verdict.kind) not in CONTRADICTIONS,
         trajectory=traj,
     )
 

@@ -9,6 +9,7 @@ characterizes dissipation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,22 @@ MMINUS = "MMinus"
 ABOVE_THRESHOLD = "AboveThreshold"
 AT_THRESHOLD = "AtThreshold"
 
-#: relative width of the AtThreshold band around E(W); strictly above the
-#: quadrature error of default grids, strictly below experiment margins
+#: classification tolerance relative to |E(W)|; the AtThreshold band of
+#: `threshold_band` is ten of these, widened to twice the run grid's E(W) bias
 TOL_THRESHOLD_REL = 1e-5
+
+
+def threshold_band(e_w: float, e_w_run: float | None = None) -> float:
+    """Half-width of the AtThreshold band around E(W).
+
+    Ten classification tolerances of E(W), widened to twice the run grid's
+    own E(W) bias when a same-grid reference `e_w_run` is supplied: a margin
+    inside the grid's quadrature error is not a resolvable margin.
+    """
+    band = 10.0 * TOL_THRESHOLD_REL * abs(e_w)
+    if e_w_run is not None:
+        band = max(band, 2.0 * abs(e_w_run - e_w))
+    return band
 
 #: a truncated L2 integral counts as "not in L2" when the outer quarter of the
 #: domain contributes more than this fraction of the total
@@ -109,48 +123,53 @@ def energy_report(t: float, u: RadialField) -> EnergyReport:
 
 @dataclass(frozen=True)
 class SetMembership:
-    """Verdict of the threshold classification with its confidence gap."""
+    """Where a datum sits against the ground-state threshold.
+
+    `margin` is |E - E(W)|; `branch` names the dichotomy hypothesis the datum
+    satisfies: "I" (MPlus), "II" (MMinus with a gradient ratio above 1 and
+    finite L2) or "none".
+    """
 
     verdict: str
-    e_of_w: float
+    e_ratio: float
+    grad_ratio: float
     margin: float
+    branch: str
 
 
 def classify_set(
-    u: RadialField, e_of_w: float, tol_rel: float = TOL_THRESHOLD_REL
+    report: EnergyReport, e_w: float, grad_sq_w: float, band: float
 ) -> SetMembership:
-    """Place u relative to the ground-state threshold.
+    """Place a datum, from its t = 0 report, against the ground state W.
 
-    MPlus:  E(u) < E(W) and J(u) >= 0 (the stable set)
-    MMinus: E(u) < E(W) and J(u) < 0  (the unstable set)
-    AtThreshold when |E(u) - E(W)| <= tol, AboveThreshold when E exceeds it.
+    AtThreshold when |E - E(W)| <= band, AboveThreshold when E exceeds E(W)
+    by more. Below the band the gradient ratio ||grad u|| / ||grad W|| sorts
+    it, as in Kenig-Merle: MPlus under 1, MMinus otherwise.
     """
-    e = energy(u)
-    j = nehari(u)
-    tol = tol_rel * abs(e_of_w)
-    margin = min(e_of_w - e, abs(j))
-    if abs(e - e_of_w) <= tol:
-        verdict = AT_THRESHOLD
-    elif e > e_of_w:
-        verdict = ABOVE_THRESHOLD
-    elif j >= 0.0:
-        verdict = MPLUS
+    grad_ratio = math.sqrt(report.h1_sq / grad_sq_w)
+    margin = abs(report.energy - e_w)
+    if margin <= band:
+        verdict, branch = AT_THRESHOLD, "none"
+    elif report.energy > e_w:
+        verdict, branch = ABOVE_THRESHOLD, "none"
+    elif grad_ratio < 1.0:
+        verdict, branch = MPLUS, "I"
     else:
-        verdict = MMINUS
-    return SetMembership(verdict=verdict, e_of_w=e_of_w, margin=margin)
+        verdict, branch = MMINUS, "II" if grad_ratio > 1.0 and report.l2_sq is not None else "none"
+    return SetMembership(verdict, report.energy / e_w, grad_ratio, margin, branch)
 
 
 def norm_equivalence_gap(u: RadialField, e_of_w: float) -> tuple[float, float]:
     """Slack in (1/2 - 1/2*)||grad u||^2 <= E(u) <= (1/2)||grad u||^2.
 
     Returns (E - lower bound, upper bound - E); both are nonnegative on the
-    stable set up to quadrature tolerance. Requires u in MPlus.
+    stable set up to quadrature tolerance. Requires u in MPlus: E(u) < E(W)
+    and J(u) >= 0.
     """
-    membership = classify_set(u, e_of_w)
-    if membership.verdict != MPLUS:
-        raise ValueError(f"norm equivalence holds on MPlus only, got {membership.verdict}")
     h1 = h1_norm_sq(u)
     e = energy(u)
+    if not (e < e_of_w and nehari(u) >= 0.0):
+        raise ValueError("norm equivalence holds on MPlus only (E < E(W), J >= 0)")
     d = u.grid.d
     lower = (0.5 - 1.0 / crit_exponent(d)) * h1
     upper = 0.5 * h1

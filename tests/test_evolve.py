@@ -10,7 +10,7 @@ from critheat import functionals as fn
 from critheat import ground_state as gs
 from critheat.config import RunConfig
 from critheat.evolve import FlowSettings
-from critheat.radial import RadialField, grid_for_span
+from critheat.radial import CorruptionError, RadialField, grid_for_span
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +35,9 @@ class TestStep:
     def test_zero_is_fixed_point(self):
         grid = grid_for_span(4, 20.0, 0.05, 0.01)
         state = evolve.SolverState(t=0.0, u=RadialField(grid, np.zeros(grid.n)), dt=1e-3)
+        problem = evolve.HeatProblem(grid)
         for _ in range(5):
-            state = evolve.step(state, tol=1e-6)
+            state = evolve.step(state, 1e-6, problem)
         assert np.array_equal(state.u.values, np.zeros(grid.n))
         assert state.t > 0
 
@@ -44,7 +45,7 @@ class TestStep:
         grid = grid_for_span(4, 20.0, 0.05, 0.01)
         state = evolve.SolverState(t=0.0, u=RadialField(grid, np.zeros(grid.n)), dt=1e-3)
         with pytest.raises(evolve.StepCollapseError):
-            evolve.step(state, tol=1e-6, dt_min=1.0)
+            evolve.step(state, 1e-6, evolve.HeatProblem(grid), dt_min=1.0)
 
     def test_dissipation_tally_monotone(self, ref4):
         u0, _ = make_w_data(4, 200.0, a=0.8)
@@ -168,7 +169,7 @@ class TestSubstep:
         state = evolve.SolverState(t=0.0, u=RadialField(grid, u), dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(evolve.StepCollapseError):
-            evolve.step(state, tol=1e-6, dt_min=1e-9)
+            evolve.step(state, 1e-6, evolve.HeatProblem(grid), dt_min=1e-9)
 
 
 class TestLinearMode:
@@ -266,6 +267,18 @@ class TestDetectors:
                                FlowSettings(t_max=1.0, tol=1e-5, dt_init=1e-8),
                                threshold_guard=False)
         assert traj.verdict.kind == evolve.BLOWUP
+
+    @pytest.mark.parametrize("amp, bad", [(1.0, np.nan), (1.0, np.inf), (1e120, None)])
+    def test_unusable_initial_data_raises(self, ref5, amp, bad):
+        # a u0 made non-finite after construction, or one whose |u0|^{2*}
+        # overflows (amplitude 1e120 in d = 5), is refused, not given a verdict
+        grid = grid_for_span(5, 100.0, 0.05, 0.01)
+        u0 = RadialField(grid, amp * np.exp(-grid.nodes**2))
+        if bad is not None:
+            u0.values[3] = bad
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CorruptionError):
+            evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, FlowSettings(t_max=1.0),
+                            threshold_guard=False)
 
 
 class TestEnergyBookkeeping:

@@ -47,6 +47,16 @@ class TestSweep:
         assert row.e_ratio < 1.0 and row.grad_ratio < 1.0
         assert row.l2_finite
 
+    def test_rows_read_the_runs_classification(self, sweep_rows):
+        for row in sweep_rows:
+            traj = row.trajectory
+            m, rep = traj.membership, traj.snapshots[0].report
+            assert (row.e_ratio, row.grad_ratio, row.hypothesis_branch) == (
+                m.e_ratio, m.grad_ratio, m.branch)
+            assert row.e_ratio == rep.energy / traj.e_w
+            assert row.grad_ratio == math.sqrt(rep.h1_sq / traj.grad_sq_w)
+            assert row.l2_finite == (rep.l2_sq is not None)
+
     def test_pooled_rows_match_serial_rows(self, sweep_rows):
         serial = experiments.dichotomy_sweep(SWEEP_CONFIGS, workers=1)
         assert [r.params for r in serial] == [r.params for r in sweep_rows]

@@ -83,18 +83,25 @@ class TestGradient:
         assert 1.8 <= rate2 <= 2.2
 
 
+def placed(u, e_w):
+    """classify_set on u's t = 0 report against the same-grid bubble."""
+    w = gs.aubin_talenti(gs.GroundStateSpec(u.grid.d), u.grid)
+    return fn.classify_set(fn.energy_report(0.0, u), e_w, fn.h1_norm_sq(w),
+                           fn.threshold_band(e_w))
+
+
 class TestClassification:
     def test_stable_set(self, bubble5, e_w5):
-        m = fn.classify_set(scaled(bubble5, 0.9), e_w5)
+        m = placed(scaled(bubble5, 0.9), e_w5)
         assert m.verdict == fn.MPLUS
         assert m.margin > 0
 
     def test_unstable_set(self, bubble5, e_w5):
-        m = fn.classify_set(scaled(bubble5, 1.2), e_w5)
+        m = placed(scaled(bubble5, 1.2), e_w5)
         assert m.verdict == fn.MMINUS
 
     def test_threshold(self, bubble5, e_w5):
-        assert fn.classify_set(bubble5, e_w5).verdict == fn.AT_THRESHOLD
+        assert placed(bubble5, e_w5).verdict == fn.AT_THRESHOLD
 
     def test_above_threshold(self, bubble5, e_w5):
         # narrow spike: gradient term dominates, energy lands above E(W)
@@ -102,8 +109,27 @@ class TestClassification:
         probe = RadialField(grid, np.exp(-((grid.nodes / 0.2) ** 2)))
         amp = math.sqrt(4.0 * e_w5 / fn.h1_norm_sq(probe))
         spike = RadialField(grid, amp * probe.values)
-        m = fn.classify_set(spike, e_w5)
+        m = placed(spike, e_w5)
         assert m.verdict == fn.ABOVE_THRESHOLD
+
+    @pytest.mark.parametrize("energy, h1_sq, l2_sq, verdict, branch", [
+        (0.5, 0.25, 1.0, fn.MPLUS, "I"),
+        (0.5, 4.0, 1.0, fn.MMINUS, "II"),
+        (0.5, 4.0, None, fn.MMINUS, "none"),  # no finite L2: branch II's hypothesis fails
+        (0.5, 1.0, 1.0, fn.MMINUS, "none"),  # gradient ratio exactly 1
+        (0.75, 0.25, 1.0, fn.AT_THRESHOLD, "none"),  # margin == band, below E(W)
+        (1.25, 4.0, 1.0, fn.AT_THRESHOLD, "none"),  # margin == band, above E(W)
+        (1.5, 4.0, 1.0, fn.ABOVE_THRESHOLD, "none"),
+    ])
+    def test_placements(self, energy, h1_sq, l2_sq, verdict, branch):
+        # E(W) = 1, ||grad W||^2 = 1, band 0.25: every margin here is exact in binary
+        rep = fn.EnergyReport(t=0.0, h1_sq=h1_sq, l2star_pow=0.0, energy=energy, nehari=0.0,
+                              l2_sq=l2_sq)
+        m = fn.classify_set(rep, 1.0, 1.0, 0.25)
+        assert (m.verdict, m.branch) == (verdict, branch)
+        assert m.margin == abs(energy - 1.0)
+        assert m.e_ratio == energy
+        assert m.grad_ratio == math.sqrt(h1_sq)
 
     @given(a=st.floats(min_value=0.05, max_value=2.0))
     @settings(max_examples=30, deadline=None)
