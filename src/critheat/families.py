@@ -1,4 +1,4 @@
-"""Named initial-data families and the checkpoint file format.
+"""Named initial-data families and checkpoint save/load.
 
 A family builder takes the grid, a seeded generator and its parameters as
 keyword arguments; its signature is the one definition of those parameters and
@@ -10,14 +10,14 @@ profile, which the decay-rate machinery prefers over a numerical transform.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
 from . import ground_state, spectral
-from .radial import CorruptionError, RadialField, RadialGrid
+from .radial import CorruptionError, RadialField, RadialGrid, read_columns, write_columns
 
 CHECKPOINT_MAGIC = "# critheat checkpoint v1"
+CHECKPOINT_KEYS = {"d": int, "R": float, "n": int, "t": float, "stretch": float}
 
 
 def _w_family(grid: RadialGrid, rng, *, a=1.0, lam=1.0) -> np.ndarray:
@@ -74,7 +74,8 @@ def _bumps_family(grid: RadialGrid, rng, *, n_bumps=3, amp=0.05, spread=4.0) -> 
 def _from_file_family(grid: RadialGrid, rng, *, path) -> np.ndarray:
     field, _t = load_checkpoint(path)
     if field.grid.d != grid.d:
-        raise ValueError(f"checkpoint dimension {field.grid.d} does not match run {grid.d}")
+        raise ValueError(f"{path}: checkpoint dimension {field.grid.d} "
+                         f"does not match run {grid.d}")
     if field.grid.n == grid.n and np.allclose(field.grid.nodes, grid.nodes):
         return field.values.copy()
     from scipy.interpolate import PchipInterpolator
@@ -121,40 +122,23 @@ def initial_spectrum(name: str, params: dict, d: int) -> spectral.SpectrumFn | N
 
 
 def save_checkpoint(path, field: RadialField, t: float) -> None:
-    """Versioned two-column text checkpoint: header (d, R, n, t), then r_i u_i."""
-    path = Path(path)
+    """Versioned two-column text checkpoint: header (d, R, n, t, stretch), then r_i u_i."""
     g = field.grid
-    lines = [
-        CHECKPOINT_MAGIC,
-        f"# d={g.d} R={float(g.rmax)!r} n={g.n} t={float(t)!r} stretch={float(g.stretch)!r}",
-    ]
-    lines += [f"{float(r)!r} {float(v)!r}" for r, v in zip(g.nodes, field.values)]
-    path.write_text("\n".join(lines) + "\n")
+    header = f"# d={g.d} R={float(g.rmax)!r} n={g.n} t={float(t)!r} stretch={float(g.stretch)!r}"
+    write_columns(path, [CHECKPOINT_MAGIC, header], g.nodes, field.values)
 
 
 def load_checkpoint(path) -> tuple[RadialField, float]:
-    path = Path(path)
-    text = path.read_text().splitlines()
-    if not text or text[0].strip() != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    header = {}
-    rows = []
-    for line in text[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, val = token.split("=", 1)
-                    header[key] = val
-            continue
-        a, b = line.split()
-        rows.append((float(a), float(b)))
-    arr = np.array(rows)
-    if not np.isfinite(arr).all():
+    """A checkpoint saved by `save_checkpoint`: its rows must be finite
+    (else CorruptionError) and agree with the header's n= and R=."""
+    head, r, u = read_columns(path, CHECKPOINT_MAGIC, CHECKPOINT_KEYS)
+    if not (np.isfinite(r).all() and np.isfinite(u).all()):
         raise CorruptionError(f"{path}: checkpoint holds non-finite samples")
-    grid = RadialGrid(
-        d=int(header["d"]), nodes=arr[:, 0], stretch=float(header.get("stretch", 1.0))
-    )
-    return RadialField(grid, arr[:, 1]), float(header.get("t", 0.0))
+    if (head["n"], head["R"]) != (len(r), r[-1]):
+        raise ValueError(f"{path}: header n={head['n']} R={head['R']!r} does not match "
+                         f"its {len(r)} rows ending at r = {float(r[-1])!r}")
+    try:
+        grid = RadialGrid(d=head["d"], nodes=r, stretch=head["stretch"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return RadialField(grid, u), head["t"]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -205,3 +206,41 @@ def radial_integral(f: RadialField) -> float:
     """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid."""
     assert_finite(f)
     return float(f.grid.quad_weights @ f.values)
+
+
+def write_columns(path, header: list[str], x, y) -> None:
+    """Two-column text file: the `header` lines (the first a magic line), then
+    one `repr(x_i) repr(y_i)` row per sample, so floats read back exactly."""
+    pairs = zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist())
+    rows = [f"{a!r} {b!r}" for a, b in pairs]
+    Path(path).write_text("\n".join([*header, *rows]) + "\n")
+
+
+def read_columns(path, magic: str, keys: dict) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The `key=value` header tokens that `keys` names, each read by its type
+    (`{"d": int}`), and the two columns of a `write_columns` file whose first
+    line is `magic`. A bad file raises ValueError naming it and the line."""
+    lines = Path(path).read_text(errors="replace").splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise ValueError(f"{path}: first line is not {magic!r}")
+    header, rows = {}, []
+    for number, line in enumerate(lines[1:], 2):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                for key, eq, value in (token.partition("=") for token in line[1:].split()):
+                    if eq and key in keys:
+                        header[key] = keys[key](value)
+            elif line:
+                a, b = line.split()
+                rows.append((float(a), float(b)))
+        except ValueError:
+            typed = " ".join(f"{key}=<{kind.__name__}>" for key, kind in keys.items())
+            raise ValueError(f"{path}: line {number}: expected two numbers or {typed}, "
+                             f"got {line!r}") from None
+    missing = [f"{key}=" for key in keys if key not in header]
+    if missing:
+        raise ValueError(f"{path}: missing {' '.join(missing)} header")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return (header, *np.array(rows).T)

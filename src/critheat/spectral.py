@@ -23,9 +23,10 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import jv
 
-from .radial import RadialField, sphere_area
+from .radial import RadialField, read_columns, sphere_area, write_columns
 
 CLOSED_FORM_KINDS = ("power_gauss", "power")
+SPECTRUM_MAGIC = "# spectrum v1"
 
 
 class SpectrumDomainError(ValueError):
@@ -325,48 +326,23 @@ def hankel_spectrum(u: RadialField, s_nodes) -> SpectrumFn:
 
 def save_spectrum(spec: SpectrumFn, path) -> None:
     """Two-column text export with a header: dimension, kind, normalization."""
-    path = Path(path)
     if spec.kind == "tabulated":
         s, v = spec.s_nodes, spec.values
     else:
         s = np.geomspace(1e-4, spec.s_max, 400)
         v = spec(s)
-    lines = [
-        "# spectrum v1",
-        f"# d={spec.d} kind={spec.kind} normalization=unitary",
-        f"# description={spec.description}",
-    ]
-    lines += [f"{float(si)!r} {float(vi)!r}" for si, vi in zip(s, v)]
-    path.write_text("\n".join(lines) + "\n")
+    header = [SPECTRUM_MAGIC, f"# d={spec.d} kind={spec.kind} normalization=unitary",
+              f"# description={spec.description}"]
+    write_columns(path, header, s, v)
 
 
 def load_spectrum(path, d: int | None = None) -> SpectrumFn:
     """A spectrum saved by `save_spectrum`; its `d=` header must equal `d` if given."""
-    path = Path(path)
-    header_d = None
-    rows = []
-    for number, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
-        try:
-            if line.startswith("#"):
-                for tokenized in line[1:].split():
-                    if tokenized.startswith("d="):
-                        header_d = int(tokenized[2:])
-            elif line:
-                a, b = line.split()
-                rows.append((float(a), float(b)))
-        except ValueError:
-            raise ValueError(f"{path}: line {number}: expected an integer d= or two numbers, "
-                             f"got {line!r}") from None
-    if header_d is None:
-        raise ValueError(f"{path}: missing 'd=' header")
-    if d is not None and header_d != d:
-        raise ValueError(f"dimension: {d} does not match the d={header_d} header of {path}")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.array(rows)
+    head, s, v = read_columns(path, SPECTRUM_MAGIC, {"d": int})
+    if d is not None and head["d"] != d:
+        raise ValueError(f"dimension: {d} does not match the d={head['d']} header of {path}")
     try:
-        return SpectrumFn(d=header_d, kind="tabulated", s_nodes=arr[:, 0], values=arr[:, 1],
-                          description=f"loaded from {path.name}")
+        return SpectrumFn(d=head["d"], kind="tabulated", s_nodes=s, values=v,
+                          description=f"loaded from {Path(path).name}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -578,6 +578,7 @@ BAD_SPECTRUM_FILES = {
                   "finite"),
     "nan_node": (lambda text: _replace_data_line(text, lambda row: "nan " + row.split()[1]),
                  "finite"),
+    "no_first_line": (lambda text: text.split("\n", 1)[1], "first line is not '# spectrum v1'"),
 }
 
 
@@ -593,6 +594,38 @@ def test_bad_spectrum_file_exits_2_naming_it(tmp_path, cfg_file, capsys, spoil, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ") and what in err
     assert not out.exists()
+
+
+#: id: a saved d=5 checkpoint made bad, what the error names besides the file
+BAD_CHECKPOINT_FILES = {
+    "no_d_header": (lambda text: text.replace("# d=5 ", "# ", 1), "missing d="),
+    "no_data_rows": (lambda text: "".join(ln for ln in text.splitlines(True) if ln[0] == "#"),
+                     "no data rows"),
+    "three_columns": (lambda text: _replace_data_line(text, lambda row: row + " 2.0"),
+                      "line 7: expected"),
+    "text_value": (lambda text: _replace_data_line(text, lambda row: row.split()[0] + " big"),
+                   "line 7: expected"),
+    "dimension_not_an_integer": (lambda text: text.replace("d=5", "d=five", 1),
+                                 "line 2: expected"),
+    "truncated": (lambda text: "\n".join(text.splitlines()[:402]) + "\n",
+                  "does not match its 400 rows"),
+    "dimension_of_another_run": (lambda text: text.replace("d=5", "d=3", 1),
+                                 "checkpoint dimension 3 does not match run 5"),
+}
+
+
+@pytest.mark.parametrize("spoil, what", BAD_CHECKPOINT_FILES.values(), ids=BAD_CHECKPOINT_FILES)
+def test_bad_checkpoint_file_exits_2_naming_it(tmp_path, cfg_file, capsys, spoil, what):
+    grid = grid_for_span(5, 600.0, 0.01, 0.004)
+    path = tmp_path / "ck.txt"
+    families.save_checkpoint(path, families.build_initial("aW", {"a": 0.9}, grid), 0.0)
+    path.write_text(spoil(path.read_text()))
+    tree = json.loads(run_config_text(tmp_path / "out"))
+    tree["family"] = {"name": "from_file", "path": str(path)}
+    assert cli.main(["run", "--config", cfg_file("c.json", json.dumps(tree))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and what in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flag_only_where_the_configuration_has_a_seed(tmp_path, cfg_file):

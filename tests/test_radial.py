@@ -11,7 +11,9 @@ from critheat.radial import (
     grid_for_span,
     make_grid,
     radial_integral,
+    read_columns,
     sphere_area,
+    write_columns,
 )
 
 
@@ -145,3 +147,30 @@ class TestConservativeOperator:
         vals[0] = np.inf
         with pytest.raises(CorruptionError):
             RadialField(g, vals)
+
+
+class TestColumnFiles:
+    MAGIC = "# test columns v1"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=20))
+    def test_round_trip_is_exact(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("columns") / "c.txt"
+        x, y = np.array(pairs).T
+        write_columns(path, [self.MAGIC, "# d=4 t=0.5 note=free text"], x, y)
+        header, x_back, y_back = read_columns(path, self.MAGIC, {"d": int, "t": float})
+        assert header == {"d": 4, "t": 0.5}
+        assert x_back.tobytes() == x.tobytes() and y_back.tobytes() == y.tobytes()
+
+    def test_rows_are_the_repr_of_each_float(self, tmp_path):
+        path = tmp_path / "c.txt"
+        write_columns(path, [self.MAGIC], np.array([0.0, 0.1]), [-0.0, 1e-300])
+        assert path.read_text() == f"{self.MAGIC}\n0.0 -0.0\n0.1 1e-300\n"
+
+    def test_a_binary_file_is_named(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(b"\xff\xfe\x00binary\n")
+        with pytest.raises(ValueError, match="first line is not") as exc:
+            read_columns(path, self.MAGIC, {"d": int})
+        assert str(exc.value).startswith(f"{path}: ")

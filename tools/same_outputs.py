@@ -1,20 +1,24 @@
-"""Check that two source trees write the same `critheat run` and `sweep` outputs.
+"""Check that two source trees write the same `critheat` outputs.
 
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat`
-package. Under each tree a fresh interpreter runs `critheat run` on four
+package. Under each tree a fresh interpreter runs `critheat run` on five
 fixed configurations (Dissipative, Blowup at the amplitude cap, Blowup on a
-step collapse at t = 0, Undecided at the threshold) and `critheat sweep` on
-two (d = 5 and d = 3 rows around the ground state). Every output file is
-compared byte for byte, manifests without `wall_time_s` and `out_dir`, and
-the exit codes must agree. Prints one line per configuration and exits 0
-when all of them match, 1 otherwise. Standard library only.
+step collapse at t = 0, Undecided at the threshold, and initial data read
+from a checkpoint file), `critheat sweep` on two (d = 5 and d = 3 rows around
+the ground state) and `critheat character` on a spectrum file. The tool
+writes the checkpoint and the spectrum file itself, once for both trees.
+Every output file is compared byte for byte, manifests without `wall_time_s`
+and `out_dir`, and the exit codes must agree. Prints one line per
+configuration and exits 0 when all of them match, 1 otherwise. Standard
+library only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +43,9 @@ CONFIGS = {
     "run_at_threshold": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 1.001},
         "integrator": {"t_max": 10.0}}),
+    "run_from_file": ("run", {
+        "dimension": 5, "grid": GRID_5, "family": {"name": "from_file", "path": "checkpoint.txt"},
+        "integrator": {"t_max": 1e6}}),
     "sweep_d5": ("sweep", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6},
@@ -48,6 +55,28 @@ CONFIGS = {
         "dimension": 3, "grid": GRID_3, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e4, "tol": 1e-3},
         "sweep": [{"a": 0.9}, {"a": 1.5}, {"name": "aW_cutoff", "a": 1.3}]}),
+    "character_from_file": ("character", {
+        "dimension": 3, "spectrum": {"kind": "file", "path": "spectrum.txt"}}),
+}
+
+
+def _two_columns(header: list[str], pairs) -> str:
+    """The checkpoint and spectrum file format: header lines, then `repr` rows."""
+    return "\n".join(header + [f"{x!r} {y!r}" for x, y in pairs]) + "\n"
+
+
+#: input file name -> its text; the configurations name these files
+#: relative to the directory that holds them
+INPUTS = {
+    # exp(-r^2/4) in d = 5 on a uniform grid over [0, 40], interpolated onto GRID_5
+    "checkpoint.txt": _two_columns(
+        ["# critheat checkpoint v1", "# d=5 R=40.0 n=801 t=0.0 stretch=1.0"],
+        ((40.0 * i / 800, math.exp(-((40.0 * i / 800) ** 2) / 4.0)) for i in range(801))),
+    # s exp(-s^2) in d = 3 at 300 log-spaced frequencies from 1e-4 to 10
+    "spectrum.txt": _two_columns(
+        ["# spectrum v1", "# d=3 kind=tabulated normalization=unitary",
+         "# description=s*exp(-s^2)"],
+        ((s, s * math.exp(-s * s)) for s in (1e-4 * 10.0 ** (5 * i / 299) for i in range(300)))),
 }
 
 #: manifest entries that may differ between two runs of the same configuration
@@ -63,8 +92,10 @@ def _stable(tree):
     return tree
 
 
-def run(src: Path, verb: str, tree: dict, work: Path) -> tuple[int, dict[str, bytes]]:
-    """Exit code and output files of one command under the tree `src`."""
+def run(src: Path, verb: str, tree: dict, work: Path,
+        inputs: Path) -> tuple[int, dict[str, bytes]]:
+    """Exit code and output files of one command under the tree `src`, run in
+    the directory `inputs` that holds the `INPUTS` files."""
     work.mkdir(parents=True)
     cfg = work / "config.json"
     cfg.write_text(json.dumps(tree))
@@ -73,7 +104,7 @@ def run(src: Path, verb: str, tree: dict, work: Path) -> tuple[int, dict[str, by
     args = [sys.executable, "-m", "critheat.cli", verb, "--config", str(cfg), "--out", str(out)]
     if verb == "sweep":
         args += ["--workers", "2"]
-    code = subprocess.run(args, env=env, cwd=work, stdout=subprocess.DEVNULL).returncode
+    code = subprocess.run(args, env=env, cwd=inputs, stdout=subprocess.DEVNULL).returncode
     files = {}
     for path in sorted(out.iterdir()) if out.is_dir() else []:
         data = path.read_bytes()
@@ -94,9 +125,13 @@ def main(argv: list[str]) -> int:
             return 2
     same = True
     with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs"
+        inputs.mkdir()
+        for name, text in INPUTS.items():
+            (inputs / name).write_text(text)
         for name, (verb, tree) in CONFIGS.items():
             (old_code, old), (new_code, new) = (
-                run(src, verb, tree, Path(tmp) / side / name)
+                run(src, verb, tree, Path(tmp) / side / name, inputs)
                 for side, src in zip(("old", "new"), trees)
             )
             differ = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
