@@ -134,6 +134,39 @@ class TestSubstep:
         assert out[:m].tobytes() == solveh_banded(ab, rhs).tobytes()
         assert out[m] == 0.0
 
+    @pytest.mark.parametrize("nonlinearity", sorted(evolve.NONLINEARITY_SIGN))
+    @pytest.mark.parametrize("d", sorted(ACCEPTANCE_R))
+    def test_shared_nonlinear_term_keeps_the_bits(self, d, nonlinearity):
+        # step evaluates N(u) once and hands it to the first substep of every
+        # row; that must give the bits of the substep evaluating it itself
+        u0, _ = make_w_data(d, ACCEPTANCE_R[d], a=0.9)
+        problem = evolve.HeatProblem(u0.grid, nonlinearity)
+        u = u0.values
+        n_u = problem.nonlinear_term(u[:-1])
+        kept = n_u.tobytes()
+        for dt in (1e-4, 0.5):
+            assert problem.substep(u, dt, n_u=n_u).tobytes() == problem.substep(u, dt).tobytes()
+        assert n_u.tobytes() == kept
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("nonlinearity", ["focusing", "defocusing"])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_nonlinear_term_matches_the_formula(self, d, nonlinearity, dtype):
+        problem = evolve.HeatProblem(grid_for_span(d, 20.0, 0.05, 0.01), nonlinearity)
+        rng = np.random.default_rng(d)
+        u = (rng.standard_normal(2000) * 10.0 ** rng.uniform(-12, 12, 2000)).astype(dtype)
+        with np.errstate(over="ignore"):
+            want = problem.sign * np.abs(u) ** problem.power * u
+            got = problem.nonlinear_term(u)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_nonlinear_term_off_is_zero(self):
+        problem = evolve.HeatProblem(grid_for_span(5, 20.0, 0.05, 0.01), "off")
+        u = np.linspace(-3.0, 3.0, 7, dtype=np.float32)
+        got = problem.nonlinear_term(u)
+        assert got.dtype == np.float32 and not got.any()
+
     def test_factor_cache_is_keyed_on_dt(self):
         u0, _ = make_w_data(5, ACCEPTANCE_R[5], a=0.9)
         u = u0.values
