@@ -94,6 +94,9 @@ class SolverState:
     dt: float
     step_count: int = 0
     accumulated_dissipation: float = 0.0
+    #: (dt, error estimate) of the last accepted step, for the predictive
+    #: step-size controller; None before the first step
+    last_step: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,7 @@ def _scaled_error(a: np.ndarray, b: np.ndarray) -> float:
 
 #: substep counts of the extrapolation table's rows: row j advances dt by
 #: SEQUENCE[j] IMEX Euler substeps of dt / SEQUENCE[j]
-SEQUENCE = (1, 2, 3, 4)
+SEQUENCE = (1, 2, 3, 4, 5)
 
 
 def _neville_row(prev: list, row_value, j: int) -> list:
@@ -230,6 +233,27 @@ def _neville_row(prev: list, row_value, j: int) -> list:
     return row
 
 
+def _step_factor(tol: float, err: float, dt: float = 0.0,
+                 last_step: tuple[float, float] | None = None) -> float:
+    """The factor that scales dt after an attempt of size dt with error err.
+
+    The standard factor is f = 0.9 (tol/err)^(1/k), k = len(SEQUENCE). Given
+    the (dt, err) of the previous accepted step, Gustafsson's predictive
+    controller (ACM TOMS 20, 1994; Hairer and Wanner II, IV.8) takes
+    min(f, f (dt/dt_prev) (err_prev/err)^(1/k)), which damps the
+    accept/reject oscillation of f alone when err grows from step to step.
+    Either is clamped to [0.2, 5]; err = 0 gives 5.
+    """
+    if err == 0.0:
+        return 5.0
+    exponent = 1.0 / len(SEQUENCE)
+    factor = 0.9 * (tol / err) ** exponent
+    if last_step is not None and last_step[1] > 0.0:
+        dt_prev, err_prev = last_step
+        factor = min(factor, factor * (dt / dt_prev) * (err_prev / err) ** exponent)
+    return min(5.0, max(0.2, factor))
+
+
 def step(
     state: SolverState,
     tol: float,
@@ -240,11 +264,14 @@ def step(
     """Advance one accepted step, adapting dt to keep the local error <= tol.
 
     An attempt builds the Aitken-Neville table of the IMEX Euler substep over
-    SEQUENCE: it accepts the corner T_{4,4}, estimates its error by
-    T_{4,4} - T_{4,3}, and scales dt by 0.9 (tol/err)^(1/4), clamped to
-    [0.2, 5]. The dissipation tally, each row's sum of ||dv||^2 / (dt/n_j),
-    is extrapolated through the same table. Non-finite candidates shrink dt
-    fourfold. Raises StepCollapseError when dt falls below dt_min.
+    SEQUENCE: it accepts the corner T_{5,5}, estimates its error by
+    T_{5,5} - T_{5,4}, and scales dt by `_step_factor`, exponent 1/5: the
+    standard factor after a rejection, the predictive one after an accepted
+    step. N(u) is evaluated once per call and shared by the first substep
+    of every row and every retried attempt. The dissipation tally, each
+    row's sum of ||dv||^2 / (dt/n_j), is extrapolated through the same
+    table. Non-finite candidates shrink dt fourfold. Raises
+    StepCollapseError when dt falls below dt_min.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -257,27 +284,28 @@ def step(
         if dt < dt_min:
             raise StepCollapseError(state.t, dt)
         table, tally = [], []
-        for j, n in enumerate(SEQUENCE):
-            h = dt / n
-            v, diss = u, 0.0
-            for i in range(n):
-                v_next = problem.substep(v, h, n_u if i == 0 else None)
-                diss += problem.l2_sq(v_next - v) / h
-                v = v_next
-            table = _neville_row(table, v, j)
-            tally = _neville_row(tally, diss, j)
+        # an attempt that overflows is refused by the finiteness test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, n in enumerate(SEQUENCE):
+                h = dt / n
+                v, diss = u, 0.0
+                for i in range(n):
+                    v_next = problem.substep(v, h, n_u if i == 0 else None)
+                    diss += problem.l2_sq(v_next - v) / h
+                    v = v_next
+                table = _neville_row(table, v, j)
+                tally = _neville_row(tally, diss, j)
         # every row enters the corner with a nonzero weight, so a non-finite
         # row makes the corner non-finite
         if np.isfinite(table[-1]).all():
             err = _scaled_error(table[-1], table[-2])
             if err <= tol:
                 break
-            dt *= max(0.2, 0.9 * (tol / err) ** 0.25)
+            dt *= _step_factor(tol, err)
         else:
             dt *= 0.25
         clipped = False
-    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.25))
-    next_dt = dt * factor
+    next_dt = dt * _step_factor(tol, err, dt, state.last_step)
     if clipped:
         # landing clip, not accuracy: keep the cruising step size
         next_dt = max(next_dt, state.dt)
@@ -287,6 +315,7 @@ def step(
         dt=next_dt,
         step_count=state.step_count + 1,
         accumulated_dissipation=state.accumulated_dissipation + tally[-1],
+        last_step=(dt, err),
     )
 
 

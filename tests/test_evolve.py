@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
 from critheat import evolve, experiments
@@ -93,8 +95,8 @@ class TestExtrapolation:
         assert np.max(np.abs(h1 / h1_ref - 1.0)) < 5e-6
 
     def test_a_decade_of_the_tail_takes_few_steps(self, monkeypatch):
-        # the fourth-order table crosses t in [10, 100) in a few dozen steps;
-        # the second-order step it replaced took about 800
+        # the fifth-order table crosses t in [10, 100) in a few dozen steps;
+        # the second-order step that preceded the extrapolation took about 800
         accepted = []
         plain_step = evolve.step
 
@@ -107,6 +109,53 @@ class TestExtrapolation:
         traj = experiments.run_config(criterion_11_config(1e-5))
         assert traj.verdict.t_end > 100.0
         assert 0 < sum(10.0 <= t < 100.0 for t in accepted) <= 100
+
+
+class TestStepSizeController:
+    def test_blowup_row_rarely_rejects(self, monkeypatch):
+        # d = 4 aW at a = 1.48 on the acceptance matrix's Blowup grid: past
+        # amplitude 100 the standard controller alone rejected 147 attempts
+        # for 201 accepted steps; the predictive one stops that oscillation
+        substeps, accepted = [0], [0]
+        plain_substep, plain_step = evolve.HeatProblem.substep, evolve.step
+
+        def counting_substep(self, *args, **kwargs):
+            substeps[0] += 1
+            return plain_substep(self, *args, **kwargs)
+
+        def counting_step(*args, **kwargs):
+            new = plain_step(*args, **kwargs)
+            accepted[0] += 1
+            return new
+
+        monkeypatch.setattr(evolve.HeatProblem, "substep", counting_substep)
+        monkeypatch.setattr(evolve, "step", counting_step)
+        grid = grid_for_span(4, 300.0, 0.01, 0.004)
+        cfg = RunConfig(dimension=4, r_max=300.0, n_nodes=grid.n, stretch=grid.stretch,
+                        family="aW", family_params=(("a", 1.48),), t_max=50.0)
+        traj = experiments.run_config(cfg)
+        assert traj.verdict.kind == evolve.BLOWUP
+        attempts = substeps[0] / sum(evolve.SEQUENCE)
+        assert attempts == int(attempts)
+        assert accepted[0] > 0
+        assert attempts - accepted[0] <= 0.05 * accepted[0]
+
+    @given(tol=st.floats(1e-12, 1e-2), err_prev=st.floats(1e-14, 1.0),
+           rise=st.floats(1.0, 1e6), dt=st.floats(1e-12, 1e3), dt_ratio=st.floats(1e-3, 1e3))
+    def test_predictive_factor_never_exceeds_the_standard_one(
+            self, tol, err_prev, rise, dt, dt_ratio):
+        err = err_prev * rise
+        standard = evolve._step_factor(tol, err)
+        predictive = evolve._step_factor(tol, err, dt, (dt * dt_ratio, err_prev))
+        assert 0.2 <= predictive <= standard <= 5.0
+        if rise > 1.0 and dt_ratio == 1.0 and 0.2 < standard < 5.0:
+            assert predictive < standard  # same dt, larger error: a smaller step
+
+    def test_standard_factor_without_history(self):
+        assert evolve._step_factor(1e-5, 0.0) == 5.0
+        assert evolve._step_factor(1e-5, 1e-5) == pytest.approx(0.9)
+        assert evolve._step_factor(1e-5, 1e-5, 1.0, (1.0, 0.0)) == pytest.approx(0.9)
+        assert evolve._step_factor(1e-5, 1.0) == 0.2
 
 
 #: the acceptance matrix's bubble grids: dimension -> outer radius
