@@ -7,9 +7,12 @@ nonlinearity explicit. A step of size dt is the Aitken-Neville extrapolation
 of that substep (linearly implicit Euler extrapolation, Deuflhard 1983; Hairer
 and Wanner II, IV.9): row j of the table takes SEQUENCE[j] substeps of
 dt / SEQUENCE[j], each row sharing one factorization, and the accepted value is
-the fourth-order corner T_{4,4} of the table. The difference T_{4,4} - T_{4,3}
+the fifth-order corner T_{5,5} of the table. The difference T_{5,5} - T_{5,4}
 is the local error estimate, and the step-size controller uses the exponent
-1/4 that matches it. Dirichlet at r = R, symmetry at r = 0.
+1/5 that matches it, with Gustafsson's predictive correction after accepted
+steps (ACM TOMS 20, 1994; Hairer and Wanner II, IV.8). N(u) is evaluated once
+per step: every row starts from the same u. Dirichlet at r = R, symmetry at
+r = 0.
 
 A run records snapshots (time, scalar diagnostics, optional field checkpoint),
 events (Nehari sign changes, gradient-norm threshold crossings), the

@@ -115,7 +115,7 @@ class TestStepSizeController:
     def test_blowup_row_rarely_rejects(self, monkeypatch):
         # d = 4 aW at a = 1.48 on the acceptance matrix's Blowup grid: past
         # amplitude 100 the standard controller alone rejected 147 attempts
-        # for 201 accepted steps; the predictive one stops that oscillation
+        # for 202 accepted steps; the predictive one stops that oscillation
         substeps, accepted = [0], [0]
         plain_substep, plain_step = evolve.HeatProblem.substep, evolve.step
 
@@ -209,12 +209,6 @@ class TestSubstep:
             got = problem.nonlinear_term(u)
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
-
-    def test_nonlinear_term_off_is_zero(self):
-        problem = evolve.HeatProblem(grid_for_span(5, 20.0, 0.05, 0.01), "off")
-        u = np.linspace(-3.0, 3.0, 7, dtype=np.float32)
-        got = problem.nonlinear_term(u)
-        assert got.dtype == np.float32 and not got.any()
 
     def test_factor_cache_is_keyed_on_dt(self):
         u0, _ = make_w_data(5, ACCEPTANCE_R[5], a=0.9)

@@ -14,18 +14,20 @@ R = 600, n = 1375, stretch 1.004) and the tool prints:
 
 This is the evidence that a change of the time stepper keeps the
 trajectories within a stated tolerance; run it on both trees and compare.
-Exits 0 when every run exits 0, 1 otherwise. Standard library only.
+Exits 0 when every run exits 0, 1 otherwise. Standard library and
+`same_outputs.py`, next to it, only.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import same_outputs  # the sibling tool: one fresh interpreter per command
 
 #: the criterion-11 grid, d = 5
 GRID_5 = {"R": 600.0, "n": 1375, "stretch": 1.004}
@@ -44,20 +46,12 @@ def _tree(a: float, tol: float, t_max: float) -> dict:
 
 def run(src: Path, tree: dict, work: Path) -> tuple[int, dict[float, float], dict]:
     """Exit code, {t: h1_sq} and the manifest verdict of one `critheat run`."""
-    work.mkdir(parents=True)
-    cfg = work / "config.json"
-    cfg.write_text(json.dumps(tree))
-    out = work / "out"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    args = [sys.executable, "-m", "critheat.cli", "run", "--config", str(cfg), "--out", str(out)]
-    code = subprocess.run(args, env=env, stdout=subprocess.DEVNULL).returncode
+    code, files = same_outputs.run(src, "run", tree, work, work.parent)
     if code != 0:
         return code, {}, {}
-    with open(out / "series.csv", newline="") as fh:
-        h1 = {float(row["t"]): float(row["value"])
-              for row in csv.DictReader(fh) if row["quantity"] == "h1_sq"}
-    verdict = json.loads((out / "manifest.json").read_text())["verdict"]
-    return code, h1, verdict
+    series = csv.DictReader(io.StringIO(files["series.csv"].decode()))
+    h1 = {float(row["t"]): float(row["value"]) for row in series if row["quantity"] == "h1_sq"}
+    return code, h1, json.loads(files["manifest.json"])["verdict"]
 
 
 def main(argv: list[str]) -> int:
