@@ -289,7 +289,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, experiments.WindowTooShortError) as exc:  # ConfigError included
+    # ConfigError included; the last two: a run too short for what its verb needs
+    except (ValueError, experiments.WindowTooShortError, evolve.MissingCheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # keep exit 1 for partial sweeps, never a traceback

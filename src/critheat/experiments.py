@@ -205,41 +205,52 @@ def splitting_diagnostic(
     specs = spectral.hankel_spectra([s.field for s in snaps], s_nodes)
     lams = [spectral.lambda_spectrum(f) for f in specs]
 
+    times = [0.5 * (a.t + b.t) for a, b in zip(snaps, snaps[1:])]
+    lhs = [(g(b.t) * b.report.h1_sq - g(a.t) * a.report.h1_sq) / (b.t - a.t)
+           for a, b in zip(snaps, snaps[1:])]
+
+    def margin(i: int, c_tilde: float) -> float:
+        tm, l1, l2 = times[i], lams[i], lams[i + 1]
+        radius = math.sqrt(gp(tm) / (c_tilde * g(tm)))
+        # the ball's share of the critical norm, omega_{d-1} int_0^radius
+        # s^2 |vhat|^2 s^{d-1} ds, is the low-frequency mass of Lambda v
+        rho = min(radius, l1.s_max)
+        mass = 0.5 * (spectral.low_freq_mass(l1, rho) + spectral.low_freq_mass(l2, rho))
+        rhs = gp(tm) * mass
+        scale = abs(lhs[i]) + abs(rhs) + 1e-300
+        return (rhs - lhs[i]) / scale
+
     def margins(c_tilde: float) -> np.ndarray:
-        out = []
-        for (s1, l1), (s2, l2) in zip(zip(snaps, lams), zip(snaps[1:], lams[1:])):
-            tm = 0.5 * (s1.t + s2.t)
-            lhs = (g(s2.t) * s2.report.h1_sq - g(s1.t) * s1.report.h1_sq) / (s2.t - s1.t)
-            radius = math.sqrt(gp(tm) / (c_tilde * g(tm)))
-            # the ball's share of the critical norm, omega_{d-1} int_0^radius
-            # s^2 |vhat|^2 s^{d-1} ds, is the low-frequency mass of Lambda v
-            rho = min(radius, l1.s_max)
-            mass = 0.5 * (spectral.low_freq_mass(l1, rho) + spectral.low_freq_mass(l2, rho))
-            rhs = gp(tm) * mass
-            scale = abs(lhs) + abs(rhs) + 1e-300
-            out.append((rhs - lhs) / scale)
-        return np.array(out)
+        return np.array([margin(i, c_tilde) for i in range(len(times))])
+
+    failed = 0  # the pair that failed last, tried first
+
+    def holds(c_tilde: float) -> bool:
+        """Whether every margin at c_tilde is >= 0, stopping at the first that is not."""
+        nonlocal failed
+        for i in [failed, *(j for j in range(len(times)) if j != failed)]:
+            if not margin(i, c_tilde) >= 0.0:
+                failed = i
+                return False
+        return True
 
     at_lo = margins(c_lo)
     if at_lo.min() < -1e-9:
         return SplittingReport(
-            g_choice=g_choice, c_tilde=None,
-            times=tuple(0.5 * (a.t + b.t) for a, b in zip(snaps, snaps[1:])),
+            g_choice=g_choice, c_tilde=None, times=tuple(times),
             margins=tuple(at_lo), alpha=alpha,
         )
     lo, hi = c_lo, c_hi
-    if margins(hi).min() >= 0.0:
+    if holds(hi):
         lo = hi
     else:
         for _ in range(40):
             mid = math.sqrt(lo * hi)
-            if margins(mid).min() >= 0.0:
+            if holds(mid):
                 lo = mid
             else:
                 hi = mid
-    fitted = lo
     return SplittingReport(
-        g_choice=g_choice, c_tilde=fitted,
-        times=tuple(0.5 * (a.t + b.t) for a, b in zip(snaps, snaps[1:])),
-        margins=tuple(margins(fitted)), alpha=alpha,
+        g_choice=g_choice, c_tilde=lo, times=tuple(times),
+        margins=tuple(margins(lo)), alpha=alpha,
     )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import functionals
 from .radial import RadialField, RadialGrid, gamma_half_integer, grid_for_span, sphere_area
@@ -106,6 +105,8 @@ def rescale(u: RadialField, lam: float, tail_tol: float = 1e-5) -> RadialField:
         raise RescaleRangeError(
             f"lambda={lam} needs samples beyond R={grid.rmax} with non-negligible mass"
         )
+    from scipy.interpolate import PchipInterpolator
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         interp = PchipInterpolator(r, u.values, extrapolate=False)
     x = r / lam

@@ -9,6 +9,14 @@ two-sided heat-semigroup decay (1+t)^{-(d/2+r*)} of the L2 norm.
 
 Fourier convention is unitary, so Plancherel carries constant one; the decay
 character itself is convention independent (it is a ratio of powers).
+
+On a table, F(rho) is the trapezoid rule over the nodes refined 4-fold. A
+spectrum evaluates that integrand over its whole table once and keeps it, so a
+call evaluates it only on the last interval, [last node below rho, rho], and
+the heat-decay integral reuses all of it.
+
+The scipy modules (`integrate`, `interpolate`, `special`) are imported by the
+functions that use them, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -19,9 +27,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import jv
 
 from .radial import RadialField, read_columns, sphere_area, write_columns
 
@@ -106,9 +111,19 @@ class SpectrumFn:
         return out
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
+    def _interp(self):
+        from scipy.interpolate import PchipInterpolator
+
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return PchipInterpolator(self.s_nodes, self.values, extrapolate=False)
+
+    @cached_property
+    def _mass_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """The refined table grid and the mass integrand on it; every
+        `low_freq_mass` call reuses them up to its last node below rho, and
+        every `linear_heat_l2_sq` call all of them."""
+        grid = _refine(self.s_nodes)
+        return grid, _mass_integrand(self)(grid)
 
     @cached_property
     def _low_power(self) -> tuple[float, float]:
@@ -175,11 +190,21 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
         raise SpectrumDomainError(f"rho={rho} outside (0, {spec.s_max}]")
     f = _mass_integrand(spec)
     if spec.kind in CLOSED_FORM_KINDS:
+        from scipy.integrate import quad
+
         val, _ = quad(f, 0.0, rho, epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
-    s = spec.s_nodes
-    grid = _refine(np.concatenate([s[s < rho], [rho]]))
-    return float(np.trapezoid(f(grid), grid)) + _stub_mass(spec, rho)
+    # the grid is `_refine` of the nodes below rho and rho itself: the table's
+    # samples up to the last such node s_k, then np.linspace(s_k, rho, 5)
+    k = int(np.searchsorted(spec.s_nodes, rho))
+    if k == 0:
+        return _stub_mass(spec, rho)
+    grid, vals = spec._mass_samples
+    head = 4 * (k - 1)
+    tail = np.linspace(spec.s_nodes[k - 1], rho, 5)
+    x = np.concatenate([grid[:head], tail])
+    y = np.concatenate([vals[:head], f(tail)])
+    return float(np.trapezoid(y, x)) + _stub_mass(spec, rho)
 
 
 def decay_indicator(spec: SpectrumFn, r: float, rhos) -> list[float]:
@@ -259,15 +284,17 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
     omega_{d-1} int_0^{s_max} e^{-2 t s^2} |vhat|^2 s^{d-1} ds."""
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    f = _mass_integrand(spec)
     if spec.kind in CLOSED_FORM_KINDS:
+        from scipy.integrate import quad
+
+        f = _mass_integrand(spec)
         val, _ = quad(
             lambda s: f(s) * math.exp(-2.0 * t * s * s),
             0.0, spec.s_max, epsabs=0.0, epsrel=1e-10, limit=400,
         )
         return float(val)
-    grid = _refine(spec.s_nodes)
-    vals = f(grid) * np.exp(-2.0 * t * grid * grid)
+    grid, samples = spec._mass_samples
+    vals = samples * np.exp(-2.0 * t * grid * grid)
     return float(np.trapezoid(vals, grid)) + _stub_mass(spec)
 
 
@@ -302,6 +329,8 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
             raise TailMassError(
                 f"field carries {edge/peak:.2e} of its peak at r = R; transform would alias"
             )
+    from scipy.special import jv
+
     nu = (grid.d - 2) / 2.0
     r = grid.nodes
     rpow = r ** (grid.d / 2.0)

@@ -2,6 +2,10 @@ import copy
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +482,46 @@ def test_unexpected_exception_exits_6(tmp_path, cfg_file, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: KeyError: 'p'\n"
     assert not (tmp_path / "out").exists()
 
+
+
+def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg_file, capsys):
+    # at the threshold the run is Undecided at t = 0 and keeps one checkpoint
+    path = cfg_file("split.json", run_config_text(family={"name": "aW", "a": 1.001},
+                                                  integrator={"t_max": 10.0}))
+    out = tmp_path / "out"
+    assert cli.main(["splitting", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: splitting needs >= 3 field checkpoints\n")
+    assert not out.exists()
+
+
+#: prints, as JSON, which of the scipy modules `run` and `sweep` never use are
+#: loaded after importing the front end, after a run and after a serial sweep
+FOOTPRINT_SCRIPT = """
+import json, sys
+from critheat import cli
+unused = ("scipy.interpolate", "scipy.special", "scipy.integrate", "scipy.optimize")
+loaded = {"import": [m for m in unused if m in sys.modules]}
+cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded["run"] = [m for m in unused if m in sys.modules]
+cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[3]])
+loaded["sweep"] = [m for m in unused if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_run_and_sweep_import_no_unused_scipy_module(tmp_path, cfg_file):
+    path = cfg_file("run.json", run_config_text())
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, path, str(tmp_path / "run"),
+         str(tmp_path / "sweep")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert (tmp_path / "run" / "series.csv").is_file()
+    assert (tmp_path / "sweep" / "sweep.csv").is_file()
+    assert json.loads(proc.stdout) == {"import": [], "run": [], "sweep": []}
 
 def character_tree(**spectrum) -> dict:
     return {"dimension": 3, "spectrum": {"kind": "power_gauss", **spectrum}}

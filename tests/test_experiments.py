@@ -192,6 +192,52 @@ def zero_trajectory(times) -> evolve.Trajectory:
     return traj
 
 
+@pytest.fixture(scope="module")
+def gaussian_trajectory():
+    """The d = 4 gaussian run of the splitting tests."""
+    return experiments.run_config(base_config(
+        4, 160.0, family="gaussian", params={"amp": 0.05, "width": 1.0}.items(),
+        t_max=40.0, tol=1e-6, dt_init=1e-6, checkpoint_every=2, snapshot_first=0.05,
+    ))
+
+
+def full_margins_fit(traj, g_choice, alpha, c_range=(1e-3, 50.0), s_cap=60.0):
+    """(c_tilde, margins) of the splitting fit that evaluates every margin at
+    every constant it tries."""
+    g, gp = experiments._g_functions(g_choice, alpha)
+    snaps = [s for s in traj.snapshots if s.field is not None and s.t > 0.0]
+    c_lo, c_hi = c_range
+    r_needed = max(math.sqrt(gp(s.t) / (c_lo * g(s.t))) for s in snaps)
+    s_hi = min(max(2.0 * r_needed, 1.0), s_cap)
+    s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
+    specs = spectral.hankel_spectra([s.field for s in snaps], s_nodes)
+    lams = [spectral.lambda_spectrum(f) for f in specs]
+
+    def margins(c_tilde):
+        out = []
+        for (s1, l1), (s2, l2) in zip(zip(snaps, lams), zip(snaps[1:], lams[1:])):
+            tm = 0.5 * (s1.t + s2.t)
+            lhs = (g(s2.t) * s2.report.h1_sq - g(s1.t) * s1.report.h1_sq) / (s2.t - s1.t)
+            rho = min(math.sqrt(gp(tm) / (c_tilde * g(tm))), l1.s_max)
+            mass = 0.5 * (spectral.low_freq_mass(l1, rho) + spectral.low_freq_mass(l2, rho))
+            rhs = gp(tm) * mass
+            out.append((rhs - lhs) / (abs(lhs) + abs(rhs) + 1e-300))
+        return np.array(out)
+
+    assert margins(c_lo).min() >= -1e-9
+    lo, hi = c_lo, c_hi
+    if margins(hi).min() >= 0.0:
+        lo = hi
+    else:
+        for _ in range(40):
+            mid = math.sqrt(lo * hi)
+            if margins(mid).min() >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return lo, tuple(margins(lo))
+
+
 class TestSplitting:
     def test_zero_solution_trivial(self):
         # both sides of the inequality vanish identically on the zero solution
@@ -223,6 +269,16 @@ class TestSplitting:
             # byte-identical CSV needs a deterministic batched transform
             again = experiments.splitting_diagnostic(traj, g_choice=g_choice, alpha=alpha)
             assert again.margins == report.margins
+
+    def test_early_stopping_bisection_is_exact(self, gaussian_trajectory):
+        # the margins at every constant the bisection tries, all of them, as
+        # the fit was first written: the same constant and the same margins
+        for g_choice, alpha in (("log_cubed", None), ("power", 4.0)):
+            report = experiments.splitting_diagnostic(
+                gaussian_trajectory, g_choice=g_choice, alpha=alpha)
+            c_tilde, margins = full_margins_fit(gaussian_trajectory, g_choice, alpha)
+            assert report.c_tilde == c_tilde
+            assert report.margins == margins
 
     def test_stationary_bubble_is_degenerate(self):
         # constant critical norm: the inequality closes only as the ball grows,

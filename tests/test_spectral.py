@@ -137,6 +137,23 @@ class TestRefinement:
             sp.linear_heat_l2_sq(spec, t)
 
 
+
+class TestMassCache:
+    """`low_freq_mass` reuses the table's integrand samples without moving a bit."""
+
+    @given(spec=tabulated_spectra(), us=st.lists(st.floats(0.0, 1.0), max_size=4),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_call_order(self, spec, us, data):
+        s = spec.s_nodes
+        if not 2.0 * spec._low_power[0] + spec.d > 0.0:
+            return  # the stub diverges; TestRefinement covers the refusal
+        rhos = [0.5 * s[0], s[len(s) // 2], 0.5 * (s[1] + s[2]), s[-1],
+                *(min(s[0] + u * (s[-1] - s[0]), s[-1]) for u in us)]
+        for rho in data.draw(st.permutations(rhos)):
+            grid = per_interval_grid(np.concatenate([s[s < rho], [rho]]))
+            assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0, rho)
+
 class TestDecayIndicator:
     def test_monomial_constant_sequence(self):
         # vhat = s^k at r = k: the indicator is omega_{d-1} / (2k + d) exactly

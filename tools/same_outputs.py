@@ -7,8 +7,11 @@ package. Under each tree a fresh interpreter runs `critheat run` on five
 fixed configurations (Dissipative, Blowup at the amplitude cap, Blowup on a
 step collapse at t = 0, Undecided at the threshold, and initial data read
 from a checkpoint file), `critheat sweep` on two (d = 5 and d = 3 rows around
-the ground state) and `critheat character` on a spectrum file. The tool
-writes the checkpoint and the spectrum file itself, once for both trees.
+the ground state), `critheat character` on a spectrum file, `critheat
+splitting` with both weights on the d = 4 gaussian run of the splitting tests,
+and `critheat decayfit` on the d = 5 Dissipative run, whose initial spectrum
+is a Hankel transform. The tool writes the checkpoint and the spectrum file
+itself, once for both trees.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration and exits 0 when all of them match, 1 otherwise. Standard
@@ -29,7 +32,14 @@ from pathlib import Path
 GRID_5 = {"R": 600.0, "n": 1375, "stretch": 1.004}
 GRID_3 = {"R": 1e5, "n": 2656, "stretch": 1.004}
 
-#: name -> (verb, configuration tree)
+#: the d = 4 gaussian run of the splitting tests, with checkpoints to transform
+GAUSSIAN_4 = {
+    "dimension": 4, "grid": {"R": 160.0, "n": 1047, "stretch": 1.004},
+    "family": {"name": "gaussian", "amp": 0.05, "width": 1.0},
+    "integrator": {"tol": 1e-6, "dt_init": 1e-6, "t_max": 40.0},
+    "snapshots": {"first": 0.05, "checkpoint_every": 2}}
+
+#: name -> (verb and its flags, configuration tree)
 CONFIGS = {
     "run_dissipative": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
@@ -46,17 +56,22 @@ CONFIGS = {
     "run_from_file": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "from_file", "path": "checkpoint.txt"},
         "integrator": {"t_max": 1e6}}),
-    "sweep_d5": ("sweep", {
+    "sweep_d5": ("sweep --workers 2", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6},
         "sweep": [{"a": 0.9}, {"a": 1.2}, {"a": 1.001}, {"a": 0.999},
                   {"name": "gaussian", "amp": 0.05}, {"name": "aW_cutoff", "a": 1.3}]}),
-    "sweep_d3": ("sweep", {
+    "sweep_d3": ("sweep --workers 2", {
         "dimension": 3, "grid": GRID_3, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e4, "tol": 1e-3},
         "sweep": [{"a": 0.9}, {"a": 1.5}, {"name": "aW_cutoff", "a": 1.3}]}),
     "character_from_file": ("character", {
         "dimension": 3, "spectrum": {"kind": "file", "path": "spectrum.txt"}}),
+    "splitting_log_cubed": ("splitting --weight log_cubed", GAUSSIAN_4),
+    "splitting_power": ("splitting --weight power", GAUSSIAN_4),
+    "decayfit_hankel": ("decayfit", {
+        "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
+        "integrator": {"t_max": 1e6}}),
 }
 
 
@@ -101,9 +116,8 @@ def run(src: Path, verb: str, tree: dict, work: Path,
     cfg.write_text(json.dumps(tree))
     out = work / "out"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    args = [sys.executable, "-m", "critheat.cli", verb, "--config", str(cfg), "--out", str(out)]
-    if verb == "sweep":
-        args += ["--workers", "2"]
+    args = [sys.executable, "-m", "critheat.cli", *verb.split(), "--config", str(cfg),
+            "--out", str(out)]
     code = subprocess.run(args, env=env, cwd=inputs, stdout=subprocess.DEVNULL).returncode
     files = {}
     for path in sorted(out.iterdir()) if out.is_dir() else []:
