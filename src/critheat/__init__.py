@@ -4,8 +4,9 @@ Modules
 -------
 radial        graded grids, quadrature, finite-volume Laplacian and its
               Dirichlet form, the one discrete gradient
-ground_state  the explicit bubble, scalings, Pohozaev/energy calibration
-functionals   energy, Nehari functional, set membership, weighted-norm decay
+ground_state  the explicit bubble, Pohozaev/energy calibration
+functionals   energy reports (E and the Nehari functional), set membership,
+              weighted-norm decay
 evolve        adaptive IMEX integration with dissipation/blowup verdicts
 spectral      Hankel transform (scipy Bessel kernel), radial spectra, decay
               character, linear heat decay bounds
@@ -25,8 +26,8 @@ from .radial import (
     radial_integral,
     sphere_area,
 )
-from .ground_state import GroundStateSpec, aubin_talenti, pohozaev_residual, rescale
-from .functionals import EnergyReport, SetMembership, classify_set, energy, kq_weight, nehari
+from .ground_state import GroundStateSpec, aubin_talenti, pohozaev_residual
+from .functionals import EnergyReport, SetMembership, classify_set, energy, kq_weight
 from .evolve import FlowSettings, Snapshot, SolverState, Trajectory, Verdict, run_flow, step
 from .spectral import SpectrumFn, decay_character, hankel_spectrum, linear_heat_l2_sq
 
@@ -51,10 +52,8 @@ __all__ = [
     "kq_weight",
     "linear_heat_l2_sq",
     "make_grid",
-    "nehari",
     "pohozaev_residual",
     "radial_integral",
-    "rescale",
     "run_flow",
     "sphere_area",
     "step",

@@ -22,6 +22,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import families, functionals, spectral
 from .evolve import NONLINEARITY_SIGN, FlowSettings
 from .radial import RadialGrid, make_grid
@@ -50,7 +52,21 @@ class RunConfig(FlowSettings):
         return dict(self.family_params)
 
     def make_grid(self) -> RadialGrid:
-        return make_grid(self.dimension, self.r_max, self.n_nodes, self.stretch)
+        """The run grid, refused when doubles cannot hold its nodes, cell
+        volumes or face weights as strictly increasing, finite and positive."""
+        where = (f"grid.R: {self.r_max!r} with grid.n = {self.n_nodes}, grid.stretch = "
+                 f"{self.stretch!r} in d = {self.dimension}")
+        with np.errstate(all="ignore"):  # the checks below report what over- or underflows
+            try:
+                grid = make_grid(self.dimension, self.r_max, self.n_nodes, self.stretch)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            for name in ("cell_volumes", "face_weights"):
+                weights = getattr(grid, name)
+                if not np.all((weights > 0.0) & (weights < math.inf)):
+                    raise ConfigError(f"{where}: {name.replace('_', ' ')} are not all "
+                                      "finite and positive")
+        return grid
 
     def to_json(self) -> str:
         tree: dict = {}
@@ -248,6 +264,19 @@ def _load(text: str) -> dict:
     return tree
 
 
+#: the most snapshot times a run may have; a denser ladder cannot finish
+MAX_SNAPSHOTS = 10_000
+
+
+def _snapshot_count(first: float, factor: float, t_max: float, forced_times: tuple) -> int:
+    """Times on the snapshot ladder of `evolve.run_flow`, without building it:
+    the rungs first * factor^k below t_max, t_max and the forced times. The
+    ladder may hold one rung more, by rounding in its repeated product, and
+    fewer times where a forced time is past t_max or repeats another."""
+    rungs = (math.log(t_max) - math.log(first)) / math.log(factor)
+    return max(0, math.ceil(rungs)) + 1 + len(forced_times)
+
+
 def _run_config(tree: dict) -> RunConfig:
     # the family object also holds the family's own parameters, and the
     # `sweep` verb reads `sweep` from the same file
@@ -264,6 +293,11 @@ def _run_config(tree: dict) -> RunConfig:
     if q is not None and not lo < 1.0 / q < hi:
         raise ConfigError(f"diagnostics.q: must lie in ({1 / hi:.6g}, {1 / lo:.6g}) in d={d}, "
                           f"got {q!r}")
+    count = _snapshot_count(values["snapshot_first"], values["snapshot_factor"],
+                            values["t_max"], values["forced_times"])
+    if count > MAX_SNAPSHOTS:
+        raise ConfigError(f"snapshots.factor: {values['snapshot_factor']!r} gives {count} "
+                          f"snapshot times up to integrator.t_max, more than {MAX_SNAPSHOTS}")
     return RunConfig(family_params=tuple(sorted(params.items())), **values)
 
 

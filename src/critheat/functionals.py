@@ -1,10 +1,10 @@
 """Scalar diagnostics of the variational framework.
 
 Energy E(u) = (1/2)||grad u||_{L2}^2 - (1/2*)||u||_{L2*}^{2*} with the critical
-exponent 2* = 2d/(d-2), the Nehari functional J(u) = ||u||_{H1}^2 -
-||u||_{L2*}^{2*}, stable/unstable set membership below the ground-state energy,
-and the weighted norm t^{(d/2)(1/2* - 1/q)} ||u(t)||_{Lq} whose vanishing
-characterizes dissipation.
+exponent 2* = 2d/(d-2), and the Nehari functional J(u) = ||u||_{H1}^2 -
+||u||_{L2*}^{2*}: every `EnergyReport` carries both. Also stable/unstable set
+membership below the ground-state energy, and the weighted norm
+t^{(d/2)(1/2* - 1/q)} ||u(t)||_{Lq} whose vanishing characterizes dissipation.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ def energy(u: RadialField) -> float:
     return 0.5 * h1_norm_sq(u) - l2star_power(u) / crit_exponent(u.grid.d)
 
 
-def nehari(u: RadialField) -> float:
-    """J(u) = ||grad u||^2 - ||u||_{2*}^{2*}; J = 0 on stationary states."""
-    return h1_norm_sq(u) - l2star_power(u)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """All scalar diagnostics of a field at one time.
@@ -157,23 +152,6 @@ def classify_set(
     else:
         verdict, branch = MMINUS, "II" if grad_ratio > 1.0 and report.l2_sq is not None else "none"
     return SetMembership(verdict, report.energy / e_w, grad_ratio, margin, branch)
-
-
-def norm_equivalence_gap(u: RadialField, e_of_w: float) -> tuple[float, float]:
-    """Slack in (1/2 - 1/2*)||grad u||^2 <= E(u) <= (1/2)||grad u||^2.
-
-    Returns (E - lower bound, upper bound - E); both are nonnegative on the
-    stable set up to quadrature tolerance. Requires u in MPlus: E(u) < E(W)
-    and J(u) >= 0.
-    """
-    h1 = h1_norm_sq(u)
-    e = energy(u)
-    if not (e < e_of_w and nehari(u) >= 0.0):
-        raise ValueError("norm equivalence holds on MPlus only (E < E(W), J >= 0)")
-    d = u.grid.d
-    lower = (0.5 - 1.0 / crit_exponent(d)) * h1
-    upper = 0.5 * h1
-    return e - lower, upper - e
 
 
 def kq_inv_window(d: int) -> tuple[float, float]:

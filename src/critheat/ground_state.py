@@ -1,11 +1,11 @@
-"""The explicit ground-state bubble, its scalings, and calibration identities.
+"""The explicit ground-state bubble and its calibration identities.
 
 W(x) = (d(d-2))^{(d-2)/4} / (1 + |x|^2)^{(d-2)/2} is the positive radial
 solution of -Delta W = |W|^{2*-2} W and the threshold of the dissipation /
 blowup dichotomy. Everything downstream calibrates against it: the Pohozaev
-identity ||grad W||^2 = ||W||_{2*}^{2*}, the minimization value
-E(W) = ||grad W||^2 / d, and scale invariance of E and J under
-u -> lambda^{-(d-2)/2} u(./lambda).
+identity ||grad W||^2 = ||W||_{2*}^{2*} (`pohozaev_residual`) and the
+minimization value E(W) = ||grad W||^2 / d, in closed form (`reference`).
+E(W) on a grid is `functionals.energy` of the grid's `aubin_talenti` samples.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ import numpy as np
 
 from . import functionals
 from .radial import RadialField, RadialGrid, gamma_half_integer, grid_for_span, sphere_area
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent routes to the same quantity disagree (grid too coarse)."""
-
-
-class RescaleRangeError(ValueError):
-    """Shrinking the field needs samples beyond R carrying non-negligible mass."""
 
 
 @dataclass(frozen=True)
@@ -73,68 +65,9 @@ def grad_norm_sq_closed_form(d: int) -> float:
     )
 
 
-def _tail_gradient_ratio(u: RadialField) -> float:
-    """Gradient mass beyond R relative to the total, assuming the natural
-    r^{-(d-2)} far-field decay anchored at the last sample."""
-    d = u.grid.d
-    R = u.grid.rmax
-    h1 = functionals.h1_norm_sq(u)
-    if h1 == 0.0:
-        return 0.0
-    tail = sphere_area(d) * (d - 2.0) * u.values[-1] ** 2 * R ** (d - 2.0)
-    return tail / h1
-
-
-def rescale(u: RadialField, lam: float, tail_tol: float = 1e-5) -> RadialField:
-    """The scaling family u_lambda(r) = lambda^{-(d-2)/2} u(r/lambda).
-
-    Resamples onto the same grid by monotone cubic interpolation. E and J are
-    preserved up to quadrature/interpolation tolerance. For lambda < 1 the
-    needed samples r/lambda reach beyond R; they are continued with the
-    natural r^{-(d-2)} tail, and the call fails when that tail carries more
-    than `tail_tol` of the gradient mass.
-    """
-    if not lam > 0:
-        raise ValueError(f"scale must be positive, got {lam}")
-    if lam == 1.0:
-        return u.copy()
-    grid = u.grid
-    d = grid.d
-    r = grid.nodes
-    if lam < 1.0 and _tail_gradient_ratio(u) > tail_tol:
-        raise RescaleRangeError(
-            f"lambda={lam} needs samples beyond R={grid.rmax} with non-negligible mass"
-        )
-    from scipy.interpolate import PchipInterpolator
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interp = PchipInterpolator(r, u.values, extrapolate=False)
-    x = r / lam
-    inside = x <= grid.rmax
-    vals = np.empty_like(u.values)
-    vals[inside] = interp(x[inside])
-    if not inside.all():
-        vals[~inside] = u.values[-1] * (grid.rmax / x[~inside]) ** (d - 2.0)
-    return RadialField(grid, lam ** (-(d - 2.0) / 2.0) * vals)
-
-
 def pohozaev_residual(u: RadialField) -> float:
     """||grad u||^2 - ||u||_{2*}^{2*}; vanishes on (rescaled) bubbles."""
     return functionals.h1_norm_sq(u) - functionals.l2star_power(u)
-
-
-def ground_state_energy(d: int, grid: RadialGrid, tol: float = 1e-4) -> float:
-    """E(W) by quadrature, cross-checked against ||grad W||^2 / d."""
-    if d != grid.d:
-        raise ValueError(f"dimension {d} does not match grid dimension {grid.d}")
-    w = aubin_talenti(GroundStateSpec(d), grid)
-    e_quad = functionals.energy(w)
-    e_min = functionals.h1_norm_sq(w) / d
-    if abs(e_quad - e_min) > tol * abs(e_quad):
-        raise ConsistencyError(
-            f"E(W) routes disagree beyond {tol:g}: quadrature {e_quad!r} vs minimization {e_min!r}"
-        )
-    return e_quad
 
 
 #: target for the relative gradient mass of W beyond the default radius

@@ -126,7 +126,8 @@ class RadialGrid:
         scale = sphere_area(self.d) / self.d
         vol[0] = scale * f[0] ** self.d
         vol[1:-1] = scale * (f[1:] ** self.d - f[:-1] ** self.d)
-        vol[-1] = scale * (self.rmax**self.d - f[-1] ** self.d)
+        # a numpy power, which overflows to inf where a float power raises
+        vol[-1] = scale * (self.nodes[-1] ** self.d - f[-1] ** self.d)
         return vol
 
     @cached_property

@@ -3,8 +3,8 @@
 A radial frequency profile s -> vhat(s) is either a closed-form family or a
 table produced by the Hankel transform of a physical field. The low-frequency
 mass F(rho) = omega_{d-1} int_0^rho |vhat|^2 s^{d-1} ds drives everything: the
-decay indicator rho^{-2r-d} F(rho), the decay character r* (the unique r with
-a finite nonzero indicator limit, estimated here as a log-log slope), and the
+decay character r* (the unique r for which rho^{-2r-d} F(rho) has a finite
+nonzero limit as rho -> 0, estimated here as a log-log slope of F), and the
 two-sided heat-semigroup decay (1+t)^{-(d/2+r*)} of the L2 norm.
 
 Fourier convention is unitary, so Plancherel carries constant one; the decay
@@ -205,13 +205,6 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     x = np.concatenate([grid[:head], tail])
     y = np.concatenate([vals[:head], f(tail)])
     return float(np.trapezoid(y, x)) + _stub_mass(spec, rho)
-
-
-def decay_indicator(spec: SpectrumFn, r: float, rhos) -> list[float]:
-    """The sequence rho^{-2r-d} F(rho); convergence signals the limit exists."""
-    if not r > -spec.d / 2.0:
-        raise ValueError(f"r must exceed -d/2 = {-spec.d/2}, got {r}")
-    return [float(rho ** (-2.0 * r - spec.d) * low_freq_mass(spec, rho)) for rho in rhos]
 
 
 @dataclass(frozen=True)

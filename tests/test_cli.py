@@ -2,6 +2,7 @@ import copy
 import csv
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from critheat import cli, evolve, experiments, families, spectral
 from critheat.config import (
-    CHARACTER_KEYS, KEYS, PARAMS, SPECTRUM_KINDS, ConfigError, parse_character, parse_config,
-    parse_sweep,
+    CHARACTER_KEYS, KEYS, MAX_SNAPSHOTS, PARAMS, SPECTRUM_KINDS, ConfigError, parse_character,
+    parse_config, parse_sweep,
 )
 from critheat.radial import CorruptionError, grid_for_span
 
@@ -195,6 +196,17 @@ class TestParseConfig:
         parse_config(run_config_text(diagnostics={"q": 3.5}))  # d=5: 10/3 < q < 14/3
         with pytest.raises(ConfigError, match=r"diagnostics\.q.*d=5"):
             parse_config(run_config_text(diagnostics={"q": 5.0}))
+
+    def test_snapshot_ladder_past_the_cap_is_refused(self):
+        # t_max 5 from first 1e-3: log(5e3) / log(factor) rungs, counted without a ladder
+        def parse(factor):
+            return parse_config(run_config_text(integrator={"t_max": 5.0},
+                                                snapshots={"factor": factor}))
+
+        assert len(evolve._snapshot_ladder(parse(1.00086))) == 9909
+        for factor in (1.00085, 1.0000000001):
+            with pytest.raises(ConfigError, match=r"snapshots\.factor"):
+                parse(factor)
 
 
 class TestParseSweep:
@@ -732,3 +744,62 @@ def test_character_divergent_file_spectrum_exits_2(tmp_path, cfg_file, capsys):
                      "--out", str(out)]) == 2
     assert "diverges" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_cli(argv, timeout=60):
+    """`critheat` in a fresh interpreter on the sources under test."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "critheat.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+#: id: (overrides of the criterion-11 run, the key its error names)
+UNRUNNABLE = {
+    "R_overflows": ({"grid": {"R": 1e300, "n": 200}}, "grid.R"),
+    "R_underflows": ({"grid": {"R": 1e-100, "n": 200}}, "grid.R"),
+    # one rung past the cap is still a ladder that could be stepped through
+    "ladder_past_the_cap": ({"integrator": {"t_max": 5.0}, "snapshots": {"factor": 1.00085}},
+                            "snapshots.factor"),
+}
+
+
+@pytest.mark.parametrize("overrides, where", UNRUNNABLE.values(), ids=UNRUNNABLE)
+def test_unrunnable_config_exits_2_quietly(tmp_path, cfg_file, overrides, where):
+    out = tmp_path / "out"
+    proc = run_cli(["run", "--config", cfg_file("run.json", run_config_text(**overrides)),
+                    "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {where}: ")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# each range reaches a little past the one `KEYS` accepts
+@given(d=st.sampled_from(range(2, 13)), r_max=log_uniform(1e-300, 1e300),
+       n=st.integers(15, 5000), stretch=st.floats(0.999, 1.201),
+       first=log_uniform(1e-300, 1e300),
+       factor=st.floats(0.9, 3.0) | st.floats(-16, 0).map(lambda e: 1.0 + 10.0**e),
+       t_max=log_uniform(1e-300, 1e300),
+       forced=st.lists(log_uniform(1e-300, 1e300), max_size=3))
+@settings(max_examples=500, deadline=None)
+def test_dry_build_refuses_or_has_finite_operators(d, r_max, n, stretch, first, factor, t_max,
+                                                    forced):
+    # parse, grid and operators only: no field is built and nothing is stepped
+    text = run_config_text(dimension=d, grid={"R": r_max, "n": n, "stretch": stretch},
+                           integrator={"t_max": t_max},
+                           snapshots={"first": first, "factor": factor, "forced_times": forced})
+    try:
+        cfg = parse_config(text)
+        grid = cfg.make_grid()
+    except ConfigError:
+        return
+    problem = evolve.HeatProblem(grid, cfg.nonlinearity)
+    for weights in (problem.volumes, grid.face_weights, problem.k_diag):
+        assert np.all((weights > 0.0) & np.isfinite(weights))
+    # the ladder's repeated product may round one rung past the count
+    assert len(evolve._snapshot_ladder(cfg)) <= MAX_SNAPSHOTS + 1

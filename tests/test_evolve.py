@@ -293,8 +293,8 @@ class TestStationarity:
         # the reference must come from a grid at least as fine as the datum's;
         # on the same grid the bubble sits inside the threshold band exactly
         u0, _ = make_w_data(5, 600.0, a=1.0, h0=0.004, eps=0.0015)
-        e_w_here = gs.ground_state_energy(5, u0.grid)
         w_here = gs.aubin_talenti(gs.GroundStateSpec(5), u0.grid)
+        e_w_here = fn.energy(w_here)
         traj = evolve.run_flow(u0, e_w_here, fn.h1_norm_sq(w_here),
                                FlowSettings(t_max=5.0, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.UNDECIDED

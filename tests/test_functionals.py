@@ -20,12 +20,17 @@ def bubble5():
 
 
 @pytest.fixture(scope="module")
-def e_w5():
-    return gs.ground_state_energy(5, gs.default_grid(5))
+def e_w5(bubble5):
+    return fn.energy(bubble5)
 
 
 def scaled(w, a):
     return RadialField(w.grid, a * w.values)
+
+
+def nehari(u):
+    """J(u) as every energy report carries it."""
+    return fn.energy_report(0.0, u).nehari
 
 
 class TestEnergyAndNehari:
@@ -33,7 +38,7 @@ class TestEnergyAndNehari:
         grid = make_grid(4, 5.0, 32, 1.0)
         zero = RadialField(grid, np.zeros(grid.n))
         assert fn.energy(zero) == 0.0
-        assert fn.nehari(zero) == 0.0
+        assert nehari(zero) == 0.0
 
     def test_energy_of_bubble_is_minimization_value(self, bubble5):
         assert fn.energy(bubble5) == pytest.approx(fn.h1_norm_sq(bubble5) / 5, rel=1e-5)
@@ -49,11 +54,11 @@ class TestEnergyAndNehari:
     def test_nehari_signs(self, bubble5):
         grad = closed_form_grad_sq(5)
         two_star = 10 / 3
-        j_half = fn.nehari(scaled(bubble5, 0.5))
+        j_half = nehari(scaled(bubble5, 0.5))
         assert j_half == pytest.approx(grad * (0.25 - 0.5**two_star), rel=2e-4)
         assert j_half > 0
-        assert fn.nehari(scaled(bubble5, 1.5)) < 0
-        assert abs(fn.nehari(bubble5)) < 1e-5 * grad
+        assert nehari(scaled(bubble5, 1.5)) < 0
+        assert abs(nehari(bubble5)) < 1e-5 * grad
 
     def test_report_identities_exact(self, bubble5):
         rep = fn.energy_report(0.0, scaled(bubble5, 0.8))
@@ -137,56 +142,41 @@ class TestClassification:
         # for E(u) < E(W): J(u) >= 0 iff ||grad u|| < ||grad W||
         grid = gs.default_grid(5)
         w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
-        e_w = gs.ground_state_energy(5, grid)
+        e_w = fn.energy(w)
         u = RadialField(grid, a * w.values)
         if abs(fn.energy(u) - e_w) < 1e-4 * e_w or abs(a - 1.0) < 1e-3:
             return  # threshold band is ill-conditioned by construction
         if fn.energy(u) >= e_w:
             return
         grad_ok = fn.h1_norm_sq(u) < closed_form_grad_sq(5)
-        assert (fn.nehari(u) >= 0) == grad_ok
+        assert (nehari(u) >= 0) == grad_ok
 
     def test_sign_equivalence_for_bumps(self, e_w5, bubble5):
         grid = bubble5.grid
         r = grid.nodes
         bump = RadialField(grid, 0.4 * np.exp(-((r - 2.0) ** 2)) + 0.4 * np.exp(-((r + 2.0) ** 2)))
         assert fn.energy(bump) < e_w5
-        assert (fn.nehari(bump) >= 0) == (fn.h1_norm_sq(bump) < closed_form_grad_sq(5))
-
-
-class TestNormEquivalence:
-    def test_gaps_nonnegative_on_stable_set(self, bubble5, e_w5):
-        lower, upper = fn.norm_equivalence_gap(scaled(bubble5, 0.9), e_w5)
-        assert lower >= -1e-12
-        assert upper >= -1e-12
-
-    def test_zero_field_has_zero_gaps(self, e_w5, bubble5):
-        zero = RadialField(bubble5.grid, np.zeros(bubble5.grid.n))
-        assert fn.norm_equivalence_gap(zero, e_w5) == (0.0, 0.0)
-
-    def test_upper_gap_identity(self, bubble5, e_w5):
-        # upper gap equals ||u||_{2*}^{2*} / 2* by the energy definition
-        u = scaled(bubble5, 0.5)
-        _lower, upper = fn.norm_equivalence_gap(u, e_w5)
-        assert upper == pytest.approx(fn.l2star_power(u) / fn.crit_exponent(5), rel=1e-12)
-
-    def test_precondition_enforced(self, bubble5, e_w5):
-        with pytest.raises(ValueError):
-            fn.norm_equivalence_gap(scaled(bubble5, 1.2), e_w5)
+        assert (nehari(bump) >= 0) == (fn.h1_norm_sq(bump) < closed_form_grad_sq(5))
 
 
 class TestScaleInvariance:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_energy_and_nehari_invariant(self, lam):
-        grid = gs.default_grid(4)
-        w = gs.aubin_talenti(gs.GroundStateSpec(4), grid)
-        fields = [w, RadialField(grid, 0.7 * w.values),
-                  RadialField(grid, 0.3 * np.exp(-grid.nodes**2))]
-        scale = closed_form_grad_sq(4)
-        for u in fields:
-            v = gs.rescale(u, lam)
+        # u_lam(r) = lam^{-(d-2)/2} u(r/lam), sampled from each closed form
+        d = 4
+        grid = gs.default_grid(d)
+        r = grid.nodes
+
+        def gauss(lam):
+            return 0.3 * lam ** (-(d - 2) / 2) * np.exp(-((r / lam) ** 2))
+
+        pairs = [(c * gs.bubble_values(d, r), c * gs.bubble_values(d, r, lam)) for c in (1.0, 0.7)]
+        pairs.append((gauss(1.0), gauss(lam)))
+        scale = closed_form_grad_sq(d)
+        for a, b in pairs:
+            u, v = RadialField(grid, a), RadialField(grid, b)
             assert abs(fn.energy(v) - fn.energy(u)) <= 1e-5 * scale
-            assert abs(fn.nehari(v) - fn.nehari(u)) <= 1e-5 * scale
+            assert abs(nehari(v) - nehari(u)) <= 1e-5 * scale
 
 
 class TestWeightedNorm:
@@ -234,12 +224,17 @@ class TestWeightedNorm:
         d, t = 4, 0.7
         grid = grid_for_span(d, 60.0, 0.005, 0.002)
         a0 = 0.5
-        u = RadialField(grid, (a0 / (a0 + t)) ** (d / 2) * np.exp(-grid.nodes**2 / (4 * (a0 + t))))
+
+        def profile(lam):
+            # lam^{-(d-2)/2} u(r/lam) for u(r) = (a0/(a0+t))^{d/2} exp(-r^2/(4(a0+t)))
+            x = grid.nodes / lam
+            return RadialField(grid, lam ** (-(d - 2) / 2) * (a0 / (a0 + t)) ** (d / 2)
+                               * np.exp(-x**2 / (4 * (a0 + t))))
+
         q = fn.default_q(d)
-        base = fn.kq_weight(t, u, q)
+        base = fn.kq_weight(t, profile(1.0), q)
         for lam in (0.5, 2.0):
-            v = gs.rescale(u, lam)
-            assert fn.kq_weight(lam**2 * t, v, q) == pytest.approx(base, rel=1e-5)
+            assert fn.kq_weight(lam**2 * t, profile(lam), q) == pytest.approx(base, rel=1e-5)
 
 
 class TestL2Reporting:

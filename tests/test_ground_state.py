@@ -62,82 +62,69 @@ class TestPohozaev:
         assert gs.pohozaev_residual(half) > 0
 
 
+def bubble_energy(d, grid, lam=1.0):
+    """E(W_lam) by quadrature on the grid."""
+    return fn.energy(gs.aubin_talenti(gs.GroundStateSpec(d, lam), grid))
+
+
 class TestGroundStateEnergy:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_matches_closed_form(self, d):
-        e = gs.ground_state_energy(d, gs.default_grid(d))
+        grid = gs.default_grid(d)
+        e = bubble_energy(d, grid)
         assert e == pytest.approx(closed_form_grad_sq(d) / d, rel=1e-4)
+        # the minimization value ||grad W||^2 / d on the same grid
+        w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+        assert e == pytest.approx(fn.h1_norm_sq(w) / d, rel=1e-4)
         assert e > 0
 
     def test_d4_value(self):
         # E(W) = ||grad W||^2 / 4 = 8 pi^2 / 3 in d = 4
-        e = gs.ground_state_energy(4, gs.default_grid(4))
+        e = bubble_energy(4, gs.default_grid(4))
         assert e == pytest.approx(8 * math.pi**2 / 3, rel=1e-5)
-
-    def test_consistency_error_on_coarse_grid(self):
-        grid = make_grid(4, 8.0, 24, 1.0)  # truncates most of the bubble
-        with pytest.raises(gs.ConsistencyError):
-            gs.ground_state_energy(4, grid)
 
     def test_scale_invariance(self):
         grid = gs.default_grid(4)
-        w3 = gs.aubin_talenti(gs.GroundStateSpec(4, lam=3.0), grid)
-        e = fn.energy(w3)
-        assert e == pytest.approx(gs.ground_state_energy(4, grid), rel=1e-4)
+        assert bubble_energy(4, grid, lam=3.0) == pytest.approx(bubble_energy(4, grid), rel=1e-4)
 
 
 class TestRescale:
+    """The scaling family W_lam = lam^{-(d-2)/2} W(./lam), sampled exactly."""
+
     def test_identity(self):
         grid = gs.default_grid(4)
         w = gs.aubin_talenti(gs.GroundStateSpec(4), grid)
-        out = gs.rescale(w, 1.0)
-        assert np.array_equal(out.values, w.values)
+        assert np.array_equal(gs.bubble_values(4, grid.nodes, 1.0), w.values)
 
     def test_energy_preserved_quadrature_tolerance_d3(self):
         grid = gs.default_grid(3)
-        w = gs.aubin_talenti(gs.GroundStateSpec(3), grid)
-        e = fn.energy(w)
-        assert fn.energy(gs.rescale(w, 2.0)) == pytest.approx(e, rel=1e-6)
+        assert bubble_energy(3, grid, lam=2.0) == pytest.approx(bubble_energy(3, grid), rel=1e-6)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_energy_preserved_higher_d(self, d):
         # order-2 gradient quadrature: 1e-5 is the measured tolerance here
         grid = gs.default_grid(d)
-        w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
-        e = fn.energy(w)
-        assert fn.energy(gs.rescale(w, 2.0)) == pytest.approx(e, rel=1e-5)
+        assert bubble_energy(d, grid, lam=2.0) == pytest.approx(bubble_energy(d, grid), rel=1e-5)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_nehari_stays_zero(self, lam):
         grid = gs.default_grid(4)
         w = gs.aubin_talenti(gs.GroundStateSpec(4), grid)
-        j = fn.nehari(gs.rescale(w, lam))
+        j = gs.pohozaev_residual(gs.aubin_talenti(gs.GroundStateSpec(4, lam), grid))
         assert abs(j) < 1e-4 * fn.h1_norm_sq(w)
 
     def test_matches_exact_rescaled_samples(self):
-        grid = gs.default_grid(5)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
-        got = gs.rescale(w, 2.0)
-        want = gs.aubin_talenti(gs.GroundStateSpec(5, lam=2.0), grid)
-        assert np.max(np.abs(got.values - want.values)) < 1e-7 * w.values[0]
-
-    def test_out_of_range_error_for_heavy_tail(self):
-        grid = make_grid(3, 50.0, 512, 1.01)
-        heavy = RadialField(grid, (1.0 + grid.nodes**2) ** -0.3)
-        with pytest.raises(gs.RescaleRangeError):
-            gs.rescale(heavy, 0.5)
-
-    def test_positive_scale_required(self):
-        grid = make_grid(3, 5.0, 32, 1.0)
-        with pytest.raises(ValueError):
-            gs.rescale(RadialField(grid, np.ones(grid.n)), -1.0)
+        r = gs.default_grid(5).nodes
+        got = 2.0 ** -1.5 * gs.bubble_values(5, r / 2.0)
+        want = gs.bubble_values(5, r, 2.0)
+        assert np.max(np.abs(got - want)) < 1e-7 * gs.bubble_amplitude(5)
 
 
 class TestBubbleIdentities:
     def test_nehari_vanishes(self):
         grid = gs.default_grid(5)
         w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
-        assert abs(fn.nehari(w)) < 1e-5 * fn.h1_norm_sq(w)
+        assert abs(gs.pohozaev_residual(w)) < 1e-5 * fn.h1_norm_sq(w)
 
     def test_energy_of_scalar_multiples(self):
         # E(aW) = grad^2 (a^2/2 - a^{2*}/2*), maximized at a = 1

@@ -22,6 +22,14 @@ class TestLowFreqMass:
         rho = 0.02
         assert sp.low_freq_mass(spec, rho) == pytest.approx(4 * math.pi * rho**5 / 5, rel=1e-9)
 
+    @pytest.mark.parametrize("d, k", [(5, 0.0), (4, 2.0)])
+    def test_monomial_spectrum(self, d, k):
+        # vhat = s^k: F(rho) = omega_{d-1} rho^{2k+d} / (2k+d) exactly
+        spec = sp.power_spectrum(d, k=k)
+        for rho in (1e-3, 1e-2, 1e-1):
+            want = sphere_area(d) * rho ** (2 * k + d) / (2 * k + d)
+            assert sp.low_freq_mass(spec, rho) == pytest.approx(want, rel=1e-9)
+
     def test_gaussian_matches_ball_volume_at_small_rho(self):
         # leading Taylor correction is (6/5) rho^2 of the ball volume
         spec = sp.gaussian_spectrum(3)
@@ -153,26 +161,6 @@ class TestMassCache:
         for rho in data.draw(st.permutations(rhos)):
             grid = per_interval_grid(np.concatenate([s[s < rho], [rho]]))
             assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0, rho)
-
-class TestDecayIndicator:
-    def test_monomial_constant_sequence(self):
-        # vhat = s^k at r = k: the indicator is omega_{d-1} / (2k + d) exactly
-        for d, k in ((3, 1.0), (5, 0.0), (4, 2.0)):
-            spec = sp.power_spectrum(d, k=k)
-            seq = sp.decay_indicator(spec, k, [1e-3, 1e-2, 1e-1])
-            want = sphere_area(d) / (2 * k + d)
-            assert np.allclose(seq, want, rtol=1e-9)
-
-    def test_monomial_divergence_directions(self):
-        spec = sp.power_spectrum(3, k=1.0)
-        diverging = sp.decay_indicator(spec, 1.5, [1e-3, 1e-2, 1e-1])
-        assert diverging[0] > diverging[-1] > 0  # blows up as rho -> 0
-        vanishing = sp.decay_indicator(spec, 0.5, [1e-3, 1e-2, 1e-1])
-        assert vanishing[0] < vanishing[-1]
-
-    def test_r_range_validated(self):
-        with pytest.raises(ValueError):
-            sp.decay_indicator(sp.power_spectrum(3, k=0.0), -2.0, [0.01])
 
 
 class TestDecayCharacter:
