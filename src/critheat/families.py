@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from . import ground_state, spectral
-from .radial import CorruptionError, RadialField, RadialGrid, read_columns, write_columns
+from .radial import (CorruptionError, RadialField, RadialGrid, pchip, read_columns,
+                     write_columns)
 
 CHECKPOINT_MAGIC = "# critheat checkpoint v1"
 CHECKPOINT_KEYS = {"d": int, "R": float, "n": int, "t": float, "stretch": float}
@@ -78,10 +79,7 @@ def _from_file_family(grid: RadialGrid, rng, *, path) -> np.ndarray:
                          f"does not match run {grid.d}")
     if field.grid.n == grid.n and np.allclose(field.grid.nodes, grid.nodes):
         return field.values.copy()
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(field.grid.nodes, field.values, extrapolate=False)
-    vals = interp(np.minimum(grid.nodes, field.grid.rmax))
+    vals = pchip(field.grid.nodes, field.values)(np.minimum(grid.nodes, field.grid.rmax))
     vals[grid.nodes > field.grid.rmax] = 0.0
     return vals
 
@@ -125,7 +123,7 @@ def save_checkpoint(path, field: RadialField, t: float) -> None:
     """Versioned two-column text checkpoint: header (d, R, n, t, stretch), then r_i u_i."""
     g = field.grid
     header = f"# d={g.d} R={float(g.rmax)!r} n={g.n} t={float(t)!r} stretch={float(g.stretch)!r}"
-    write_columns(path, [CHECKPOINT_MAGIC, header], g.nodes, field.values)
+    write_columns(path, [CHECKPOINT_MAGIC, header], g.node_text, field.values)
 
 
 def load_checkpoint(path) -> tuple[RadialField, float]:

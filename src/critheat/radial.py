@@ -89,6 +89,11 @@ class RadialGrid:
         return float(self.nodes[-1])
 
     @cached_property
+    def node_text(self) -> list[str]:
+        """The nodes as the first column of checkpoint rows (`column_text`)."""
+        return column_text(self.nodes)
+
+    @cached_property
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
 
@@ -209,11 +214,69 @@ def radial_integral(f: RadialField) -> float:
     return float(f.grid.quad_weights @ f.values)
 
 
-def write_columns(path, header: list[str], x, y) -> None:
+def pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant of (x, y) on [x_0, x_end]
+    (x strictly increasing, at least 3 nodes), with the bits of scipy's PCHIP
+    interpolator of (x, y) without extrapolation there.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring secants
+    (Fritsch & Butland 1984), 0 where those differ in sign or one is 0; end
+    slopes are Moler's shape-preserving one-sided three-point estimates. The
+    evaluator sums each interval's cubic in PPoly's order, ascending powers of
+    the offset from the interval's left node, with x_end in the last interval.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = np.diff(y) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        # a zero secant beside a nonzero one differs from it in sign
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0)
+        slopes = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])],
+                                 np.where(flat, 0.0, 1.0 / whmean),
+                                 [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+        # per interval: its left node, then the coefficients of z^0 .. z^3,
+        # z the offset from that node; z^0's is summed onto +0.0 as PPoly does
+        table = np.stack([x[:-1], 0.0 + y[:-1], slopes[:-1], (m - slopes[:-1]) / h - t, t / h])
+    inner = x[1:-1]
+
+    def evaluate(s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        # the number of interior nodes <= s is its interval, x_end in the last
+        left, a0, a1, a2, a3 = table[:, np.searchsorted(inner, s, side="right")]
+        z = s - left
+        z2 = z * z
+        return ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
+
+    return evaluate
+
+
+def _end_slope(h0, h1, m0, m1) -> float:
+    """Moler's end slope from the two end spacings and secants: the
+    three-point estimate, 0 where its sign is not the end secant's, and
+    3 m0 where the secants change sign and it exceeds 3 |m0|."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def column_text(x) -> list[str]:
+    """`repr(x_i) + " "` per sample: the first column of `write_columns` rows,
+    which a column written many times formats once (`RadialGrid.node_text`)."""
+    return [f"{a!r} " for a in np.asarray(x, dtype=float).tolist()]
+
+
+def write_columns(path, header: list[str], x_text: list[str], y) -> None:
     """Two-column text file: the `header` lines (the first a magic line), then
-    one `repr(x_i) repr(y_i)` row per sample, so floats read back exactly."""
-    pairs = zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist())
-    rows = [f"{a!r} {b!r}" for a, b in pairs]
+    one `repr(x_i) repr(y_i)` row per sample, so floats read back exactly.
+    The first column comes formatted, as `column_text(x)`."""
+    rows = map(str.__add__, x_text, map(repr, np.asarray(y, dtype=float).tolist()))
     Path(path).write_text("\n".join([*header, *rows]) + "\n")
 
 

@@ -15,8 +15,9 @@ spectrum evaluates that integrand over its whole table once and keeps it, so a
 call evaluates it only on the last interval, [last node below rho, rho], and
 the heat-decay integral reuses all of it.
 
-The scipy modules (`integrate`, `interpolate`, `special`) are imported by the
-functions that use them, so importing this module loads none of them.
+A table's monotone cubic is `radial.pchip`, with the bits of scipy's PCHIP.
+The scipy modules (`integrate`, `special`) are imported by the functions that
+use them, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .radial import RadialField, read_columns, sphere_area, write_columns
+from .radial import RadialField, column_text, pchip, read_columns, sphere_area, write_columns
 
 CLOSED_FORM_KINDS = ("power_gauss", "power")
 SPECTRUM_MAGIC = "# spectrum v1"
@@ -56,9 +57,10 @@ class SpectrumFn:
 
     Closed forms: "power_gauss" is amp * s^k * exp(-(s/sig)^2), "power" is
     amp * s^k on (0, s_max]. Tabulated spectra interpolate (s_nodes, values)
-    monotone-cubically and continue below the first node with the local power
-    law fitted to the nodes of the first decade. A kind's fields (`KIND_FIELDS`)
-    have no default here: the builders' signatures hold the defaults.
+    by the monotone cubic `radial.pchip` (scipy's PCHIP, bit for bit) and
+    continue below the first node with the local power law fitted to the
+    nodes of the first decade. A kind's fields (`KIND_FIELDS`) have no default
+    here: the builders' signatures hold the defaults.
     """
 
     d: int
@@ -112,10 +114,7 @@ class SpectrumFn:
 
     @cached_property
     def _interp(self):
-        from scipy.interpolate import PchipInterpolator
-
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return PchipInterpolator(self.s_nodes, self.values, extrapolate=False)
+        return pchip(self.s_nodes, self.values)
 
     @cached_property
     def _mass_samples(self) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +354,7 @@ def save_spectrum(spec: SpectrumFn, path) -> None:
         v = spec(s)
     header = [SPECTRUM_MAGIC, f"# d={spec.d} kind={spec.kind} normalization=unitary",
               f"# description={spec.description}"]
-    write_columns(path, header, s, v)
+    write_columns(path, header, column_text(s), v)
 
 
 def load_spectrum(path, d: int | None = None) -> SpectrumFn:

@@ -508,7 +508,9 @@ def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg
 
 
 #: prints, as JSON, which of the scipy modules `run` and `sweep` never use are
-#: loaded after importing the front end, after a run and after a serial sweep
+#: loaded after importing the front end, after a run and after a serial sweep;
+#: then, on a second line, whether `scipy.interpolate` or `scipy.optimize` is
+#: loaded after `splitting`, a Hankel `decayfit` and `character` on a table
 FOOTPRINT_SCRIPT = """
 import json, sys
 from critheat import cli
@@ -519,21 +521,38 @@ loaded["run"] = [m for m in unused if m in sys.modules]
 cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[3]])
 loaded["sweep"] = [m for m in unused if m in sys.modules]
 print(json.dumps(loaded))
+spectral = {}
+for verb, config, out in (("splitting", sys.argv[1], sys.argv[5]),
+                          ("decayfit", sys.argv[1], sys.argv[6]),
+                          ("character", sys.argv[4], sys.argv[7])):
+    cli.main([verb, "--config", config, "--out", out])
+    spectral[verb] = [m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]
+print(json.dumps(spectral))
 """
 
 
 def test_run_and_sweep_import_no_unused_scipy_module(tmp_path, cfg_file):
     path = cfg_file("run.json", run_config_text())
+    s = np.geomspace(1e-4, 10.0, 300)
+    spectral.save_spectrum(spectral.SpectrumFn(d=3, kind="tabulated", s_nodes=s,
+                                               values=s * np.exp(-s * s)), tmp_path / "spec.txt")
+    character = cfg_file("character.json", json.dumps(
+        {"dimension": 3, "spectrum": {"kind": "file", "path": str(tmp_path / "spec.txt")}}))
     src = Path(cli.__file__).resolve().parents[1]
+    verbs = ("run", "sweep", "splitting", "decayfit", "character")
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, path, str(tmp_path / "run"),
-         str(tmp_path / "sweep")],
+         str(tmp_path / "sweep"), character, *(str(tmp_path / verb) for verb in verbs[2:])],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=120, check=True,
     )
     assert (tmp_path / "run" / "series.csv").is_file()
     assert (tmp_path / "sweep" / "sweep.csv").is_file()
-    assert json.loads(proc.stdout) == {"import": [], "run": [], "sweep": []}
+    run_and_sweep, spectral_verbs = proc.stdout.splitlines()
+    assert json.loads(run_and_sweep) == {"import": [], "run": [], "sweep": []}
+    for verb, name in zip(verbs[2:], ("splitting.csv", "decayfit.csv", "character.csv")):
+        assert (tmp_path / verb / name).is_file()
+    assert json.loads(spectral_verbs) == {"splitting": [], "decayfit": [], "character": []}
 
 def character_tree(**spectrum) -> dict:
     return {"dimension": 3, "spectrum": {"kind": "power_gauss", **spectrum}}

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
+from critheat import experiments, families, spectral
 from critheat.radial import (
     CorruptionError,
     RadialField,
+    column_text,
     grid_for_span,
     make_grid,
+    pchip,
     radial_integral,
     read_columns,
     sphere_area,
@@ -117,6 +121,78 @@ class TestRadialIntegral:
         assert 1.8 <= rate2 <= 2.2
 
 
+def scipy_pchip(x, y, s) -> np.ndarray:
+    """The oracle of `pchip`: scipy's monotone cubic on the same table."""
+    with np.errstate(over="ignore"):  # a secant near 1e-308 overflows its reciprocal
+        return PchipInterpolator(x, y, extrapolate=False)(s)
+
+
+@st.composite
+def pchip_tables(draw):
+    """Tables of 4..300 unevenly spaced nodes: signed, positive or monotone
+    values at magnitudes 1e-10..1e5, with exact zeros of either sign and a
+    flat run."""
+    n = draw(st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.floats(-10.0, 10.0)) + draw(st.sampled_from([1e-4, 1.0, 1e3])) * np.cumsum(
+        [0.0, *rng.uniform(1e-3, 1.0, n - 1)])
+    y = {"signed": rng.uniform(-1.0, 1.0, n), "positive": rng.uniform(0.0, 1.0, n),
+         "monotone": np.cumsum(rng.uniform(0.0, 1.0, n)) / n}[
+        draw(st.sampled_from(["signed", "positive", "monotone"]))]
+    y = 10.0 ** draw(st.integers(-10, 5)) * y
+    zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    y[zeros] = np.copysign(0.0, rng.uniform(-1.0, 1.0, n))[zeros]
+    start, length = draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+    y[start:start + length] = y[start]
+    return x, y
+
+
+class TestPchip:
+    @given(pchip_tables(), st.lists(st.floats(0.0, 1.0), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_scipys_pchip(self, table, fractions):
+        x, y = table
+        inner = np.minimum(x[0] + (x[-1] - x[0]) * np.array(fractions), x[-1])
+        s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), inner, [x[0], x[-1]]])
+        assert pchip(x, y)(s).tobytes() == scipy_pchip(x, y, s).tobytes()
+
+    def test_negative_zero_node_reads_positive_zero(self):
+        # every coefficient of the interval at -0.0 is negative, and the sum
+        # starts from +0.0 as PPoly's does
+        x, y = np.arange(5.0), np.array([0.5, 0.4, -0.0, -1.0, -4.0])
+        assert pchip(x, y)(x).tobytes() == scipy_pchip(x, y, x).tobytes()
+        assert pchip(x, y)(2.0).tobytes() == np.float64(0.0).tobytes()
+
+    def test_bits_on_the_decayfit_hankel_table(self):
+        # the table `decayfit` interpolates: the d = 4 gaussian at DECAYFIT_NODES,
+        # evaluated on the refined grid of its mass quadrature
+        grid = grid_for_span(4, 160.0, 0.02, 0.004)
+        u0 = families.build_initial("gaussian", {"amp": 0.05, "width": 1.0}, grid)
+        spec = spectral.hankel_spectrum(u0, experiments.DECAYFIT_NODES)
+        x, y = spec.s_nodes, spec.values
+        s = spectral._refine(x)
+        assert pchip(x, y)(s).tobytes() == scipy_pchip(x, y, s).tobytes()
+        assert spec(s).tobytes() == scipy_pchip(x, y, s).tobytes()
+
+    @pytest.mark.parametrize("R", [600.0, 300.0])
+    def test_from_file_regrids_with_scipys_bits(self, tmp_path, R):
+        # a checkpoint on a coarser grid, read onto the criterion-11 grid:
+        # PCHIP up to the checkpoint's R, 0 past it
+        coarse = grid_for_span(5, R, 0.02, 0.004)
+        path = tmp_path / "ck.txt"
+        families.save_checkpoint(path, families.build_initial("aW", {"a": 0.9}, coarse), 0.0)
+        grid = make_grid(5, 600.0, 1375, 1.004)
+        u0 = families.build_initial("from_file", {"path": str(path)}, grid)
+        saved, _t = families.load_checkpoint(path)
+        assert coarse.n < grid.n
+        beyond = grid.nodes > R
+        want = scipy_pchip(coarse.nodes, saved.values, np.minimum(grid.nodes, R))
+        want[beyond] = 0.0
+        want[-1] = 0.0  # the Dirichlet node
+        assert u0.values.tobytes() == want.tobytes()
+        assert beyond.any() == (R < 600.0)
+
+
 class TestConservativeOperator:
     def test_conservative_laplacian_r_squared_exact(self):
         # the flux form with exact shell volumes also reproduces Delta r^2 = 2d
@@ -158,14 +234,14 @@ class TestColumnFiles:
     def test_round_trip_is_exact(self, tmp_path_factory, pairs):
         path = tmp_path_factory.mktemp("columns") / "c.txt"
         x, y = np.array(pairs).T
-        write_columns(path, [self.MAGIC, "# d=4 t=0.5 note=free text"], x, y)
+        write_columns(path, [self.MAGIC, "# d=4 t=0.5 note=free text"], column_text(x), y)
         header, x_back, y_back = read_columns(path, self.MAGIC, {"d": int, "t": float})
         assert header == {"d": 4, "t": 0.5}
         assert x_back.tobytes() == x.tobytes() and y_back.tobytes() == y.tobytes()
 
     def test_rows_are_the_repr_of_each_float(self, tmp_path):
         path = tmp_path / "c.txt"
-        write_columns(path, [self.MAGIC], np.array([0.0, 0.1]), [-0.0, 1e-300])
+        write_columns(path, [self.MAGIC], column_text([0.0, 0.1]), [-0.0, 1e-300])
         assert path.read_text() == f"{self.MAGIC}\n0.0 -0.0\n0.1 1e-300\n"
 
     def test_a_binary_file_is_named(self, tmp_path):

@@ -3,15 +3,16 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat`
-package. Under each tree a fresh interpreter runs `critheat run` on five
-fixed configurations (Dissipative, Blowup at the amplitude cap, Blowup on a
-step collapse at t = 0, Undecided at the threshold, and initial data read
-from a checkpoint file), `critheat sweep` on two (d = 5 and d = 3 rows around
-the ground state), `critheat character` on a spectrum file, `critheat
-splitting` with both weights on the d = 4 gaussian run of the splitting tests,
-and `critheat decayfit` on the d = 5 Dissipative run, whose initial spectrum
-is a Hankel transform. The tool writes the checkpoint and the spectrum file
-itself, once for both trees.
+package. Under each tree a fresh interpreter runs `critheat run` on six fixed
+configurations (Dissipative, Blowup at the amplitude cap, Blowup on a step
+collapse at t = 0, Undecided at the threshold, and initial data read from two
+checkpoint files, a uniform and a graded one, each interpolated onto the finer
+run grid), `critheat sweep` on two (d = 5 and d = 3 rows around the ground
+state), `critheat character` on a spectrum file, `critheat splitting` with
+both weights on the d = 4 gaussian run of the splitting tests, and `critheat
+decayfit` on the d = 5 Dissipative run, whose initial spectrum is a Hankel
+transform. The tool writes the checkpoints and the spectrum file itself, once
+for both trees.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration and exits 0 when all of them match, 1 otherwise. Standard
@@ -56,6 +57,10 @@ CONFIGS = {
     "run_from_file": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "from_file", "path": "checkpoint.txt"},
         "integrator": {"t_max": 1e6}}),
+    "run_from_file_regrid": ("run", {
+        "dimension": 5, "grid": GRID_5,
+        "family": {"name": "from_file", "path": "checkpoint_coarse.txt"},
+        "integrator": {"t_max": 1e6}}),
     "sweep_d5": ("sweep --workers 2", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6},
@@ -80,6 +85,12 @@ def _two_columns(header: list[str], pairs) -> str:
     return "\n".join(header + [f"{x!r} {y!r}" for x, y in pairs]) + "\n"
 
 
+def _graded(R: float, n: int, q: float) -> list[float]:
+    """n nodes from 0 to R whose spacings grow by the factor q."""
+    scale = math.expm1((n - 1) * math.log(q))
+    return [R * math.expm1(k * math.log(q)) / scale for k in range(n - 1)] + [R]
+
+
 #: input file name -> its text; the configurations name these files
 #: relative to the directory that holds them
 INPUTS = {
@@ -87,6 +98,12 @@ INPUTS = {
     "checkpoint.txt": _two_columns(
         ["# critheat checkpoint v1", "# d=5 R=40.0 n=801 t=0.0 stretch=1.0"],
         ((40.0 * i / 800, math.exp(-((40.0 * i / 800) ** 2) / 4.0)) for i in range(801))),
+    # (1 - r^2/20) exp(-r^2/16) / 5 in d = 5 on 400 nodes over [0, 300] graded by 1.01:
+    # a sign change, then exact zeros where the exponential underflows
+    "checkpoint_coarse.txt": _two_columns(
+        ["# critheat checkpoint v1", "# d=5 R=300.0 n=400 t=0.0 stretch=1.01"],
+        ((r, 0.2 * (1.0 - r * r / 20.0) * math.exp(-r * r / 16.0))
+         for r in _graded(300.0, 400, 1.01))),
     # s exp(-s^2) in d = 3 at 300 log-spaced frequencies from 1e-4 to 10
     "spectrum.txt": _two_columns(
         ["# spectrum v1", "# d=3 kind=tabulated normalization=unitary",
