@@ -201,7 +201,7 @@ def cmd_character(cfg: CharacterConfig) -> Result:
         ["d", "description", "r_star", "p_r_value", "fit_residual", "rho_lo",
          "rho_hi", "flag", "lambda_r_star"],
         [[spec.d, spec.description, est.r_star, est.p_r_value, est.fit_residual,
-          est.window[0], est.window[1], est.flag or "", lam.r_star]],
+          *spectral.RHO_WINDOW, est.flag or "", lam.r_star]],
     )}
     return Result(files, {"spectrum": {"d": spec.d, "kind": spec.kind}})
 

@@ -41,6 +41,13 @@ UNDECIDED = "Undecided"
 #: sign of the nonlinearity |u|^{2*-2} u for each mode
 NONLINEARITY_SIGN = {"focusing": 1.0, "defocusing": -1.0, "off": 0.0}
 
+#: a checkpoint is at time t within this fraction of max(|t|, 1)
+CHECKPOINT_RTOL = 1e-9
+#: the contract checks' slacks: the energy may rise by ENERGY_SLACK_REL of
+#: its scale, ||u||_{H1}^2 by LYAPUNOV_SLACK_REL of its initial value
+ENERGY_SLACK_REL = 1e-6
+LYAPUNOV_SLACK_REL = 1e-10
+
 _BRACKET_SAFETY = 1e3
 
 
@@ -135,10 +142,10 @@ class Trajectory:
     def initial_h1_sq(self) -> float:
         return self.snapshots[0].report.h1_sq
 
-    def checkpoint_at(self, t: float, rtol: float = 1e-9) -> Snapshot:
+    def checkpoint_at(self, t: float) -> Snapshot:
         scale = max(abs(t), 1.0)
         for snap in self.snapshots:
-            if abs(snap.t - t) <= rtol * scale and snap.field is not None:
+            if abs(snap.t - t) <= CHECKPOINT_RTOL * scale and snap.field is not None:
                 return snap
         raise MissingCheckpointError(f"no field checkpoint at t={t!r}")
 
@@ -465,12 +472,7 @@ def run_flow(
     return finish(UNDECIDED, state.t, {"reason": "t_max_reached"})
 
 
-def energy_identity_residual(
-    traj: Trajectory,
-    t0: float,
-    t1: float,
-    monotone_slack_rel: float = 1e-6,
-) -> float:
+def energy_identity_residual(traj: Trajectory, t0: float, t1: float) -> float:
     """|E(u(t1)) + D(t0, t1) - E(u(t0))| from the integrator's dissipation tally.
 
     D accumulates ||u_t||_{L2}^2 between the two checkpoints. Energies are
@@ -484,13 +486,13 @@ def energy_identity_residual(
     s1 = traj.checkpoint_at(t1)
     e0 = s0.form_energy
     e1 = s1.form_energy
-    slack = monotone_slack_rel * max(abs(e0), abs(traj.snapshots[0].form_energy))
+    slack = ENERGY_SLACK_REL * max(abs(e0), abs(traj.snapshots[0].form_energy))
     if e1 > e0 + slack:
         raise EnergyMonotonicityError(f"E increased from {e0!r} at t={t0} to {e1!r} at t={t1}")
     return abs(e1 + (s1.dissipation - s0.dissipation) - e0)
 
 
-def energy_nonincreasing(traj: Trajectory, slack_rel: float = 1e-6) -> bool:
+def energy_nonincreasing(traj: Trajectory) -> bool:
     """Energy inequality across every adjacent snapshot pair.
 
     The snapshot taken at blowup detection (or at step collapse) samples an
@@ -506,19 +508,18 @@ def energy_nonincreasing(traj: Trajectory, slack_rel: float = 1e-6) -> bool:
     energies = [s.report.energy for s in snapshots]
     if len(energies) < 2:
         return True
-    slack = slack_rel * max(abs(energies[0]), 1e-300)
+    slack = ENERGY_SLACK_REL * max(abs(energies[0]), 1e-300)
     return all(b <= a + slack for a, b in zip(energies, energies[1:]))
 
 
-def lyapunov_tail_index(traj: Trajectory, slack: float | None = None) -> int | None:
+def lyapunov_tail_index(traj: Trajectory) -> int | None:
     """First snapshot index from which ||u||_{H1}^2 is nonincreasing.
 
-    The comparison allows `slack` (default 1e-10 of the initial value) per
-    pair. Returns None when no such index exists.
+    The comparison allows `LYAPUNOV_SLACK_REL` of the initial value per pair.
+    Returns None when no such index exists.
     """
     h1 = [s.report.h1_sq for s in traj.snapshots]
-    if slack is None:
-        slack = 1e-10 * h1[0]
+    slack = LYAPUNOV_SLACK_REL * h1[0]
     k = len(h1) - 1
     while k > 0 and h1[k] <= h1[k - 1] + slack:
         k -= 1

@@ -179,28 +179,29 @@ def _g_functions(g_choice: str, alpha: float | None):
     raise ValueError(f"unknown weight {g_choice!r}; use 'log_cubed' or 'power'")
 
 
-def splitting_diagnostic(
-    traj: evolve.Trajectory,
-    g_choice: str = "log_cubed",
-    alpha: float | None = None,
-    c_range: tuple[float, float] = (1e-3, 50.0),
-    s_cap: float = 60.0,
-) -> SplittingReport:
+#: the range in which the splitting constant is fitted, and the highest
+#: frequency the splitting transforms reach, however large a ball
+C_RANGE = (1e-3, 50.0)
+S_CAP = 60.0
+
+
+def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
+                         alpha: float | None = None) -> SplittingReport:
     """Discrete check of d/dt(g ||u||^2_{H1}) <= g' * (low-frequency mass).
 
     The splitting-ball radius is r(t) = sqrt(g'(t) / (C g(t))) for a constant
     C that the continuum argument does not pin down; C is fitted by bisection
-    to the largest value keeping every margin nonnegative, and only the sign
-    structure at the fitted constant is asserted by callers.
+    in `C_RANGE` to the largest value keeping every margin nonnegative, and
+    only the sign structure at the fitted constant is asserted by callers.
     """
     g, gp = _g_functions(g_choice, alpha)
     snaps = [s for s in traj.snapshots if s.field is not None and s.t > 0.0]
     if len(snaps) < 3:
         raise evolve.MissingCheckpointError("splitting needs >= 3 field checkpoints")
-    c_lo, c_hi = c_range
+    c_lo, c_hi = C_RANGE
     # one node set wide enough for the largest ball any checkpoint needs
     r_needed = max(math.sqrt(gp(s.t) / (c_lo * g(s.t))) for s in snaps)
-    s_hi = min(max(2.0 * r_needed, 1.0), s_cap)
+    s_hi = min(max(2.0 * r_needed, 1.0), S_CAP)
     s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
     specs = spectral.hankel_spectra([s.field for s in snaps], s_nodes)
     lams = [spectral.lambda_spectrum(f) for f in specs]

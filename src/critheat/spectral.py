@@ -10,14 +10,14 @@ two-sided heat-semigroup decay (1+t)^{-(d/2+r*)} of the L2 norm.
 Fourier convention is unitary, so Plancherel carries constant one; the decay
 character itself is convention independent (it is a ratio of powers).
 
-On a table, F(rho) is the trapezoid rule over the nodes refined 4-fold. A
-spectrum evaluates that integrand over its whole table once and keeps it, so a
-call evaluates it only on the last interval, [last node below rho, rho], and
-the heat-decay integral reuses all of it.
-
-A table's monotone cubic is `radial.pchip`, with the bits of scipy's PCHIP.
-The scipy modules (`integrate`, `special`) are imported by the functions that
-use them, so importing this module loads none of them.
+On a closed form, F(rho) and the heat norm are incomplete-gamma integrals
+with an exact value (`_closed_mass`). On a table, F(rho) is the trapezoid rule
+over the nodes refined 4-fold. A spectrum evaluates that integrand over its
+whole table once and keeps it, so a call evaluates it only on the last
+interval, [last node below rho, rho], and the heat-decay integral reuses all
+of it. A table's monotone cubic is `radial.pchip`, with the bits of scipy's
+PCHIP. The functions that use `scipy.special` import it, so importing this
+module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TailMassError(ValueError):
 #: the fields each spectrum kind reads, which a spectrum of that kind must set
 KIND_FIELDS = {
     "power_gauss": ("k", "amp", "sig", "s_max"),
-    "power": ("k", "amp", "s_max"),
+    "power": ("k", "amp", "sig", "s_max"),
     "tabulated": ("s_nodes", "values"),
 }
 
@@ -55,12 +55,12 @@ KIND_FIELDS = {
 class SpectrumFn:
     """Radial frequency profile with dimension attached.
 
-    Closed forms: "power_gauss" is amp * s^k * exp(-(s/sig)^2), "power" is
-    amp * s^k on (0, s_max]. Tabulated spectra interpolate (s_nodes, values)
-    by the monotone cubic `radial.pchip` (scipy's PCHIP, bit for bit) and
-    continue below the first node with the local power law fitted to the
-    nodes of the first decade. A kind's fields (`KIND_FIELDS`) have no default
-    here: the builders' signatures hold the defaults.
+    Closed forms: "power_gauss" is amp * s^k * exp(-(s/sig)^2) on (0, s_max],
+    and "power" is amp * s^k, the same with sig = inf. Tabulated spectra
+    interpolate (s_nodes, values) by the monotone cubic `radial.pchip`
+    (scipy's PCHIP, bit for bit) and continue below the first node with the
+    local power law fitted to the nodes of the first decade. A kind's fields
+    (`KIND_FIELDS`) have no default here: the builders' signatures hold them.
     """
 
     d: int
@@ -96,13 +96,9 @@ class SpectrumFn:
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self.kind == "power_gauss":
+        if self.kind in CLOSED_FORM_KINDS:
             with np.errstate(divide="ignore"):
-                out = self.amp * s**self.k * np.exp(-((s / self.sig) ** 2))
-            return out
-        if self.kind == "power":
-            with np.errstate(divide="ignore"):
-                return self.amp * s**self.k
+                return self.amp * s**self.k * np.exp(-((s / self.sig) ** 2))
         interp = self._interp
         out = np.empty_like(s)
         low = s < self.s_nodes[0]
@@ -122,7 +118,7 @@ class SpectrumFn:
         `low_freq_mass` call reuses them up to its last node below rho, and
         every `linear_heat_l2_sq` call all of them."""
         grid = _refine(self.s_nodes)
-        return grid, _mass_integrand(self)(grid)
+        return grid, _mass_integrand(self, grid)
 
     @cached_property
     def _low_power(self) -> tuple[float, float]:
@@ -148,22 +144,40 @@ def gaussian_spectrum(d: int, *, k: float = 0.0, amp: float = 1.0, sig: float = 
 
 
 def power_spectrum(d: int, *, k: float, amp: float = 1.0, s_max: float = 50.0) -> SpectrumFn:
-    return SpectrumFn(d=d, kind="power", k=k, amp=amp, s_max=s_max, description=f"s^{k}")
+    """amp * s^k: the gaussian one with sig = inf, whose factor is exactly 1."""
+    return SpectrumFn(d=d, kind="power", k=k, amp=amp, sig=math.inf, s_max=s_max,
+                      description=f"s^{k}")
 
 
-def _mass_integrand(spec: SpectrumFn):
-    # |vhat| ~ s^p near 0 (s^k, or a table's stub), so F(rho) ~ rho^(2p+d)
+def _mass_power(spec: SpectrumFn) -> float:
+    """e = 2p + d where |vhat| ~ s^p near 0 (s^k, or a table's stub): F ~ rho^e."""
     expo = 2.0 * (spec.k if spec.kind in CLOSED_FORM_KINDS else spec._low_power[0]) + spec.d
     if expo <= 0.0:
         raise SpectrumDomainError(f"low-frequency mass diverges: 2p + d = {expo} <= 0")
-    omega = sphere_area(spec.d)
-    dm1 = spec.d - 1
+    return expo
 
-    def f(s):
-        v = spec(s)
-        return omega * v * v * s**dm1
 
-    return f
+def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
+    """omega_{d-1} int_0^upper e^{-2ts^2} |vhat|^2 s^{d-1} ds of a closed form, exactly. With
+    a = e/2, beta = 2t + 2/sig^2 and x = beta upper^2, the integral of s^(e-1) e^{-beta s^2}
+    is upper^e / e 1F1(a; a+1; -x) = Gamma(a) P(a, x) / (2 beta^a)."""
+    from scipy.special import gammainc, gammaln, hyp1f1
+
+    e = _mass_power(spec)
+    a = 0.5 * e
+    beta = 2.0 * t + 2.0 / spec.sig / spec.sig
+    x = beta * upper * upper
+    with np.errstate(over="ignore"):
+        if x > a:  # where scipy's 1F1 loses digits; P(a, x) > 1/2, and beta^a may overflow
+            integral = 0.5 * gammainc(a, x) * np.exp(gammaln(a) - a * np.log(beta))
+        else:  # 1F1 = 1 - O(x), and scipy's is inf below x ~ 1e-180 when a < 1
+            integral = np.power(upper, e) / e * (hyp1f1(a, a + 1.0, -x) if x > 1e-100 else 1.0)
+    return float(sphere_area(spec.d) * spec.amp * spec.amp * integral)
+
+
+def _mass_integrand(spec: SpectrumFn, s: np.ndarray) -> np.ndarray:
+    v = spec(s)
+    return sphere_area(spec.d) * v * v * s ** (spec.d - 1)
 
 
 def _refine(pts: np.ndarray) -> np.ndarray:
@@ -176,8 +190,8 @@ def _refine(pts: np.ndarray) -> np.ndarray:
 
 def _stub_mass(spec: SpectrumFn, rho: float = math.inf) -> float:
     """Mass below min(rho, first tabulated node), from the fitted power law."""
-    p, v0 = spec._low_power
-    expo = 2.0 * p + spec.d
+    v0 = spec._low_power[1]
+    expo = _mass_power(spec)
     s0 = spec.s_nodes[0]
     # the stub's mass grows like s^expo; the factor is exactly 1 for rho >= s0
     return sphere_area(spec.d) * v0 * v0 * s0**spec.d / expo * (min(rho, s0) / s0) ** expo
@@ -187,12 +201,8 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     """F(rho) = omega_{d-1} int_0^rho |vhat(s)|^2 s^{d-1} ds."""
     if not 0.0 < rho <= spec.s_max:
         raise SpectrumDomainError(f"rho={rho} outside (0, {spec.s_max}]")
-    f = _mass_integrand(spec)
     if spec.kind in CLOSED_FORM_KINDS:
-        from scipy.integrate import quad
-
-        val, _ = quad(f, 0.0, rho, epsabs=0.0, epsrel=1e-10, limit=200)
-        return float(val)
+        return _closed_mass(spec, rho, 0.0)
     # the grid is `_refine` of the nodes below rho and rho itself: the table's
     # samples up to the last such node s_k, then np.linspace(s_k, rho, 5)
     k = int(np.searchsorted(spec.s_nodes, rho))
@@ -202,7 +212,7 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     head = 4 * (k - 1)
     tail = np.linspace(spec.s_nodes[k - 1], rho, 5)
     x = np.concatenate([grid[:head], tail])
-    y = np.concatenate([vals[:head], f(tail)])
+    y = np.concatenate([vals[:head], _mass_integrand(spec, tail)])
     return float(np.trapezoid(y, x)) + _stub_mass(spec, rho)
 
 
@@ -218,7 +228,6 @@ class DecayCharacterEstimate:
     """
 
     r_star: float
-    window: tuple[float, float]
     p_r_value: float
     fit_residual: float
     flag: str | None = None
@@ -228,47 +237,41 @@ class DecayCharacterEstimate:
         return self.flag is None
 
 
-def decay_character(
-    spec: SpectrumFn,
-    rho_lo: float = 1e-3,
-    rho_hi: float = 1e-1,
-    n_rho: int = 12,
-    tol_fit: float = 0.05,
-) -> DecayCharacterEstimate:
+#: the decay character's ladder, RHO_STEPS geometric steps across RHO_WINDOW,
+#: and the largest residual of log F about its line that a clean fit may have
+RHO_WINDOW = (1e-3, 1e-1)
+RHO_STEPS = 12
+TOL_FIT = 0.05
+
+
+def decay_character(spec: SpectrumFn) -> DecayCharacterEstimate:
     """Estimate r* = (slope of log F vs log rho - d) / 2 on a geometric ladder."""
-    rhos = np.geomspace(rho_lo, rho_hi, n_rho)
+    rhos = np.geomspace(*RHO_WINDOW, RHO_STEPS)
     masses = np.array([low_freq_mass(spec, rho) for rho in rhos])
     if np.any(masses <= 0.0):
-        return DecayCharacterEstimate(
-            r_star=math.inf, window=(rho_lo, rho_hi), p_r_value=0.0,
-            fit_residual=math.inf, flag="nonlinear_fit",
-        )
+        return DecayCharacterEstimate(r_star=math.inf, p_r_value=0.0, fit_residual=math.inf,
+                                      flag="nonlinear_fit")
     x = np.log(rhos)
     y = np.log(masses)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.max(np.abs(y - (slope * x + intercept))))
     r_star = (slope - spec.d) / 2.0
     flag = None
-    if residual > tol_fit:
+    if residual > TOL_FIT:
         flag = "nonlinear_fit"
     elif r_star <= -spec.d / 2.0 + 1e-9:
         flag = "at_lower_bound"
     p_r = float(np.mean(masses * rhos ** (-2.0 * r_star - spec.d)))
-    return DecayCharacterEstimate(
-        r_star=float(r_star), window=(rho_lo, rho_hi), p_r_value=p_r,
-        fit_residual=residual, flag=flag,
-    )
+    return DecayCharacterEstimate(r_star=float(r_star), p_r_value=p_r, fit_residual=residual,
+                                  flag=flag)
 
 
 def lambda_spectrum(spec: SpectrumFn) -> SpectrumFn:
     """Spectrum of Lambda v = (-Delta)^{1/2} v, i.e. s * vhat(s)."""
+    description = f"Lambda({spec.description})"
     if spec.kind in CLOSED_FORM_KINDS:
-        return replace(spec, k=spec.k + 1.0, description=f"Lambda({spec.description})")
-    return SpectrumFn(
-        d=spec.d, kind="tabulated", s_nodes=spec.s_nodes,
-        values=spec.s_nodes * spec.values,
-        description=f"Lambda({spec.description})",
-    )
+        return replace(spec, k=spec.k + 1.0, description=description)
+    return replace(spec, values=spec.s_nodes * spec.values, description=description)
 
 
 def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
@@ -277,14 +280,7 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if spec.kind in CLOSED_FORM_KINDS:
-        from scipy.integrate import quad
-
-        f = _mass_integrand(spec)
-        val, _ = quad(
-            lambda s: f(s) * math.exp(-2.0 * t * s * s),
-            0.0, spec.s_max, epsabs=0.0, epsrel=1e-10, limit=400,
-        )
-        return float(val)
+        return _closed_mass(spec, spec.s_max, t)
     grid, samples = spec._mass_samples
     vals = samples * np.exp(-2.0 * t * grid * grid)
     return float(np.trapezoid(vals, grid)) + _stub_mass(spec)

@@ -75,6 +75,16 @@ FULL_CHARACTER = {
     "spectrum": {"kind": "power", "k": 1.0, "amp": 2.0, "s_max": 40.0},
     "out_dir": "out",
 }
+#: a Dissipative d = 4 gaussian run long enough for a decay fit; its initial
+#: spectrum has a closed form
+DECAYFIT_GAUSSIAN = {
+    "dimension": 4,
+    "grid": {"R": 160.0, "n": 1047, "stretch": 1.004},
+    "family": {"name": "gaussian", "amp": 0.05, "width": 1.0},
+    "integrator": {"tol": 1e-6, "dt_init": 1e-6, "t_max": 500.0},
+    "snapshots": {"factor": 1.2},
+    "verdict": {"eps_dissip_rel": 1e-7},
+}
 
 
 @st.composite
@@ -423,16 +433,18 @@ class TestCommands:
         row = (tmp_path / "char" / "character.csv").read_text().splitlines()[1].split(",")
         assert abs(float(row[2]) - 0.0) < 0.02  # r* of a gaussian spectrum
 
+    def test_character_of_a_narrow_gaussian_is_at_the_lower_bound(self, tmp_path, cfg_file):
+        # sig = 1e-5: every rho of the ladder holds all the mass, so r* = -d/2
+        tree = {"dimension": 3, "spectrum": {"kind": "power_gauss", "sig": 1e-5},
+                "out_dir": str(tmp_path / "char")}
+        assert cli.main(["character", "--config", cfg_file("char.json", json.dumps(tree))]) == 0
+        header, row = (tmp_path / "char" / "character.csv").read_text().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert float(record["r_star"]) == pytest.approx(-1.5, abs=1e-9)
+        assert record["flag"] == "at_lower_bound"
+
     def test_decayfit_command(self, tmp_path, cfg_file):
-        tree = {
-            "dimension": 4,
-            "grid": {"R": 160.0, "n": 1047, "stretch": 1.004},
-            "family": {"name": "gaussian", "amp": 0.05, "width": 1.0},
-            "integrator": {"tol": 1e-6, "dt_init": 1e-6, "t_max": 500.0},
-            "snapshots": {"factor": 1.2},
-            "verdict": {"eps_dissip_rel": 1e-7},
-            "out_dir": str(tmp_path / "fit"),
-        }
+        tree = {**DECAYFIT_GAUSSIAN, "out_dir": str(tmp_path / "fit")}
         path = cfg_file("fit.json", json.dumps(tree))
         assert cli.main(["decayfit", "--config", path]) == 0
         rows = (tmp_path / "fit" / "decayfit.csv").read_text().splitlines()
@@ -510,7 +522,10 @@ def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg
 #: prints, as JSON, which of the scipy modules `run` and `sweep` never use are
 #: loaded after importing the front end, after a run and after a serial sweep;
 #: then, on a second line, whether `scipy.interpolate` or `scipy.optimize` is
-#: loaded after `splitting`, a Hankel `decayfit` and `character` on a table
+#: loaded after `splitting`, a Hankel `decayfit` and `character` on a table;
+#: then, on a third, whether `scipy.integrate` or `scipy.optimize` is loaded
+#: after `character` on a `power_gauss` spectrum and a `decayfit` on the
+#: gaussian family, both closed forms, and so after every spectral verb
 FOOTPRINT_SCRIPT = """
 import json, sys
 from critheat import cli
@@ -528,6 +543,12 @@ for verb, config, out in (("splitting", sys.argv[1], sys.argv[5]),
     cli.main([verb, "--config", config, "--out", out])
     spectral[verb] = [m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]
 print(json.dumps(spectral))
+closed = {}
+for verb, config, out in (("character", sys.argv[8], sys.argv[9]),
+                          ("decayfit", sys.argv[10], sys.argv[11])):
+    cli.main([verb, "--config", config, "--out", out])
+    closed[verb] = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+print(json.dumps(closed))
 """
 
 
@@ -538,21 +559,28 @@ def test_run_and_sweep_import_no_unused_scipy_module(tmp_path, cfg_file):
                                                values=s * np.exp(-s * s)), tmp_path / "spec.txt")
     character = cfg_file("character.json", json.dumps(
         {"dimension": 3, "spectrum": {"kind": "file", "path": str(tmp_path / "spec.txt")}}))
+    closed_character = cfg_file("closed.json", json.dumps(character_tree(k=0.0)))
+    gaussian = cfg_file("gaussian.json", json.dumps(DECAYFIT_GAUSSIAN))
     src = Path(cli.__file__).resolve().parents[1]
     verbs = ("run", "sweep", "splitting", "decayfit", "character")
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, path, str(tmp_path / "run"),
-         str(tmp_path / "sweep"), character, *(str(tmp_path / verb) for verb in verbs[2:])],
+         str(tmp_path / "sweep"), character, *(str(tmp_path / verb) for verb in verbs[2:]),
+         closed_character, str(tmp_path / "closed_character"), gaussian,
+         str(tmp_path / "closed_decayfit")],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=120, check=True,
     )
     assert (tmp_path / "run" / "series.csv").is_file()
     assert (tmp_path / "sweep" / "sweep.csv").is_file()
-    run_and_sweep, spectral_verbs = proc.stdout.splitlines()
+    run_and_sweep, spectral_verbs, closed_forms = proc.stdout.splitlines()
     assert json.loads(run_and_sweep) == {"import": [], "run": [], "sweep": []}
     for verb, name in zip(verbs[2:], ("splitting.csv", "decayfit.csv", "character.csv")):
         assert (tmp_path / verb / name).is_file()
     assert json.loads(spectral_verbs) == {"splitting": [], "decayfit": [], "character": []}
+    assert (tmp_path / "closed_character" / "character.csv").is_file()
+    assert (tmp_path / "closed_decayfit" / "decayfit.csv").is_file()
+    assert json.loads(closed_forms) == {"character": [], "decayfit": []}
 
 def character_tree(**spectrum) -> dict:
     return {"dimension": 3, "spectrum": {"kind": "power_gauss", **spectrum}}

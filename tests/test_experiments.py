@@ -201,14 +201,14 @@ def gaussian_trajectory():
     ))
 
 
-def full_margins_fit(traj, g_choice, alpha, c_range=(1e-3, 50.0), s_cap=60.0):
+def full_margins_fit(traj, g_choice, alpha):
     """(c_tilde, margins) of the splitting fit that evaluates every margin at
     every constant it tries."""
     g, gp = experiments._g_functions(g_choice, alpha)
     snaps = [s for s in traj.snapshots if s.field is not None and s.t > 0.0]
-    c_lo, c_hi = c_range
+    c_lo, c_hi = experiments.C_RANGE
     r_needed = max(math.sqrt(gp(s.t) / (c_lo * g(s.t))) for s in snaps)
-    s_hi = min(max(2.0 * r_needed, 1.0), s_cap)
+    s_hi = min(max(2.0 * r_needed, 1.0), experiments.S_CAP)
     s_nodes = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
     specs = spectral.hankel_spectra([s.field for s in snaps], s_nodes)
     lams = [spectral.lambda_spectrum(f) for f in specs]
@@ -291,6 +291,6 @@ class TestSplitting:
         traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
                                FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6, snapshot_first=0.05,
                                             checkpoint_every=1), threshold_guard=False)
-        report = experiments.splitting_diagnostic(traj, c_range=(1e-3, 50.0))
+        report = experiments.splitting_diagnostic(traj)
         worst = min(report.margins) if report.c_tilde is None else min(report.margins)
         assert worst >= -5e-3

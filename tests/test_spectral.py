@@ -221,16 +221,64 @@ class TestLinearHeatDecay:
         assert sp.linear_heat_l2_sq(spec, 0.0) == pytest.approx(math.pi**1.5, rel=1e-9)
 
     def test_gaussian_closed_form(self):
-        # vhat = e^{-s^2/2} in d = 3: ||v(t)||^2 = pi^{3/2} (1 + 2t)^{-3/2}
-        spec = sp.gaussian_spectrum(3, sig=math.sqrt(2.0))
-        for t in (0.5, 1.0, 10.0, 100.0):
-            want = math.pi**1.5 * (1 + 2 * t) ** -1.5
-            assert sp.linear_heat_l2_sq(spec, t) == pytest.approx(want, rel=1e-8)
+        # vhat = e^{-(s/sig)^2} in d = 3: ||v(t)||^2 = pi^{3/2} (2/sig^2 + 2t)^{-3/2};
+        # a narrow spectrum is one peak at the origin, which a quadrature can miss
+        for sig in (math.sqrt(2.0), 1e-3, 1e-5):
+            spec = sp.gaussian_spectrum(3, sig=sig)
+            for t in (0.0, 0.5, 1.0, 10.0, 100.0):
+                want = math.pi**1.5 * (2.0 / sig**2 + 2.0 * t) ** -1.5
+                assert sp.linear_heat_l2_sq(spec, t) == pytest.approx(want, rel=1e-12)
 
     def test_strictly_decreasing(self):
         spec = sp.gaussian_spectrum(4, k=1.0)
         vals = [sp.linear_heat_l2_sq(spec, t) for t in (0.0, 0.5, 1.0, 5.0, 50.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def quad_oracle(spec, upper, t):
+    """The oracle of the closed-form integrals: scipy's adaptive quadrature of
+    omega_{d-1} e^{-2ts^2} |vhat|^2 s^{d-1} over [0, upper]."""
+    from scipy.integrate import quad
+
+    def f(s):
+        return sphere_area(spec.d) * spec(s) ** 2 * s ** (spec.d - 1) * math.exp(-2.0 * t * s * s)
+
+    return quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+class TestClosedForm:
+    """Masses and heat norms of closed forms are exact incomplete-gamma integrals."""
+
+    @given(d=st.integers(3, 13), k=st.floats(-1.4, 3.0), amp=st.floats(0.1, 10.0),
+           sig=st.floats(0.05, 1e3), gauss=st.booleans(), t=st.floats(0.0, 1e3),
+           log_rho=st.floats(math.log(1e-3), math.log(50.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadrature(self, d, k, amp, sig, gauss, t, log_rho):
+        # a box where quadrature resolves every spectrum: sig >= 0.05, t <= 1e3
+        spec = (sp.gaussian_spectrum(d, k=k, amp=amp, sig=sig) if gauss
+                else sp.power_spectrum(d, k=k, amp=amp))
+        rho = math.exp(log_rho)
+        assert sp.low_freq_mass(spec, rho) == pytest.approx(quad_oracle(spec, rho, 0.0), rel=1e-10)
+        want = quad_oracle(spec, spec.s_max, t)
+        assert sp.linear_heat_l2_sq(spec, t) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("sig", [1e100, 1e300])
+    def test_wide_gaussian_is_its_power_law(self, sig):
+        # 2/sig^2 is below 1e-199, so exp(-(s/sig)^2) is 1 to the last bit
+        spec = sp.gaussian_spectrum(3, k=-1.4, sig=sig)
+        e = 2.0 * -1.4 + 3.0
+        for rho in (1e-3, 0.1, 50.0):
+            want = sphere_area(3) * rho**e / e
+            assert sp.low_freq_mass(spec, rho) == pytest.approx(want, rel=1e-12)
+        assert sp.linear_heat_l2_sq(spec, 0.0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k, sig", [(0.0, 1e-4), (0.0, 1e-5), (-1.45, 1e-7)])
+    def test_narrow_gaussian_is_at_the_lower_bound(self, k, sig):
+        # all the mass lies below the ladder's first rho, 1e-3, so F is flat on it:
+        # r* = -d/2; at k = -1.45, scipy's 1F1(a; a+1; -x) is NaN from x ~ 1e11
+        est = sp.decay_character(sp.gaussian_spectrum(3, k=k, sig=sig))
+        assert est.flag == "at_lower_bound"
+        assert est.r_star == pytest.approx(-1.5, abs=1e-9)
 
 
 class TestDecayBounds:

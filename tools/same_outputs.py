@@ -8,11 +8,12 @@ configurations (Dissipative, Blowup at the amplitude cap, Blowup on a step
 collapse at t = 0, Undecided at the threshold, and initial data read from two
 checkpoint files, a uniform and a graded one, each interpolated onto the finer
 run grid), `critheat sweep` on two (d = 5 and d = 3 rows around the ground
-state), `critheat character` on a spectrum file, `critheat splitting` with
-both weights on the d = 4 gaussian run of the splitting tests, and `critheat
-decayfit` on the d = 5 Dissipative run, whose initial spectrum is a Hankel
-transform. The tool writes the checkpoints and the spectrum file itself, once
-for both trees.
+state), `critheat character` on a spectrum file and on the two closed forms,
+`critheat splitting` with both weights on the d = 4 gaussian run of the
+splitting tests, and `critheat decayfit` on the d = 5 Dissipative run, whose
+initial spectrum is a Hankel transform, and on a d = 4 gaussian run, whose
+initial spectrum has a closed form. The tool writes the checkpoints and the
+spectrum file itself, once for both trees.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration and exits 0 when all of them match, 1 otherwise. Standard
@@ -72,11 +73,18 @@ CONFIGS = {
         "sweep": [{"a": 0.9}, {"a": 1.5}, {"name": "aW_cutoff", "a": 1.3}]}),
     "character_from_file": ("character", {
         "dimension": 3, "spectrum": {"kind": "file", "path": "spectrum.txt"}}),
+    "character_power_gauss": ("character", {
+        "dimension": 3, "spectrum": {"kind": "power_gauss", "k": 0.0}}),
+    "character_power": ("character", {
+        "dimension": 3, "spectrum": {"kind": "power", "k": 1.0, "amp": 2.0, "s_max": 40.0}}),
     "splitting_log_cubed": ("splitting --weight log_cubed", GAUSSIAN_4),
     "splitting_power": ("splitting --weight power", GAUSSIAN_4),
     "decayfit_hankel": ("decayfit", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6}}),
+    "decayfit_gaussian": ("decayfit", {
+        **GAUSSIAN_4, "integrator": {"tol": 1e-6, "dt_init": 1e-6, "t_max": 500.0},
+        "snapshots": {"factor": 1.2}, "verdict": {"eps_dissip_rel": 1e-7}}),
 }
 
 
