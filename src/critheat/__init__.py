@@ -26,7 +26,7 @@ from .radial import (
     radial_integral,
     sphere_area,
 )
-from .ground_state import GroundStateSpec, aubin_talenti, pohozaev_residual
+from .ground_state import aubin_talenti, pohozaev_residual
 from .functionals import EnergyReport, SetMembership, classify_set, energy, kq_weight
 from .evolve import FlowSettings, Snapshot, SolverState, Trajectory, Verdict, run_flow, step
 from .spectral import SpectrumFn, decay_character, hankel_spectrum, linear_heat_l2_sq
@@ -35,7 +35,6 @@ __all__ = [
     "CorruptionError",
     "EnergyReport",
     "FlowSettings",
-    "GroundStateSpec",
     "RadialField",
     "RadialGrid",
     "SetMembership",

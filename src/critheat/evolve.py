@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from . import functionals
+from . import functionals, ground_state
 from .functionals import EnergyReport, energy_report
-from .radial import CorruptionError, RadialField, RadialGrid
+from .radial import CorruptionError, RadialField, RadialGrid, power_integral
 
 DISSIPATIVE = "Dissipative"
 BLOWUP = "Blowup"
@@ -217,9 +217,10 @@ class HeatProblem:
 
     def form_energy(self, u: np.ndarray) -> float:
         """Energy in the solver frame: the Laplacian's Dirichlet form plus the
-        matching pointwise potential; exactly dissipated by the flow."""
-        grad = float(self.grid.face_weights @ np.diff(u) ** 2)
-        pot = float(self.volumes @ np.abs(u) ** self.two_star)
+        matching pointwise potential; exactly dissipated by the flow. Either
+        integral overflowing raises CorruptionError, as a report's does."""
+        grad = power_integral(self.grid.face_weights, np.diff(u), 2)
+        pot = power_integral(self.volumes, u, self.two_star)
         return 0.5 * grad - self.sign * pot / self.two_star
 
 
@@ -367,27 +368,26 @@ def _snapshot_ladder(settings: FlowSettings) -> list[float]:
     return sorted(times)
 
 
-def run_flow(
-    u0: RadialField,
-    e_w: float,
-    grad_sq_w: float,
-    settings: FlowSettings,
-    *,
-    threshold_guard: bool = True,
-    e_w_run: float | None = None,
-) -> Trajectory:
+def run_flow(u0: RadialField, settings: FlowSettings, *,
+             threshold_guard: bool = True) -> Trajectory:
     """Integrate from u0 until a verdict fires or t reaches settings.t_max.
 
-    The first snapshot is placed against the threshold once, by
+    It builds the threshold itself, from u0's grid, and nothing else does:
+    E(W) and ||grad W||^2 in closed form (`ground_state.reference`), and the
+    AtThreshold band of `functionals.threshold_band`, widened to twice the
+    bias of E(W) on that grid. The first snapshot is placed against it once, by
     `functionals.classify_set`, and kept as `Trajectory.membership`. With the
-    guard on, AtThreshold data (inside `functionals.threshold_band`) is
-    ill-conditioned for the dichotomy and is reported Undecided without
-    stepping. A u0 that is not finite, or whose diagnostics overflow, raises
-    CorruptionError; a later snapshot whose diagnostics overflow ends the run
+    guard on, AtThreshold data is ill-conditioned for the dichotomy and is
+    reported Undecided without stepping. A u0 that is not finite, or whose
+    diagnostics or solver-frame energy overflow, raises CorruptionError; a
+    later snapshot whose diagnostics overflow ends the run
     Undecided("corruption").
     """
     grid = u0.grid
     d = grid.d
+    ref = ground_state.reference(d)
+    e_w, grad_sq_w = ref.e_w, ref.grad_sq_w
+    band = functionals.threshold_band(e_w, functionals.energy(ground_state.aubin_talenti(grid)))
     q = functionals.default_q(d) if settings.q is None else settings.q
     traj = Trajectory(d=d, grid=grid, e_w=e_w, grad_sq_w=grad_sq_w)
     problem = HeatProblem(grid, settings.nonlinearity)
@@ -427,9 +427,7 @@ def run_flow(
 
     state = SolverState(t=0.0, u=u0.copy(), dt=settings.dt_init)
     first = take_snapshot(state, with_field=True)
-    traj.membership = functionals.classify_set(
-        first.report, e_w, grad_sq_w, functionals.threshold_band(e_w, e_w_run)
-    )
+    traj.membership = functionals.classify_set(first.report, e_w, grad_sq_w, band)
     if threshold_guard and traj.membership.verdict == functionals.AT_THRESHOLD:
         return finish(UNDECIDED, 0.0, {"reason": "at_threshold",
                                        "margin": traj.membership.margin})

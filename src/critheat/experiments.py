@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolve, families, functionals, ground_state, spectral
+from . import evolve, families, spectral
 from .config import RunConfig
 
 
@@ -60,13 +60,9 @@ class SplittingReport:
 
 
 def run_config(cfg: RunConfig) -> evolve.Trajectory:
-    """Build the grid and initial field of a configuration and integrate it;
-    E(W) on the run grid widens the threshold band to the grid's bias."""
-    grid = cfg.make_grid()
-    u0 = families.build_initial(cfg.family, cfg.params, grid, cfg.seed)
-    w_run = ground_state.aubin_talenti(ground_state.GroundStateSpec(cfg.dimension), grid)
-    ref = ground_state.reference(cfg.dimension)
-    return evolve.run_flow(u0, ref.e_w, ref.grad_sq_w, cfg, e_w_run=functionals.energy(w_run))
+    """Build the grid and initial field of a configuration and integrate it."""
+    return evolve.run_flow(families.build_initial(cfg.family, cfg.params, cfg.make_grid(),
+                                                  cfg.seed), cfg)
 
 
 #: (hypothesis branch, verdict) pairs that contradict the dichotomy

@@ -77,8 +77,8 @@ def _from_file_family(grid: RadialGrid, rng, *, path) -> np.ndarray:
     if field.grid.d != grid.d:
         raise ValueError(f"{path}: checkpoint dimension {field.grid.d} "
                          f"does not match run {grid.d}")
-    if field.grid.n == grid.n and np.allclose(field.grid.nodes, grid.nodes):
-        return field.values.copy()
+    # at the checkpoint's own nodes PCHIP returns its samples to the bit (a -0.0
+    # reads +0.0), so a run on the checkpoint's grid reads it unchanged
     vals = pchip(field.grid.nodes, field.values)(np.minimum(grid.nodes, field.grid.rmax))
     vals[grid.nodes > field.grid.rmax] = 0.0
     return vals

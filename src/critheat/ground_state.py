@@ -6,6 +6,8 @@ blowup dichotomy. Everything downstream calibrates against it: the Pohozaev
 identity ||grad W||^2 = ||W||_{2*}^{2*} (`pohozaev_residual`) and the
 minimization value E(W) = ||grad W||^2 / d, in closed form (`reference`).
 E(W) on a grid is `functionals.energy` of the grid's `aubin_talenti` samples.
+`evolve.run_flow` builds the threshold from both, E(W) on its run grid, and
+nothing else does.
 """
 
 from __future__ import annotations
@@ -20,20 +22,6 @@ from . import functionals
 from .radial import RadialField, RadialGrid, gamma_half_integer, grid_for_span, sphere_area
 
 
-@dataclass(frozen=True)
-class GroundStateSpec:
-    """Dimension and scale of a bubble; the translation center is fixed at 0."""
-
-    d: int
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.d < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.d}")
-        if not self.lam > 0:
-            raise ValueError(f"scale must be positive, got {self.lam}")
-
-
 def bubble_amplitude(d: int) -> float:
     """W(0) = (d(d-2))^{(d-2)/4}."""
     return (d * (d - 2.0)) ** ((d - 2.0) / 4.0)
@@ -44,11 +32,12 @@ def bubble_values(d: int, r: np.ndarray, lam: float = 1.0) -> np.ndarray:
     return lam ** (-(d - 2.0) / 2.0) * bubble_amplitude(d) / (1.0 + x * x) ** ((d - 2.0) / 2.0)
 
 
-def aubin_talenti(spec: GroundStateSpec, grid: RadialGrid) -> RadialField:
-    """Samples of lambda^{-(d-2)/2} W(r/lambda) on the grid."""
-    if spec.d != grid.d:
-        raise ValueError(f"spec dimension {spec.d} does not match grid dimension {grid.d}")
-    return RadialField(grid, bubble_values(spec.d, grid.nodes, spec.lam))
+def aubin_talenti(grid: RadialGrid, lam: float = 1.0) -> RadialField:
+    """Samples of lambda^{-(d-2)/2} W(r/lambda), centred at 0, on the grid in
+    the grid's dimension."""
+    if not lam > 0:
+        raise ValueError(f"scale must be positive, got {lam}")
+    return RadialField(grid, bubble_values(grid.d, grid.nodes, lam))
 
 
 def grad_norm_sq_closed_form(d: int) -> float:

@@ -21,7 +21,8 @@ import numpy as np
 
 
 class CorruptionError(RuntimeError):
-    """A field holds NaN/Inf values; the corruption is surfaced, not propagated."""
+    """A field holds NaN/Inf values, or an integral of it overflows; the
+    corruption is surfaced, not propagated."""
 
 
 def gamma_half_integer(twice_x: int) -> float:
@@ -161,9 +162,6 @@ class RadialField:
         if not np.isfinite(self.values).all():
             raise CorruptionError("field holds non-finite values")
 
-    def with_values(self, values: np.ndarray) -> "RadialField":
-        return RadialField(self.grid, values)
-
     def copy(self) -> "RadialField":
         return RadialField(self.grid, self.values.copy())
 
@@ -203,15 +201,26 @@ def grid_for_span(d: int, R: float, h0: float, eps: float) -> RadialGrid:
     return make_grid(d, R, n, 1.0 + eps)
 
 
-def assert_finite(f: RadialField) -> None:
-    if not np.isfinite(f.values).all():
-        raise CorruptionError("field holds non-finite values")
+def _finite(integral: float) -> float:
+    """The one check on a field integral, made on its value: CorruptionError
+    unless it is finite, as when a sample is NaN/Inf or the sum overflows.
+    Its callers silence numpy's overflow warnings, which would only repeat it."""
+    if not math.isfinite(integral):
+        raise CorruptionError(f"a field integral is {integral}: non-finite samples or overflow")
+    return integral
+
+
+def power_integral(weights: np.ndarray, x: np.ndarray, p: float) -> float:
+    """weights @ |x|^p, checked by `_finite`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(weights @ np.abs(x) ** p))
 
 
 def radial_integral(f: RadialField) -> float:
-    """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid."""
-    assert_finite(f)
-    return float(f.grid.quad_weights @ f.values)
+    """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid, checked by
+    `_finite`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(f.grid.quad_weights @ f.values))
 
 
 def pchip(x, y):

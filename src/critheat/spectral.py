@@ -169,7 +169,10 @@ def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
     x = beta * upper * upper
     with np.errstate(over="ignore"):
         if x > a:  # where scipy's 1F1 loses digits; P(a, x) > 1/2, and beta^a may overflow
-            integral = 0.5 * gammainc(a, x) * np.exp(gammaln(a) - a * np.log(beta))
+            # beta itself overflows for sig below ~1e-154, where 2/sig^2 dwarfs 2t
+            log_beta = (np.log(beta) if math.isfinite(beta)
+                        else math.log(2.0) - 2.0 * math.log(spec.sig))
+            integral = 0.5 * gammainc(a, x) * np.exp(gammaln(a) - a * log_beta)
         else:  # 1F1 = 1 - O(x), and scipy's is inf below x ~ 1e-180 when a < 1
             integral = np.power(upper, e) / e * (hyp1f1(a, a + 1.0, -x) if x > 1e-100 else 1.0)
     return float(sphere_area(spec.d) * spec.amp * spec.amp * integral)
@@ -188,7 +191,7 @@ def _refine(pts: np.ndarray) -> np.ndarray:
     return np.concatenate([inner, pts[-1:]])
 
 
-def _stub_mass(spec: SpectrumFn, rho: float = math.inf) -> float:
+def _stub_mass(spec: SpectrumFn, rho: float) -> float:
     """Mass below min(rho, first tabulated node), from the fitted power law."""
     v0 = spec._low_power[1]
     expo = _mass_power(spec)
@@ -283,7 +286,7 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
         return _closed_mass(spec, spec.s_max, t)
     grid, samples = spec._mass_samples
     vals = samples * np.exp(-2.0 * t * grid * grid)
-    return float(np.trapezoid(vals, grid)) + _stub_mass(spec)
+    return float(np.trapezoid(vals, grid)) + _stub_mass(spec, math.inf)
 
 
 def decay_bounds_check(spec: SpectrumFn, r_star: float, t_grid) -> tuple[float, float]:

@@ -114,7 +114,7 @@ def test_criterion_01_ground_state_calibration():
     worst_poh, worst_e = 0.0, 0.0
     for d in (3, 4, 5, 6, 10):
         grid = gs.default_grid(d)
-        w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+        w = gs.aubin_talenti(grid)
         h1 = fn.h1_norm_sq(w)
         poh = abs(gs.pohozaev_residual(w)) / h1
         e_quad = fn.energy(w)
@@ -128,13 +128,11 @@ def test_criterion_01_ground_state_calibration():
 
 def test_criterion_02_stationarity():
     d = 5
-    ref = gs.reference(d)
     grid = grid_for_span(d, 3000.0, 0.0008, 0.0003)
-    w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+    w = gs.aubin_talenti(grid)
     u0 = w.copy()
     u0.values[-1] = 0.0
-    traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
-                           FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6, forced_times=(1.0,)),
+    traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6, forced_times=(1.0,)),
                            threshold_guard=False)
     diff = RadialField(grid, traj.checkpoint_at(1.0).field.values - w.values)
     drift = math.sqrt(fn.h1_norm_sq(diff) / fn.h1_norm_sq(w))
@@ -191,16 +189,14 @@ def test_criterion_04_dichotomy_branch_two(suite):
 
 def test_criterion_05_energy_identity(suite):
     d = 4
-    ref = gs.reference(d)
     grid = grid_for_span(d, 400.0, 0.005, 0.002)
-    w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+    w = gs.aubin_talenti(grid)
     u0 = RadialField(grid, 0.8 * w.values)
     u0.values[-1] = 0.0
     residuals = {}
     for tol in (1e-5, 5e-6):
-        traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
-                               FlowSettings(t_max=1.0, tol=tol, dt_init=1e-6,
-                                            forced_times=(0.1, 1.0)), threshold_guard=False)
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=tol, dt_init=1e-6,
+                                                forced_times=(0.1, 1.0)), threshold_guard=False)
         residuals[tol] = evolve.energy_identity_residual(traj, 0.1, 1.0)
     e_ref = abs(traj.checkpoint_at(0.1).form_energy)
     gain = residuals[1e-5] / residuals[5e-6]

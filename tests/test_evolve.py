@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,22 +13,12 @@ from critheat import functionals as fn
 from critheat import ground_state as gs
 from critheat.config import RunConfig
 from critheat.evolve import FlowSettings
-from critheat.radial import CorruptionError, RadialField, grid_for_span
-
-
-@pytest.fixture(scope="module")
-def ref4():
-    return gs.reference(4)
-
-
-@pytest.fixture(scope="module")
-def ref5():
-    return gs.reference(5)
+from critheat.radial import CorruptionError, RadialField, grid_for_span, make_grid
 
 
 def make_w_data(d, R, a=1.0, h0=0.01, eps=0.004):
     grid = grid_for_span(d, R, h0, eps)
-    w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+    w = gs.aubin_talenti(grid)
     u0 = RadialField(grid, a * w.values)
     u0.values[-1] = 0.0
     return u0, w
@@ -49,7 +40,7 @@ class TestStep:
         with pytest.raises(evolve.StepCollapseError):
             evolve.step(state, 1e-6, evolve.HeatProblem(grid), dt_min=1.0)
 
-    def test_dissipation_tally_monotone(self, ref4):
+    def test_dissipation_tally_monotone(self):
         u0, _ = make_w_data(4, 200.0, a=0.8)
         state = evolve.SolverState(t=0.0, u=u0, dt=1e-5)
         problem = evolve.HeatProblem(u0.grid)
@@ -255,9 +246,9 @@ class TestLinearMode:
         a0 = 0.25
         u0 = RadialField(grid, np.exp(-grid.nodes**2 / (4 * a0)))
         traj = evolve.run_flow(
-            u0, e_w=1.0, grad_sq_w=1.0,
-            settings=FlowSettings(t_max=1.0, tol=1e-7, dt_init=1e-6, nonlinearity="off",
-                                  forced_times=(1.0,)),
+            u0,
+            FlowSettings(t_max=1.0, tol=1e-7, dt_init=1e-6, nonlinearity="off",
+                         forced_times=(1.0,)),
             threshold_guard=False,
         )
         got = traj.checkpoint_at(1.0).field.values
@@ -269,34 +260,29 @@ class TestLinearMode:
 
 
 class TestStationarity:
-    def test_bubble_drift_small(self, ref5):
+    def test_bubble_drift_small(self):
         grid = grid_for_span(5, 3000.0, 0.0008, 0.0003)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         u0 = w.copy()
         u0.values[-1] = 0.0
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
-                               FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
-                                            forced_times=(1.0,)), threshold_guard=False)
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
+                                                forced_times=(1.0,)), threshold_guard=False)
         diff = RadialField(grid, traj.checkpoint_at(1.0).field.values - w.values)
         drift = math.sqrt(fn.h1_norm_sq(diff) / fn.h1_norm_sq(w))
         assert drift <= 1e-3
 
-    def test_bubble_never_reaches_a_verdict(self, ref5):
+    def test_bubble_never_reaches_a_verdict(self):
         u0, _ = make_w_data(5, 2000.0, h0=0.0025, eps=0.001)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
-                               FlowSettings(t_max=1.5, tol=1e-6, dt_init=1e-6),
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1.5, tol=1e-6, dt_init=1e-6),
                                threshold_guard=False)
         assert traj.verdict.kind == evolve.UNDECIDED
         assert traj.verdict.detail["reason"] == "t_max_reached"
 
     def test_at_threshold_guard(self):
-        # the reference must come from a grid at least as fine as the datum's;
-        # on the same grid the bubble sits inside the threshold band exactly
+        # the band is at least twice the bias of E(W) on the run grid, so the
+        # bubble sampled on that grid sits inside it
         u0, _ = make_w_data(5, 600.0, a=1.0, h0=0.004, eps=0.0015)
-        w_here = gs.aubin_talenti(gs.GroundStateSpec(5), u0.grid)
-        e_w_here = fn.energy(w_here)
-        traj = evolve.run_flow(u0, e_w_here, fn.h1_norm_sq(w_here),
-                               FlowSettings(t_max=5.0, tol=1e-5, dt_init=1e-5))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=5.0, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.UNDECIDED
         assert traj.verdict.detail["reason"] == "at_threshold"
 
@@ -305,15 +291,14 @@ class TestDetectors:
     def test_dissipation_fires_for_zero_data(self):
         grid = grid_for_span(4, 20.0, 0.05, 0.01)
         u0 = RadialField(grid, np.zeros(grid.n))
-        traj = evolve.run_flow(u0, 1.0, 1.0, FlowSettings(t_max=10.0, tol=1e-6, dt_init=1e-4),
+        traj = evolve.run_flow(u0, FlowSettings(t_max=10.0, tol=1e-6, dt_init=1e-4),
                                threshold_guard=False)
         assert traj.verdict.kind == evolve.DISSIPATIVE
         assert traj.snapshots[-1].t < 10.0  # fired at the first cadence, not t_max
 
-    def test_dissipative_run_subthreshold(self, ref4):
+    def test_dissipative_run_subthreshold(self):
         u0, _ = make_w_data(4, 5000.0, a=0.5)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                               FlowSettings(t_max=3e6, tol=1e-5, dt_init=1e-5))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=3e6, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.DISSIPATIVE
         final = traj.snapshots[-1].report.h1_sq
         assert final <= 1e-6 * traj.initial_h1_sq
@@ -321,10 +306,9 @@ class TestDetectors:
         assert all(kind != "nehari_sign_change" for _, kind in traj.events)
         assert all(s.report.nehari >= -1e-8 * traj.initial_h1_sq for s in traj.snapshots)
 
-    def test_blowup_run_superthreshold(self, ref5):
+    def test_blowup_run_superthreshold(self):
         u0, _ = make_w_data(5, 600.0, a=1.2)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
-                               FlowSettings(t_max=50.0, tol=1e-5, dt_init=1e-5))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=50.0, tol=1e-5, dt_init=1e-5))
         assert traj.verdict.kind == evolve.BLOWUP
         lo, hi = traj.verdict.detail["t_bracket"]
         assert lo <= traj.verdict.t_end <= hi
@@ -334,18 +318,17 @@ class TestDetectors:
     def test_detect_dissipation_needs_two_snapshots(self):
         assert not evolve.detect_dissipation([], eps_dissip=1.0)
 
-    def test_blowup_amp_cap_immediate(self, ref5):
+    def test_blowup_amp_cap_immediate(self):
         # amplitude beyond the cap is a blowup signature even at step one
         grid = grid_for_span(5, 100.0, 0.05, 0.01)
         u0 = RadialField(grid, 1e9 * np.exp(-grid.nodes**2))
         u0.values[-1] = 0.0
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
-                               FlowSettings(t_max=1.0, tol=1e-5, dt_init=1e-8),
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=1e-5, dt_init=1e-8),
                                threshold_guard=False)
         assert traj.verdict.kind == evolve.BLOWUP
 
     @pytest.mark.parametrize("amp, bad", [(1.0, np.nan), (1.0, np.inf), (1e120, None)])
-    def test_unusable_initial_data_raises(self, ref5, amp, bad):
+    def test_unusable_initial_data_raises(self, amp, bad):
         # a u0 made non-finite after construction, or one whose |u0|^{2*}
         # overflows (amplitude 1e120 in d = 5), is refused, not given a verdict
         grid = grid_for_span(5, 100.0, 0.05, 0.01)
@@ -353,71 +336,89 @@ class TestDetectors:
         if bad is not None:
             u0.values[3] = bad
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CorruptionError):
-            evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w, FlowSettings(t_max=1.0),
-                            threshold_guard=False)
+            evolve.run_flow(u0, FlowSettings(t_max=1.0), threshold_guard=False)
+
+    def test_overflowing_integrals_are_refused_quietly(self):
+        # |u0|^{2*} of this d = 5 gaussian is finite at every node, but its
+        # integral overflows; so do ||grad v||^2 and ||v||^2 of v = +-1e150.
+        # Each is refused as corruption, without numpy's overflow warnings.
+        grid = make_grid(5, 100.0, 400, 1.01)
+        u0 = families.build_initial("gaussian", {"amp": 3e90, "width": 30.0}, grid)
+        assert np.isfinite(np.abs(u0.values) ** fn.crit_exponent(5)).all()
+        v = RadialField(grid, np.where(np.arange(grid.n) % 2, 1e150, -1e150))
+        refused = [
+            lambda: fn.l2star_power(u0),
+            lambda: fn.lq_norm(u0, fn.default_q(5)),
+            lambda: fn.energy(u0),
+            lambda: fn.energy_report(0.0, u0),
+            lambda: evolve.HeatProblem(grid).form_energy(u0.values),
+            lambda: evolve.run_flow(u0, FlowSettings(t_max=1.0)),
+            lambda: fn.h1_norm_sq(v),
+            lambda: fn.l2_norm_sq(v),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for integral in refused:
+                with pytest.raises(CorruptionError):
+                    integral()
 
 
 class TestEnergyBookkeeping:
-    def test_identity_residual_stationary(self, ref5):
+    def test_identity_residual_stationary(self):
         u0, _ = make_w_data(5, 2000.0, h0=0.0025, eps=0.001)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
-                               FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
-                                            forced_times=(0.1, 1.0)), threshold_guard=False)
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
+                                                forced_times=(0.1, 1.0)), threshold_guard=False)
         res = evolve.energy_identity_residual(traj, 0.1, 1.0)
         d_tally = traj.checkpoint_at(1.0).dissipation - traj.checkpoint_at(0.1).dissipation
         scale = abs(traj.snapshots[0].form_energy)
         assert res < 1e-5 * scale
         assert d_tally < 1e-4 * scale  # stationary up to the discretization residual
 
-    def test_identity_residual_dissipative_and_refinement(self, ref4):
+    def test_identity_residual_dissipative_and_refinement(self):
         grid = grid_for_span(4, 400.0, 0.005, 0.002)
-        w = gs.aubin_talenti(gs.GroundStateSpec(4), grid)
+        w = gs.aubin_talenti(grid)
         u0 = RadialField(grid, 0.8 * w.values)
         u0.values[-1] = 0.0
         residuals = {}
         for tol in (1e-5, 5e-6):
-            traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                                   FlowSettings(t_max=1.0, tol=tol, dt_init=1e-6,
-                                                forced_times=(0.1, 1.0)), threshold_guard=False)
+            traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=tol, dt_init=1e-6,
+                                                    forced_times=(0.1, 1.0)), threshold_guard=False)
             residuals[tol] = evolve.energy_identity_residual(traj, 0.1, 1.0)
         e_ref = abs(traj.checkpoint_at(0.1).form_energy)
         assert residuals[1e-5] <= 1e-3 * e_ref
         assert residuals[1e-5] / residuals[5e-6] >= 1.5
 
-    def test_missing_checkpoint(self, ref4):
+    def test_missing_checkpoint(self):
         u0, _ = make_w_data(4, 400.0, a=0.8)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                               FlowSettings(t_max=0.5, tol=1e-5, dt_init=1e-5,
-                                            checkpoint_every=10**6))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=0.5, tol=1e-5, dt_init=1e-5,
+                                                checkpoint_every=10**6))
         with pytest.raises(evolve.MissingCheckpointError):
             evolve.energy_identity_residual(traj, 0.1, 0.4)
 
-    def test_energy_nonincreasing_across_runs(self, ref4):
+    def test_energy_nonincreasing_across_runs(self):
         u0, _ = make_w_data(4, 400.0, a=0.8)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                               FlowSettings(t_max=10.0, tol=1e-5, dt_init=1e-5))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=10.0, tol=1e-5, dt_init=1e-5))
         assert evolve.energy_nonincreasing(traj)
 
 
 class TestFlowInvariants:
-    def test_positivity_preserved(self, ref4):
+    def test_positivity_preserved(self):
         grid = grid_for_span(4, 160.0, 0.01, 0.004)
         u0 = families.build_initial("gaussian", {"amp": 0.05, "width": 1.0}, grid)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                               FlowSettings(t_max=100.0, tol=1e-5, dt_init=1e-6,
-                                            checkpoint_every=2))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=100.0, tol=1e-5, dt_init=1e-6,
+                                                checkpoint_every=2))
         floor = -1e-8 * float(np.max(u0.values))
         for snap in traj.snapshots:
             if snap.field is not None:
                 assert float(snap.field.values.min()) >= floor
 
-    def test_l2_balance_against_nehari(self, ref4):
+    def test_l2_balance_against_nehari(self):
         # d(1/2 ||u||^2)/dt = -J(u), checked between close snapshots
         grid = grid_for_span(4, 60.0, 0.01, 0.004)
         u0 = families.build_initial("gaussian", {"amp": 0.3, "width": 1.0}, grid)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                               FlowSettings(t_max=2.0, tol=1e-7, dt_init=1e-7, snapshot_first=0.25,
-                                            snapshot_factor=1.05), threshold_guard=False)
+        traj = evolve.run_flow(u0, FlowSettings(t_max=2.0, tol=1e-7, dt_init=1e-7,
+                                                snapshot_first=0.25, snapshot_factor=1.05),
+                               threshold_guard=False)
         snaps = [s for s in traj.snapshots if s.t >= 0.25]
         assert len(snaps) > 10
         for s1, s2 in zip(snaps[:-1], snaps[1:]):
@@ -425,16 +426,14 @@ class TestFlowInvariants:
             rhs = -0.5 * (s1.report.nehari + s2.report.nehari)
             assert lhs == pytest.approx(rhs, rel=0.02, abs=1e-8)
 
-    def test_lyapunov_tail_exists_on_dissipative_run(self, ref4):
+    def test_lyapunov_tail_exists_on_dissipative_run(self):
         u0, _ = make_w_data(4, 5000.0, a=0.9)
-        traj = evolve.run_flow(u0, ref4.e_w, ref4.grad_sq_w,
-                               FlowSettings(t_max=3e6, tol=1e-5, dt_init=1e-5))
+        traj = evolve.run_flow(u0, FlowSettings(t_max=3e6, tol=1e-5, dt_init=1e-5))
         idx = evolve.lyapunov_tail_index(traj)
         assert idx is not None
 
-    def test_defocusing_mode_dissipates(self, ref5):
+    def test_defocusing_mode_dissipates(self):
         u0, _ = make_w_data(5, 600.0, a=1.2)
-        traj = evolve.run_flow(u0, ref5.e_w, ref5.grad_sq_w,
-                               FlowSettings(t_max=1e5, tol=1e-5, dt_init=1e-5,
-                                            nonlinearity="defocusing"), threshold_guard=False)
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1e5, tol=1e-5, dt_init=1e-5,
+                                                nonlinearity="defocusing"), threshold_guard=False)
         assert traj.verdict.kind == evolve.DISSIPATIVE

@@ -283,14 +283,13 @@ class TestSplitting:
     def test_stationary_bubble_is_degenerate(self):
         # constant critical norm: the inequality closes only as the ball grows,
         # so margins sit at zero scale for the smallest constant
-        ref = gs.reference(5)
         grid = grid_for_span(5, 700.0, 0.005, 0.002)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         u0 = RadialField(grid, w.values.copy())
         u0.values[-1] = 0.0
-        traj = evolve.run_flow(u0, ref.e_w, ref.grad_sq_w,
-                               FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6, snapshot_first=0.05,
-                                            checkpoint_every=1), threshold_guard=False)
+        traj = evolve.run_flow(u0, FlowSettings(t_max=1.0, tol=1e-6, dt_init=1e-6,
+                                                snapshot_first=0.05, checkpoint_every=1),
+                               threshold_guard=False)
         report = experiments.splitting_diagnostic(traj)
         worst = min(report.margins) if report.c_tilde is None else min(report.margins)
         assert worst >= -5e-3

@@ -16,7 +16,7 @@ from test_ground_state import closed_form_grad_sq
 @pytest.fixture(scope="module")
 def bubble5():
     grid = gs.default_grid(5)
-    return gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+    return gs.aubin_talenti(grid)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestGradient:
 
 def placed(u, e_w):
     """classify_set on u's t = 0 report against the same-grid bubble."""
-    w = gs.aubin_talenti(gs.GroundStateSpec(u.grid.d), u.grid)
+    w = gs.aubin_talenti(u.grid)
     return fn.classify_set(fn.energy_report(0.0, u), e_w, fn.h1_norm_sq(w),
                            fn.threshold_band(e_w))
 
@@ -141,7 +141,7 @@ class TestClassification:
     def test_sign_equivalence_on_subthreshold_slab(self, a):
         # for E(u) < E(W): J(u) >= 0 iff ||grad u|| < ||grad W||
         grid = gs.default_grid(5)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         e_w = fn.energy(w)
         u = RadialField(grid, a * w.values)
         if abs(fn.energy(u) - e_w) < 1e-4 * e_w or abs(a - 1.0) < 1e-3:
@@ -241,12 +241,12 @@ class TestL2Reporting:
     def test_bubble_not_square_integrable_below_d5(self):
         for d in (3, 4):
             grid = gs.default_grid(d)
-            w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+            w = gs.aubin_talenti(grid)
             assert fn.energy_report(0.0, w).l2_sq is None
 
     def test_bubble_square_integrable_from_d5(self):
         grid = gs.default_grid(5)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         assert fn.energy_report(0.0, w).l2_sq is not None
 
     def test_gaussian_always_reported(self):

@@ -17,34 +17,31 @@ def closed_form_grad_sq(d: int) -> float:
 class TestBubble:
     def test_peak_values(self):
         grid4 = make_grid(4, 10.0, 64, 1.0)
-        w4 = gs.aubin_talenti(gs.GroundStateSpec(4), grid4)
+        w4 = gs.aubin_talenti(grid4)
         assert w4.values[0] == pytest.approx(math.sqrt(8.0), rel=1e-14)
         grid3 = make_grid(3, 10.0, 64, 1.0)
-        w3 = gs.aubin_talenti(gs.GroundStateSpec(3), grid3)
+        w3 = gs.aubin_talenti(grid3)
         assert w3.values[0] == pytest.approx(3.0**0.25, rel=1e-14)
 
     def test_far_field_power_law(self):
         grid = make_grid(5, 500.0, 1024, 1.01)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         r = grid.nodes[-1]
         amp = (5 * 3) ** (3 / 4)
         assert w.values[-1] * r**3 == pytest.approx(amp, rel=1e-4)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gs.aubin_talenti(gs.GroundStateSpec(4), make_grid(3, 5.0, 32, 1.0))
-
     def test_spec_validation(self):
+        # the bubble takes its dimension from the grid, which refuses d < 3
         with pytest.raises(ValueError):
-            gs.GroundStateSpec(2)
+            make_grid(2, 5.0, 32, 1.0)
         with pytest.raises(ValueError):
-            gs.GroundStateSpec(4, lam=0.0)
+            gs.aubin_talenti(make_grid(4, 5.0, 32, 1.0), lam=0.0)
 
 
 class TestPohozaev:
     def test_residual_small_on_fine_grid(self):
         grid = make_grid(5, 200.0, 4097, 1.002)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         res = gs.pohozaev_residual(w)
         assert abs(res) / fn.h1_norm_sq(w) < 1e-4
 
@@ -55,37 +52,37 @@ class TestPohozaev:
     def test_scaled_bubble_sign(self):
         # residual of a*W is grad^2 (a^2 - a^{2*}) > 0 for a < 1
         grid = gs.default_grid(5)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         half = RadialField(grid, 0.5 * w.values)
         want = closed_form_grad_sq(5) * (0.25 - 0.5 ** (10 / 3))
         assert gs.pohozaev_residual(half) == pytest.approx(want, rel=1e-4)
         assert gs.pohozaev_residual(half) > 0
 
 
-def bubble_energy(d, grid, lam=1.0):
+def bubble_energy(grid, lam=1.0):
     """E(W_lam) by quadrature on the grid."""
-    return fn.energy(gs.aubin_talenti(gs.GroundStateSpec(d, lam), grid))
+    return fn.energy(gs.aubin_talenti(grid, lam))
 
 
 class TestGroundStateEnergy:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_matches_closed_form(self, d):
         grid = gs.default_grid(d)
-        e = bubble_energy(d, grid)
+        e = bubble_energy(grid)
         assert e == pytest.approx(closed_form_grad_sq(d) / d, rel=1e-4)
         # the minimization value ||grad W||^2 / d on the same grid
-        w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+        w = gs.aubin_talenti(grid)
         assert e == pytest.approx(fn.h1_norm_sq(w) / d, rel=1e-4)
         assert e > 0
 
     def test_d4_value(self):
         # E(W) = ||grad W||^2 / 4 = 8 pi^2 / 3 in d = 4
-        e = bubble_energy(4, gs.default_grid(4))
+        e = bubble_energy(gs.default_grid(4))
         assert e == pytest.approx(8 * math.pi**2 / 3, rel=1e-5)
 
     def test_scale_invariance(self):
         grid = gs.default_grid(4)
-        assert bubble_energy(4, grid, lam=3.0) == pytest.approx(bubble_energy(4, grid), rel=1e-4)
+        assert bubble_energy(grid, lam=3.0) == pytest.approx(bubble_energy(grid), rel=1e-4)
 
 
 class TestRescale:
@@ -93,24 +90,24 @@ class TestRescale:
 
     def test_identity(self):
         grid = gs.default_grid(4)
-        w = gs.aubin_talenti(gs.GroundStateSpec(4), grid)
+        w = gs.aubin_talenti(grid)
         assert np.array_equal(gs.bubble_values(4, grid.nodes, 1.0), w.values)
 
     def test_energy_preserved_quadrature_tolerance_d3(self):
         grid = gs.default_grid(3)
-        assert bubble_energy(3, grid, lam=2.0) == pytest.approx(bubble_energy(3, grid), rel=1e-6)
+        assert bubble_energy(grid, lam=2.0) == pytest.approx(bubble_energy(grid), rel=1e-6)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_energy_preserved_higher_d(self, d):
         # order-2 gradient quadrature: 1e-5 is the measured tolerance here
         grid = gs.default_grid(d)
-        assert bubble_energy(d, grid, lam=2.0) == pytest.approx(bubble_energy(d, grid), rel=1e-5)
+        assert bubble_energy(grid, lam=2.0) == pytest.approx(bubble_energy(grid), rel=1e-5)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_nehari_stays_zero(self, lam):
         grid = gs.default_grid(4)
-        w = gs.aubin_talenti(gs.GroundStateSpec(4), grid)
-        j = gs.pohozaev_residual(gs.aubin_talenti(gs.GroundStateSpec(4, lam), grid))
+        w = gs.aubin_talenti(grid)
+        j = gs.pohozaev_residual(gs.aubin_talenti(grid, lam))
         assert abs(j) < 1e-4 * fn.h1_norm_sq(w)
 
     def test_matches_exact_rescaled_samples(self):
@@ -123,14 +120,14 @@ class TestRescale:
 class TestBubbleIdentities:
     def test_nehari_vanishes(self):
         grid = gs.default_grid(5)
-        w = gs.aubin_talenti(gs.GroundStateSpec(5), grid)
+        w = gs.aubin_talenti(grid)
         assert abs(gs.pohozaev_residual(w)) < 1e-5 * fn.h1_norm_sq(w)
 
     def test_energy_of_scalar_multiples(self):
         # E(aW) = grad^2 (a^2/2 - a^{2*}/2*), maximized at a = 1
         d = 5
         grid = gs.default_grid(d)
-        w = gs.aubin_talenti(gs.GroundStateSpec(d), grid)
+        w = gs.aubin_talenti(grid)
         grad = closed_form_grad_sq(d)
         two_star = 2 * d / (d - 2)
         energies = {}

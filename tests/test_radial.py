@@ -192,6 +192,23 @@ class TestPchip:
         assert u0.values.tobytes() == want.tobytes()
         assert beyond.any() == (R < 600.0)
 
+    def test_from_file_regrids_onto_a_nearby_grid(self, tmp_path):
+        # a checkpoint on the criterion-11 grid read onto the same grid out to
+        # R = 600.003, whose nodes lie up to 0.003 off: PCHIP as on any other grid
+        saved_grid = make_grid(5, 600.0, 1375, 1.004)
+        path = tmp_path / "ck.txt"
+        families.save_checkpoint(path, families.build_initial("aW", {"a": 0.9}, saved_grid), 0.0)
+        saved, _t = families.load_checkpoint(path)
+        grid = make_grid(5, 600.003, 1375, 1.004)
+        want = scipy_pchip(saved_grid.nodes, saved.values, np.minimum(grid.nodes, 600.0))
+        want[grid.nodes > 600.0] = 0.0
+        want[-1] = 0.0  # the Dirichlet node
+        u0 = families.build_initial("from_file", {"path": str(path)}, grid)
+        assert u0.values.tobytes() == want.tobytes()
+        # on its own grid the checkpoint reads back to the bit
+        back = families.build_initial("from_file", {"path": str(path)}, saved_grid)
+        assert back.values.tobytes() == saved.values.tobytes()
+
 
 class TestConservativeOperator:
     def test_conservative_laplacian_r_squared_exact(self):

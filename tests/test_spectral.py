@@ -272,11 +272,19 @@ class TestClosedForm:
             assert sp.low_freq_mass(spec, rho) == pytest.approx(want, rel=1e-12)
         assert sp.linear_heat_l2_sq(spec, 0.0) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("k, sig", [(0.0, 1e-4), (0.0, 1e-5), (-1.45, 1e-7)])
+    @pytest.mark.parametrize("k, sig", [(0.0, 1e-4), (0.0, 1e-5), (-1.45, 1e-7),
+                                        (-1.4, 1e-160), (-1.4, 1e-200), (-1.4, 1e-300)])
     def test_narrow_gaussian_is_at_the_lower_bound(self, k, sig):
         # all the mass lies below the ladder's first rho, 1e-3, so F is flat on it:
-        # r* = -d/2; at k = -1.45, scipy's 1F1(a; a+1; -x) is NaN from x ~ 1e11
-        est = sp.decay_character(sp.gaussian_spectrum(3, k=k, sig=sig))
+        # r* = -d/2; at k = -1.45, scipy's 1F1(a; a+1; -x) is NaN from x ~ 1e11.
+        # Below sig ~ 1e-154 beta = 2/sig^2 overflows, but the mass
+        # omega Gamma(a) / (2 beta^a), taken here in logs, is a normal float
+        spec = sp.gaussian_spectrum(3, k=k, sig=sig)
+        a = 0.5 * (2.0 * k + 3.0)
+        log_beta = math.log(2.0) - 2.0 * math.log(sig)
+        want = sphere_area(3) * 0.5 * math.exp(math.lgamma(a) - a * log_beta)
+        assert sp.low_freq_mass(spec, 0.05) == pytest.approx(want, rel=1e-12, abs=0.0)
+        est = sp.decay_character(spec)
         assert est.flag == "at_lower_bound"
         assert est.r_star == pytest.approx(-1.5, abs=1e-9)
 
@@ -342,7 +350,7 @@ class TestHankel:
         from critheat import ground_state as gs
 
         grid = make_grid(3, 10.0, 64, 1.0)
-        w = gs.aubin_talenti(gs.GroundStateSpec(3), grid)  # r^{-1} tail, far from decayed
+        w = gs.aubin_talenti(grid)  # r^{-1} tail, far from decayed
         with pytest.raises(sp.TailMassError):
             sp.hankel_spectrum(w, np.geomspace(1e-4, 5.0, 40))
 

@@ -2,18 +2,20 @@
 
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat`
-package. Under each tree a fresh interpreter runs `critheat run` on six fixed
+OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat` package.
+Under each tree a fresh interpreter runs `critheat run` on eight fixed
 configurations (Dissipative, Blowup at the amplitude cap, Blowup on a step
-collapse at t = 0, Undecided at the threshold, and initial data read from two
-checkpoint files, a uniform and a graded one, each interpolated onto the finer
-run grid), `critheat sweep` on two (d = 5 and d = 3 rows around the ground
-state), `critheat character` on a spectrum file and on the two closed forms,
-`critheat splitting` with both weights on the d = 4 gaussian run of the
-splitting tests, and `critheat decayfit` on the d = 5 Dissipative run, whose
-initial spectrum is a Hankel transform, and on a d = 4 gaussian run, whose
-initial spectrum has a closed form. The tool writes the checkpoints and the
-spectrum file itself, once for both trees.
+collapse at t = 0, Undecided at the threshold, a u0 whose integrals overflow,
+and initial data read from three checkpoint files: a uniform and a graded one,
+each interpolated onto the finer run grid, and one on the run grid itself),
+`critheat sweep` on two (d = 5 and d = 3 rows around the ground state),
+`critheat character` on a spectrum file and on the two closed forms, `critheat
+splitting` with both weights on the d = 4 gaussian run of the splitting tests,
+and `critheat decayfit` on the d = 5 Dissipative run, whose initial spectrum
+is a Hankel transform, and on a d = 4 gaussian run, whose initial spectrum has
+a closed form. The tool writes the checkpoints and the spectrum file itself,
+once for both trees; the checkpoint on the run grid is the t = 0 checkpoint of
+an OLD_SRC `critheat run`, so that its nodes are the grid's to the bit.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration and exits 0 when all of them match, 1 otherwise. Standard
@@ -55,12 +57,21 @@ CONFIGS = {
     "run_at_threshold": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 1.001},
         "integrator": {"t_max": 10.0}}),
+    # |u0|^{2*} is finite at every node, its integral is not
+    "run_overflow_t0": ("run", {
+        "dimension": 5, "grid": {"R": 100.0, "n": 400, "stretch": 1.01},
+        "family": {"name": "gaussian", "amp": 3e90, "width": 30.0},
+        "integrator": {"t_max": 1.0}}),
     "run_from_file": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "from_file", "path": "checkpoint.txt"},
         "integrator": {"t_max": 1e6}}),
     "run_from_file_regrid": ("run", {
         "dimension": 5, "grid": GRID_5,
         "family": {"name": "from_file", "path": "checkpoint_coarse.txt"},
+        "integrator": {"t_max": 1e6}}),
+    "run_from_file_same_grid": ("run", {
+        "dimension": 5, "grid": GRID_5,
+        "family": {"name": "from_file", "path": "checkpoint_grid5.txt"},
         "integrator": {"t_max": 1e6}}),
     "sweep_d5": ("sweep --workers 2", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
@@ -119,6 +130,14 @@ INPUTS = {
         ((s, s * math.exp(-s * s)) for s in (1e-4 * 10.0 ** (5 * i / 299) for i in range(300)))),
 }
 
+#: input file name -> the configuration of the OLD_SRC `critheat run` whose
+#: t = 0 checkpoint it is: a*W cut off at R/4, exact zeros beyond, on GRID_5
+RUN_INPUTS = {
+    "checkpoint_grid5.txt": {
+        "dimension": 5, "grid": GRID_5, "family": {"name": "aW_cutoff", "a": 0.8},
+        "integrator": {"t_max": 1e-3}},
+}
+
 #: manifest entries that may differ between two runs of the same configuration
 VOLATILE = {"wall_time_s", "out_dir"}
 
@@ -168,6 +187,9 @@ def main(argv: list[str]) -> int:
         inputs.mkdir()
         for name, text in INPUTS.items():
             (inputs / name).write_text(text)
+        for name, tree in RUN_INPUTS.items():
+            _code, files = run(trees[0], "run", tree, Path(tmp) / "inputs_run" / name, inputs)
+            (inputs / name).write_bytes(files["checkpoint_0000.txt"])
         for name, (verb, tree) in CONFIGS.items():
             (old_code, old), (new_code, new) = (
                 run(src, verb, tree, Path(tmp) / side / name, inputs)
