@@ -12,7 +12,6 @@ envelope beyond), with q* estimated from the initial spectrum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +91,8 @@ def dichotomy_sweep(configs: list[RunConfig], workers: int = 1) -> list[SweepRow
     per row; otherwise the rows run here, one after another."""
     if workers <= 1 or len(configs) <= 1:
         return [_sweep_row(cfg) for cfg in configs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         return list(pool.map(_sweep_row, configs))
 

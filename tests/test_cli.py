@@ -519,8 +519,9 @@ def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg
     assert not out.exists()
 
 
-#: prints, as JSON, which of the scipy modules `run` and `sweep` never use are
-#: loaded after importing the front end, after a run and after a serial sweep;
+#: prints, as JSON, which of the modules `run` and `sweep` never use are loaded
+#: after importing the front end, after a run and after a serial sweep: any
+#: scipy package (the solver's LAPACK extension is not one) and the sweep pool;
 #: then, on a second line, whether `scipy.interpolate` or `scipy.optimize` is
 #: loaded after `splitting`, a Hankel `decayfit` and `character` on a table;
 #: then, on a third, whether `scipy.integrate` or `scipy.optimize` is loaded
@@ -529,7 +530,8 @@ def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg
 FOOTPRINT_SCRIPT = """
 import json, sys
 from critheat import cli
-unused = ("scipy.interpolate", "scipy.special", "scipy.integrate", "scipy.optimize")
+unused = ("scipy", "scipy.linalg", "scipy.interpolate", "scipy.special", "scipy.integrate",
+          "scipy.optimize", "multiprocessing", "concurrent.futures.process")
 loaded = {"import": [m for m in unused if m in sys.modules]}
 cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
 loaded["run"] = [m for m in unused if m in sys.modules]

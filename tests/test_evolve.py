@@ -1,5 +1,11 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +243,92 @@ class TestSubstep:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(evolve.StepCollapseError):
             evolve.step(state, 1e-6, evolve.HeatProblem(grid), dt_min=1e-9)
+
+
+#: runs sys.argv[1], imports critheat.evolve and then scipy.linalg.lapack, and
+#: prints as JSON: whether importing evolve loaded scipy.linalg.lapack, whether
+#: scipy.linalg.lapack took the _flapack module that importing evolve left in
+#: sys.modules, whether both names hold the same routines, and, for each name's
+#: pttrf/pttrs, the digest of a direct factor-and-solve and of two substeps on
+#: a W in d = 5
+LAPACK_SOURCE_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+exec(sys.argv[1])
+from critheat import evolve
+loaded = "scipy.linalg.lapack" in sys.modules
+flapack = sys.modules.get("scipy.linalg._flapack")
+from scipy.linalg import lapack
+from critheat.ground_state import aubin_talenti
+from critheat.radial import grid_for_span
+
+def digest(pttrf, pttrs):
+    evolve.dpttrf, evolve.dpttrs = pttrf, pttrs
+    d, e, _ = pttrf(np.linspace(2.0, 3.0, 50), np.full(49, -0.5))
+    x, _ = pttrs(d, e, np.linspace(-1.0, 1.0, 50))
+    grid = grid_for_span(5, 600.0, 0.01, 0.004)
+    problem = evolve.HeatProblem(grid)
+    u = problem.substep(problem.substep(0.9 * aubin_talenti(grid).values, 1e-3), 2e-3)
+    return [hashlib.sha256(v.tobytes()).hexdigest() for v in (d, e, x, u)]
+
+same = evolve.dpttrf is lapack.dpttrf and evolve.dpttrs is lapack.dpttrs
+print(json.dumps({"lapack_loaded": loaded, "reused": lapack._flapack is flapack, "same": same,
+                  "evolve": digest(evolve.dpttrf, evolve.dpttrs),
+                  "lapack": digest(lapack.dpttrf, lapack.dpttrs)}))
+"""
+
+#: code run before importing critheat.evolve: the two import orders, then the
+#: three ways the lookup of scipy's _flapack extension can fail
+LAPACK_PRELUDES = {
+    "evolve_first": "",
+    "scipy_first": "import scipy.linalg.lapack",
+    "no_scipy_spec": """
+import importlib.util
+find = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find(name, *a)
+""",
+    "no_extension_file": """
+import importlib.machinery, importlib.util
+find = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: (
+    importlib.machinery.ModuleSpec("scipy", None, is_package=True) if name == "scipy"
+    else find(name, *a))
+""",
+    "load_fails": """
+from importlib.machinery import ExtensionFileLoader
+create = ExtensionFileLoader.create_module
+def refuse_once(self, spec):
+    if spec.name != "scipy.linalg._flapack":
+        return create(self, spec)
+    ExtensionFileLoader.create_module = create
+    raise ImportError("refused")
+ExtensionFileLoader.create_module = refuse_once
+""",
+}
+
+
+class TestLapackSource:
+    @pytest.mark.parametrize("prelude", sorted(LAPACK_PRELUDES))
+    def test_every_source_gives_the_same_bits(self, prelude):
+        # evolve loads pttrf/pttrs from scipy's _flapack extension without
+        # importing scipy.linalg, and from scipy.linalg.lapack when that fails;
+        # either way, and in either import order, both names hold the same
+        # routines, with the same bits as this process's
+        src = Path(evolve.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", LAPACK_SOURCE_SCRIPT, LAPACK_PRELUDES[prelude]],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        got = json.loads(proc.stdout)
+        assert got["lapack_loaded"] == (prelude != "evolve_first")
+        assert got["reused"]
+        assert got["same"]
+        grid = grid_for_span(5, 600.0, 0.01, 0.004)
+        problem = evolve.HeatProblem(grid)
+        u = problem.substep(problem.substep(0.9 * gs.aubin_talenti(grid).values, 1e-3), 2e-3)
+        assert got["evolve"] == got["lapack"]
+        assert got["evolve"][3] == hashlib.sha256(u.tobytes()).hexdigest()
 
 
 class TestLinearMode:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestSweep:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(experiments, "_sweep_row", lambda cfg: cfg.seed)
         configs = [base_config(6, 250.0, seed=i) for i in range(rows)]
         assert experiments.dichotomy_sweep(configs, workers) == list(range(rows))
