@@ -4,17 +4,17 @@ The flow u_t = Delta u + |u|^{2*-2} u is advanced by IMEX Euler substeps:
 backward-Euler diffusion in the Laplacian's symmetric form
 (V + dt K) u_new = V (u + dt N(u)), solved by LAPACK's pttrf/pttrs, with the
 nonlinearity explicit. The two routines come from scipy's compiled `_flapack`
-extension, loaded without importing any scipy package, or from
-`scipy.linalg.lapack` when that extension cannot be loaded. A step of size dt
-is the Aitken-Neville extrapolation of that substep (linearly implicit Euler
-extrapolation, Deuflhard 1983; Hairer and Wanner II, IV.9): row j of the table
-takes SEQUENCE[j] substeps of dt / SEQUENCE[j], each row sharing one
-factorization, and the accepted value is the fifth-order corner T_{5,5} of the
-table. The difference T_{5,5} - T_{5,4} is the local error estimate, and the
-step-size controller uses the exponent 1/5 that matches it, with Gustafsson's
-predictive correction after accepted steps (ACM TOMS 20, 1994; Hairer and
-Wanner II, IV.8). N(u) is evaluated once per step: every row starts from the
-same u. Dirichlet at r = R, symmetry at r = 0.
+extension, loaded by `_extensions.scipy_extension` without importing any scipy
+package, or by importing `scipy.linalg` when that extension cannot be loaded.
+A step of size dt is the Aitken-Neville extrapolation of that substep
+(linearly implicit Euler extrapolation, Deuflhard 1983; Hairer and Wanner II,
+IV.9): row j of the table takes SEQUENCE[j] substeps of dt / SEQUENCE[j], each
+row sharing one factorization, and the accepted value is the fifth-order
+corner T_{5,5} of the table. The difference T_{5,5} - T_{5,4} is the local
+error estimate, and the step-size controller uses the exponent 1/5 that
+matches it, with Gustafsson's predictive correction after accepted steps (ACM
+TOMS 20, 1994; Hairer and Wanner II, IV.8). N(u) is evaluated once per step:
+every row starts from the same u. Dirichlet at r = R, symmetry at r = 0.
 
 A run records snapshots (time, scalar diagnostics, optional field checkpoint),
 events (Nehari sign changes, gradient-norm threshold crossings), the
@@ -27,51 +27,19 @@ need not contain the blowup time.
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
 from . import functionals, ground_state
+from ._extensions import scipy_extension
 from .functionals import EnergyReport, energy_report
 from .radial import CorruptionError, RadialField, RadialGrid, power_integral
 
-
-#: scipy's module of LAPACK wrappers: an f2py extension that needs only numpy
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _pttrf_pttrs():
-    """LAPACK's dpttrf and dpttrs from scipy's `_flapack` extension, loaded from
-    its file under its scipy name without importing any scipy package (`import
-    scipy.linalg` costs more than the rest of a cold run); a later `import
-    scipy.linalg` reuses that module. From `scipy.linalg.lapack` when the
-    extension cannot be found or loaded."""
-    module = sys.modules.get(_FLAPACK)
-    scipy = importlib.util.find_spec("scipy") if module is None else None
-    roots = scipy.submodule_search_locations if scipy is not None else None
-    paths = (os.path.join(root, "linalg", "_flapack" + suffix)
-             for root in roots or () for suffix in EXTENSION_SUFFIXES)
-    path = next(filter(os.path.isfile, paths), None)
-    if path is not None:
-        loader = ExtensionFileLoader(_FLAPACK, path)
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
-        try:
-            module = importlib.util.module_from_spec(spec)
-            loader.exec_module(module)
-        except ImportError:
-            module = None
-        else:  # as an import would, so that scipy.linalg takes this module
-            sys.modules[_FLAPACK] = module
-    if module is None:
-        from scipy.linalg import lapack as module
-    return module.dpttrf, module.dpttrs
-
-
-dpttrf, dpttrs = _pttrf_pttrs()
+#: LAPACK's pttrf/pttrs from scipy's f2py extension of LAPACK wrappers, without
+#: importing `scipy.linalg`, which costs more than the rest of a cold run
+_flapack = scipy_extension("linalg._flapack")
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 DISSIPATIVE = "Dissipative"
 BLOWUP = "Blowup"

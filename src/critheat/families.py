@@ -1,10 +1,11 @@
 """Named initial-data families and checkpoint save/load.
 
-A family builder takes the grid, a seeded generator and its parameters as
-keyword arguments; its signature is the one definition of those parameters and
-their defaults, and `config` reads it to check a configuration up front. Where
-the transform is known in closed form the family also supplies its frequency
-profile, which the decay-rate machinery prefers over a numerical transform.
+A family builder takes the grid (`bumps`, the one family that draws, also the
+run's seed) and its parameters as keyword arguments; its signature is the one
+definition of those parameters and their defaults, and `config` reads it to
+check a configuration up front. Where the transform is known in closed form
+the family also supplies its frequency profile, which the decay-rate machinery
+prefers over a numerical transform.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ CHECKPOINT_MAGIC = "# critheat checkpoint v1"
 CHECKPOINT_KEYS = {"d": int, "R": float, "n": int, "t": float, "stretch": float}
 
 
-def _w_family(grid: RadialGrid, rng, *, a=1.0, lam=1.0) -> np.ndarray:
+def _w_family(grid: RadialGrid, *, a=1.0, lam=1.0) -> np.ndarray:
     return a * ground_state.bubble_values(grid.d, grid.nodes, lam)
 
 
-def _gaussian_family(grid: RadialGrid, rng, *, amp=0.05, width=1.0) -> np.ndarray:
+def _gaussian_family(grid: RadialGrid, *, amp=0.05, width=1.0) -> np.ndarray:
     return amp * np.exp(-((grid.nodes / width) ** 2))
 
 
@@ -48,20 +49,21 @@ def cutoff_window(r_max: float, rho_c=None, taper=None) -> tuple[float, float]:
     return rho_c, taper
 
 
-def _w_cutoff_family(grid: RadialGrid, rng, *, a=1.2, rho_c=None, taper=None) -> np.ndarray:
+def _w_cutoff_family(grid: RadialGrid, *, a=1.2, rho_c=None, taper=None) -> np.ndarray:
     """a*W cut off at rho_c with a taper; see `cutoff_window`."""
     rho_c, taper = cutoff_window(grid.rmax, rho_c, taper)
     w = ground_state.bubble_values(grid.d, grid.nodes)
     return a * w * _cutoff_taper(grid.nodes, rho_c, taper)
 
 
-def _power_tail_family(grid: RadialGrid, rng, *, p, amp=0.1) -> np.ndarray:
+def _power_tail_family(grid: RadialGrid, *, p, amp=0.1) -> np.ndarray:
     return amp * (1.0 + grid.nodes**2) ** (-p / 2.0)
 
 
-def _bumps_family(grid: RadialGrid, rng, *, n_bumps=3, amp=0.05, spread=4.0) -> np.ndarray:
-    """Sum of symmetrized off-center bumps; smooth at the origin by even
-    extension, so u_r(0) = 0 holds exactly."""
+def _bumps_family(grid: RadialGrid, seed: int, *, n_bumps=3, amp=0.05, spread=4.0) -> np.ndarray:
+    """Sum of symmetrized off-center bumps, drawn from `seed`; smooth at the
+    origin by even extension, so u_r(0) = 0 holds exactly."""
+    rng = np.random.default_rng(seed)
     r = grid.nodes
     out = np.zeros_like(r)
     for _ in range(n_bumps):
@@ -72,7 +74,7 @@ def _bumps_family(grid: RadialGrid, rng, *, n_bumps=3, amp=0.05, spread=4.0) -> 
     return out
 
 
-def _from_file_family(grid: RadialGrid, rng, *, path) -> np.ndarray:
+def _from_file_family(grid: RadialGrid, *, path) -> np.ndarray:
     field, _t = load_checkpoint(path)
     if field.grid.d != grid.d:
         raise ValueError(f"{path}: checkpoint dimension {field.grid.d} "
@@ -98,8 +100,9 @@ def build_initial(name: str, params: dict, grid: RadialGrid, seed: int = 0) -> R
     """Construct the initial field; the last node is pinned to the Dirichlet value."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; registered: {sorted(FAMILIES)}")
-    rng = np.random.default_rng(seed)
-    values = np.asarray(FAMILIES[name](grid, rng, **params), dtype=float)
+    # only `bumps` draws, so no other family imports numpy.random (6 MB of a cold run)
+    seeded = (seed,) if name == "bumps" else ()
+    values = np.asarray(FAMILIES[name](grid, *seeded, **params), dtype=float)
     values[-1] = 0.0
     return RadialField(grid, values)
 

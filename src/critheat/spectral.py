@@ -16,8 +16,11 @@ over the nodes refined 4-fold. A spectrum evaluates that integrand over its
 whole table once and keeps it, so a call evaluates it only on the last
 interval, [last node below rho, rho], and the heat-decay integral reuses all
 of it. A table's monotone cubic is `radial.pchip`, with the bits of scipy's
-PCHIP. The functions that use `scipy.special` import it, so importing this
-module loads no scipy module.
+PCHIP. A Hankel transform takes the Bessel function `jv` from scipy's compiled
+`_special_ufuncs` extension through `_extensions.scipy_extension`, and a
+closed form's masses import `scipy.special` for `hyp1f1`, which only its
+package provides; both load on first use, so importing this module loads no
+scipy module.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._extensions import scipy_extension
 from .radial import RadialField, column_text, pchip, read_columns, sphere_area, write_columns
 
 CLOSED_FORM_KINDS = ("power_gauss", "power")
@@ -161,6 +165,7 @@ def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
     """omega_{d-1} int_0^upper e^{-2ts^2} |vhat|^2 s^{d-1} ds of a closed form, exactly. With
     a = e/2, beta = 2t + 2/sig^2 and x = beta upper^2, the integral of s^(e-1) e^{-beta s^2}
     is upper^e / e 1F1(a; a+1; -x) = Gamma(a) P(a, x) / (2 beta^a)."""
+    # not from `_special_ufuncs`: hyp1f1 is in the Cython `_ufuncs`, whose init imports the package
     from scipy.special import gammainc, gammaln, hyp1f1
 
     e = _mass_power(spec)
@@ -320,8 +325,7 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
             raise TailMassError(
                 f"field carries {edge/peak:.2e} of its peak at r = R; transform would alias"
             )
-    from scipy.special import jv
-
+    jv = scipy_extension("special._special_ufuncs").jv  # the ufunc scipy.special exports
     nu = (grid.d - 2) / 2.0
     r = grid.nodes
     rpow = r ** (grid.d / 2.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
 from critheat import evolve, experiments
-from critheat import families
+from critheat import families, spectral
 from critheat import functionals as fn
 from critheat import ground_state as gs
 from critheat.config import RunConfig
@@ -272,63 +272,130 @@ def digest(pttrf, pttrs):
     return [hashlib.sha256(v.tobytes()).hexdigest() for v in (d, e, x, u)]
 
 same = evolve.dpttrf is lapack.dpttrf and evolve.dpttrs is lapack.dpttrs
-print(json.dumps({"lapack_loaded": loaded, "reused": lapack._flapack is flapack, "same": same,
-                  "evolve": digest(evolve.dpttrf, evolve.dpttrs),
-                  "lapack": digest(lapack.dpttrf, lapack.dpttrs)}))
+print(json.dumps({"package_loaded": loaded, "reused": lapack._flapack is flapack,
+                  "same": same, "ours": digest(evolve.dpttrf, evolve.dpttrs),
+                  "scipy": digest(lapack.dpttrf, lapack.dpttrs)}))
 """
 
-#: code run before importing critheat.evolve: the two import orders, then the
-#: three ways the lookup of scipy's _flapack extension can fail
-LAPACK_PRELUDES = {
-    "evolve_first": "",
-    "scipy_first": "import scipy.linalg.lapack",
-    "no_scipy_spec": """
+#: runs sys.argv[1], imports critheat.spectral, takes the Hankel transform of a
+#: gaussian in d = 4, then imports scipy.special, and prints as JSON: whether
+#: the transform left the scipy package loaded, whether scipy.special took the
+#: _special_ufuncs module the transform left in sys.modules, whether
+#: scipy.special.jv is the jv that the transform used, and the digest of the
+#: transform with that jv and with scipy.special's
+JV_SOURCE_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+exec(sys.argv[1])
+from critheat import spectral
+from critheat.radial import RadialField, grid_for_span
+used = []
+load = spectral.scipy_extension
+spectral.scipy_extension = lambda name: used.append(load(name)) or used[-1]
+
+def digest():
+    grid = grid_for_span(4, 40.0, 0.01, 0.004)
+    spec = spectral.hankel_spectrum(RadialField(grid, np.exp(-grid.nodes ** 2)),
+                                    np.geomspace(1e-3, 10.0, 200))
+    return [hashlib.sha256(spec.values.tobytes()).hexdigest()]
+
+ours = digest()
+loaded = "scipy" in sys.modules
+ufuncs = sys.modules.get("scipy.special._special_ufuncs")
+import scipy.special
+spectral.scipy_extension = lambda name: scipy.special
+print(json.dumps({"package_loaded": loaded,
+                  "reused": sys.modules["scipy.special._special_ufuncs"] is ufuncs,
+                  "same": scipy.special.jv is used[0].jv, "ours": ours, "scipy": digest()}))
+"""
+
+
+def lapack_digest() -> str:
+    grid = grid_for_span(5, 600.0, 0.01, 0.004)
+    problem = evolve.HeatProblem(grid)
+    u = problem.substep(problem.substep(0.9 * gs.aubin_talenti(grid).values, 1e-3), 2e-3)
+    return hashlib.sha256(u.tobytes()).hexdigest()
+
+
+def jv_digest() -> str:
+    grid = grid_for_span(4, 40.0, 0.01, 0.004)
+    spec = spectral.hankel_spectrum(RadialField(grid, np.exp(-grid.nodes ** 2)),
+                                    np.geomspace(1e-3, 10.0, 200))
+    return hashlib.sha256(spec.values.tobytes()).hexdigest()
+
+
+#: scipy extension -> the critheat module that loads it, the import that loads
+#: it through its scipy package, the script that prints what the test checks,
+#: and this process's digest of the last thing that script digests
+EXTENSION_SOURCES = {
+    "linalg._flapack": ("evolve", "import scipy.linalg.lapack", LAPACK_SOURCE_SCRIPT,
+                        lapack_digest),
+    "special._special_ufuncs": ("spectral", "import scipy.special", JV_SOURCE_SCRIPT,
+                                jv_digest),
+}
+
+
+def source_preludes(extension: str) -> dict[str, str]:
+    """Code run before importing critheat: the two import orders, then the
+    three ways the lookup of `extension` can fail."""
+    owner, package_import = EXTENSION_SOURCES[extension][:2]
+    return {
+        f"{owner}_first": "",
+        "scipy_first": package_import,
+        "no_scipy_spec": """
 import importlib.util
 find = importlib.util.find_spec
 importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find(name, *a)
 """,
-    "no_extension_file": """
+        "no_extension_file": """
 import importlib.machinery, importlib.util
 find = importlib.util.find_spec
 importlib.util.find_spec = lambda name, *a: (
     importlib.machinery.ModuleSpec("scipy", None, is_package=True) if name == "scipy"
     else find(name, *a))
 """,
-    "load_fails": """
+        "load_fails": f"""
 from importlib.machinery import ExtensionFileLoader
 create = ExtensionFileLoader.create_module
 def refuse_once(self, spec):
-    if spec.name != "scipy.linalg._flapack":
+    if spec.name != "scipy.{extension}":
         return create(self, spec)
     ExtensionFileLoader.create_module = create
     raise ImportError("refused")
 ExtensionFileLoader.create_module = refuse_once
 """,
-}
+    }
+
+
+#: (extension, prelude) pairs; _flapack's keep the bare prelude as their id
+SOURCE_CASES = [
+    pytest.param(extension, prelude,
+                 id=prelude if extension == "linalg._flapack" else f"jv-{prelude}")
+    for extension in EXTENSION_SOURCES for prelude in sorted(source_preludes(extension))
+]
 
 
 class TestLapackSource:
-    @pytest.mark.parametrize("prelude", sorted(LAPACK_PRELUDES))
-    def test_every_source_gives_the_same_bits(self, prelude):
-        # evolve loads pttrf/pttrs from scipy's _flapack extension without
-        # importing scipy.linalg, and from scipy.linalg.lapack when that fails;
-        # either way, and in either import order, both names hold the same
-        # routines, with the same bits as this process's
+    @pytest.mark.parametrize("extension, prelude", SOURCE_CASES)
+    def test_every_source_gives_the_same_bits(self, extension, prelude):
+        # evolve loads pttrf/pttrs from scipy's _flapack extension, and a
+        # Hankel transform jv from its _special_ufuncs, without importing
+        # their scipy packages, and by importing them when that fails; either
+        # way, and in either import order, the package and critheat hold the
+        # same objects, with the same bits as this process's
+        owner, _, script, want = EXTENSION_SOURCES[extension]
         src = Path(evolve.__file__).resolve().parents[1]
         proc = subprocess.run(
-            [sys.executable, "-c", LAPACK_SOURCE_SCRIPT, LAPACK_PRELUDES[prelude]],
+            [sys.executable, "-c", script, source_preludes(extension)[prelude]],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
             timeout=120, check=True,
         )
         got = json.loads(proc.stdout)
-        assert got["lapack_loaded"] == (prelude != "evolve_first")
+        assert got["package_loaded"] == (prelude != f"{owner}_first")
         assert got["reused"]
         assert got["same"]
-        grid = grid_for_span(5, 600.0, 0.01, 0.004)
-        problem = evolve.HeatProblem(grid)
-        u = problem.substep(problem.substep(0.9 * gs.aubin_talenti(grid).values, 1e-3), 2e-3)
-        assert got["evolve"] == got["lapack"]
-        assert got["evolve"][3] == hashlib.sha256(u.tobytes()).hexdigest()
+        assert got["ours"] == got["scipy"]
+        assert got["ours"][-1] == want()
 
 
 class TestLinearMode:

@@ -3,11 +3,12 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat` package.
-Under each tree a fresh interpreter runs `critheat run` on eight fixed
+Under each tree a fresh interpreter runs `critheat run` on nine fixed
 configurations (Dissipative, Blowup at the amplitude cap, Blowup on a step
 collapse at t = 0, Undecided at the threshold, a u0 whose integrals overflow,
-and initial data read from three checkpoint files: a uniform and a graded one,
-each interpolated onto the finer run grid, and one on the run grid itself),
+`bumps` drawn from a seed, and initial data read from three checkpoint files:
+a uniform and a graded one, each interpolated onto the finer run grid, and one
+on the run grid itself),
 `critheat sweep` on two (d = 5 and d = 3 rows around the ground state),
 `critheat character` on a spectrum file and on the two closed forms, `critheat
 splitting` with both weights on the d = 4 gaussian run of the splitting tests,
@@ -62,6 +63,10 @@ CONFIGS = {
         "dimension": 5, "grid": {"R": 100.0, "n": 400, "stretch": 1.01},
         "family": {"name": "gaussian", "amp": 3e90, "width": 30.0},
         "integrator": {"t_max": 1.0}}),
+    # the one family that draws from the run's seed
+    "run_bumps": ("run", {
+        "dimension": 5, "grid": GRID_5, "family": {"name": "bumps", "n_bumps": 4},
+        "integrator": {"t_max": 1e6}, "seed": 3}),
     "run_from_file": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "from_file", "path": "checkpoint.txt"},
         "integrator": {"t_max": 1e6}}),
