@@ -20,12 +20,16 @@ PCHIP. A Hankel transform takes the Bessel function `jv` from scipy's compiled
 `_special_ufuncs` extension through `_extensions.scipy_extension`, and a
 closed form's masses import `scipy.special` for `hyp1f1`, which only its
 package provides; both load on first use, so importing this module loads no
-scipy module.
+scipy module. The transform evaluates its Bessel kernel on every CPU the
+process may use, in blocks of rows; `jv` works element by element, so the
+bits do not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -122,7 +126,24 @@ class SpectrumFn:
         `low_freq_mass` call reuses them up to its last node below rho, and
         every `linear_heat_l2_sq` call all of them."""
         grid = _refine(self.s_nodes)
-        return grid, _mass_integrand(self, grid)
+        return grid, _mass_integrand(self, grid, self(grid))
+
+    @cached_property
+    def _mass_terms(self) -> np.ndarray:
+        """The trapezoid terms of `_mass_samples`, one per interval of the
+        refined grid, as `np.trapezoid` forms them before it sums."""
+        grid, vals = self._mass_samples
+        return np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0
+
+    @cached_property
+    def _sphere_area(self) -> float:
+        return sphere_area(self.d)
+
+    @cached_property
+    def _stub_above(self) -> float:
+        """The stub's whole mass, below the first node: `_stub_mass` for any
+        rho at or above that node, where its factor is exactly 1."""
+        return _stub_mass(self, math.inf)
 
     @cached_property
     def _low_power(self) -> tuple[float, float]:
@@ -183,9 +204,9 @@ def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
     return float(sphere_area(spec.d) * spec.amp * spec.amp * integral)
 
 
-def _mass_integrand(spec: SpectrumFn, s: np.ndarray) -> np.ndarray:
-    v = spec(s)
-    return sphere_area(spec.d) * v * v * s ** (spec.d - 1)
+def _mass_integrand(spec: SpectrumFn, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """omega_{d-1} |vhat|^2 s^{d-1} at s, where v = vhat(s)."""
+    return spec._sphere_area * v * v * s ** (spec.d - 1)
 
 
 def _refine(pts: np.ndarray) -> np.ndarray:
@@ -212,16 +233,23 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     if spec.kind in CLOSED_FORM_KINDS:
         return _closed_mass(spec, rho, 0.0)
     # the grid is `_refine` of the nodes below rho and rho itself: the table's
-    # samples up to the last such node s_k, then np.linspace(s_k, rho, 5)
-    k = int(np.searchsorted(spec.s_nodes, rho))
+    # samples up to the last such node s_k, then np.linspace(s_k, rho, 5). Its
+    # trapezoid terms are the cached ones up to the sample before s_k, the
+    # junction term to s_k and the tail's, summed as one array, as
+    # `np.trapezoid` sums them
+    k = int(spec.s_nodes.searchsorted(rho))
     if k == 0:
         return _stub_mass(spec, rho)
-    grid, vals = spec._mass_samples
-    head = 4 * (k - 1)
     tail = np.linspace(spec.s_nodes[k - 1], rho, 5)
-    x = np.concatenate([grid[:head], tail])
-    y = np.concatenate([vals[:head], _mass_integrand(spec, tail)])
-    return float(np.trapezoid(y, x)) + _stub_mass(spec, rho)
+    # inside [s_0, s_max], where the table is its cubic: no stub, no clipping
+    y = _mass_integrand(spec, tail, spec._interp(tail))
+    terms = [(tail[1:] - tail[:-1]) * (y[1:] + y[:-1]) / 2.0]  # np.diff, without its overhead
+    if k > 1:
+        grid, vals = spec._mass_samples
+        head = 4 * (k - 1)
+        junction = (tail[0] - grid[head - 1]) * (y[0] + vals[head - 1]) / 2.0
+        terms = [spec._mass_terms[:head - 1], [junction], *terms]
+    return float(np.concatenate(terms).sum()) + spec._stub_above
 
 
 @dataclass(frozen=True)
@@ -291,7 +319,7 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
         return _closed_mass(spec, spec.s_max, t)
     grid, samples = spec._mass_samples
     vals = samples * np.exp(-2.0 * t * grid * grid)
-    return float(np.trapezoid(vals, grid)) + _stub_mass(spec, math.inf)
+    return float(np.trapezoid(vals, grid)) + spec._stub_above
 
 
 def decay_bounds_check(spec: SpectrumFn, r_star: float, t_grid) -> tuple[float, float]:
@@ -309,8 +337,9 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 
     vhat(s) = s^{-(d-2)/2} int_0^R u(r) J_{(d-2)/2}(r s) r^{d/2} dr in the
     unitary convention, so Plancherel holds with constant one. One Bessel
-    kernel serves every field. Requires each field to have decayed to <= 1e-8
-    of its peak at the outer radius.
+    kernel serves every field; `_bessel_kernel` evaluates it on every CPU the
+    process may use, with the same bits as one `jv` call. Requires each field
+    to have decayed to <= 1e-8 of its peak at the outer radius.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     if np.any(s_nodes <= 0) or np.any(np.diff(s_nodes) <= 0):
@@ -330,7 +359,7 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
     r = grid.nodes
     rpow = r ** (grid.d / 2.0)
     weighted = np.stack([grid.line_weights * u.values * rpow for u in fields])
-    kernel = jv(nu, np.outer(s_nodes, r))
+    kernel = _bessel_kernel(jv, nu, s_nodes, r)
     # einsum, not `@`: a BLAS product this size wakes the BLAS thread pool,
     # whose threads keep spinning on another core after the call returns
     vals = np.einsum("fr,sr->fs", weighted, kernel) * s_nodes ** (-nu)
@@ -341,6 +370,60 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
         )
         for v in vals
     ]
+
+
+#: row blocks of the Bessel kernel per worker: rows of small s cost less
+#: than rows of large s, so workers that take small blocks from one shared
+#: iterator finish together
+BLOCKS_PER_WORKER = 4
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """jv(nu, np.outer(s, r)), the same bits, with its rows cut into blocks that
+    one thread per CPU (`_cpu_count()`, at most one per block, the calling
+    thread one of them) takes from one shared iterator; `jv` releases the GIL.
+    The first exception a block raises is raised here, after every thread has
+    ended."""
+    kernel = np.empty((len(s), len(r)))
+    cpus = _cpu_count()
+    n_blocks = max(1, min(len(s), BLOCKS_PER_WORKER * cpus))
+    edges = [len(s) * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = iter(zip(edges[:-1], edges[1:]))
+    lock = threading.Lock()
+    errors = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                lo, hi = block
+                jv(nu, np.outer(s[lo:hi], r), out=kernel[lo:hi])
+        except Exception as exc:  # raised in the caller once every thread has ended
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(cpus, n_blocks) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return kernel
 
 
 def hankel_spectrum(u: RadialField, s_nodes) -> SpectrumFn:

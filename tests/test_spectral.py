@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from critheat import functionals as fn
 from critheat import spectral as sp
+from critheat._extensions import scipy_extension
 from critheat.radial import RadialField, grid_for_span, make_grid, sphere_area
 
 
@@ -160,6 +164,30 @@ class TestMassCache:
                 *(min(s[0] + u * (s[-1] - s[0]), s[-1]) for u in us)]
         for rho in data.draw(st.permutations(rhos)):
             grid = per_interval_grid(np.concatenate([s[s < rho], [rho]]))
+            assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0, rho)
+
+
+class TestHankelTableMass:
+    """On a Hankel table and its Lambda spectrum, `low_freq_mass` is the
+    trapezoid rule over `_refine`'s grid plus the stub, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
+        u = RadialField(grid, np.exp(-((grid.nodes / 1.3) ** 2)) * (1 + 0.3 * np.cos(grid.nodes)))
+        s = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, 9.0, 60)])
+        spec = sp.hankel_spectrum(u, s)
+        return spec, sp.lambda_spectrum(spec)
+
+    @pytest.mark.parametrize("where", ["below_first_node", "first_interval", "on_a_node",
+                                       "between_nodes", "s_max"])
+    def test_matches_trapezoid_over_the_refined_grid(self, tables, where):
+        for spec in tables:
+            s = spec.s_nodes
+            rho = {"below_first_node": 0.3 * s[0], "first_interval": 0.5 * (s[0] + s[1]),
+                   "on_a_node": s[45], "between_nodes": 0.5 * (s[50] + s[51]),
+                   "s_max": s[-1]}[where]
+            grid = sp._refine(np.concatenate([s[s < rho], [rho]]))
             assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0, rho)
 
 
@@ -353,6 +381,74 @@ class TestHankel:
         w = gs.aubin_talenti(grid)  # r^{-1} tail, far from decayed
         with pytest.raises(sp.TailMassError):
             sp.hankel_spectrum(w, np.geomspace(1e-4, 5.0, 40))
+
+
+class TestParallelKernel:
+    """The Bessel kernel, cut into row blocks over threads, keeps every bit."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        grid = grid_for_span(3, 14.0, 2e-3, 1e-3)
+        r = grid.nodes
+        return [RadialField(grid, np.exp(-((r / w) ** 2))) for w in (0.8, 1.3)]
+
+    @staticmethod
+    def parallel(call, monkeypatch, cpus):
+        """`call()` with `cpus` CPUs to use and frequent thread switches, so
+        that a lost or repeated block would show."""
+        monkeypatch.setattr(sp, "_cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return call()
+        finally:
+            sys.setswitchinterval(interval)
+
+    # 7 CPUs are more workers than a 1-, 2- or 4-node kernel has blocks; a
+    # table needs 4 nodes, so 1 and 2 nodes are checked on the kernel alone
+    @pytest.mark.parametrize("n_s", [1, 2, 4, 90])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_kernel_same_bits_for_any_worker_count(self, monkeypatch, fields, n_s, cpus):
+        jv = scipy_extension("special._special_ufuncs").jv
+        s = np.geomspace(1e-4, 12.0, n_s) if n_s > 1 else np.array([0.7])
+        r = fields[0].grid.nodes
+        want = jv(0.5, np.outer(s, r))
+        got = self.parallel(lambda: sp._bessel_kernel(jv, 0.5, s, r), monkeypatch, cpus)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_s", [4, 90])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_transform_same_bits_for_any_worker_count(self, monkeypatch, fields, n_s, cpus):
+        s = np.geomspace(1e-4, 12.0, n_s)
+        grid = fields[0].grid
+        nu = (grid.d - 2) / 2.0
+        r = grid.nodes
+        weighted = np.stack([grid.line_weights * u.values * r ** (grid.d / 2.0) for u in fields])
+        kernel = scipy_extension("special._special_ufuncs").jv(nu, np.outer(s, r))
+        want = np.einsum("fr,sr->fs", weighted, kernel) * s ** (-nu)
+        got = self.parallel(lambda: sp.hankel_spectra(fields, s), monkeypatch, cpus)
+        for spec, values in zip(got, want):
+            assert spec.values.tobytes() == values.tobytes()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, fields):
+        jv = scipy_extension("special._special_ufuncs").jv
+        caller = threading.current_thread()
+        raised = threading.Event()
+
+        def failing_jv(nu, x, out):
+            if threading.current_thread() is caller:
+                # hold the calling thread's first block until a worker has failed
+                assert raised.wait(timeout=30.0)
+                return jv(nu, x, out=out)
+            raised.set()
+            raise FloatingPointError("jv block failed")
+
+        monkeypatch.setattr(sp, "scipy_extension", lambda name: types.SimpleNamespace(jv=failing_jv))
+        monkeypatch.setattr(sp, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="jv block failed"):
+            sp.hankel_spectra(fields, np.geomspace(1e-4, 12.0, 90))
+        assert threading.active_count() == before
 
 
 class TestSpectrumIO:

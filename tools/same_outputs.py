@@ -11,12 +11,15 @@ a uniform and a graded one, each interpolated onto the finer run grid, and one
 on the run grid itself),
 `critheat sweep` on two (d = 5 and d = 3 rows around the ground state),
 `critheat character` on a spectrum file and on the two closed forms, `critheat
-splitting` with both weights on the d = 4 gaussian run of the splitting tests,
-and `critheat decayfit` on the d = 5 Dissipative run, whose initial spectrum
-is a Hankel transform, and on a d = 4 gaussian run, whose initial spectrum has
-a closed form. The tool writes the checkpoints and the spectrum file itself,
-once for both trees; the checkpoint on the run grid is the t = 0 checkpoint of
-an OLD_SRC `critheat run`, so that its nodes are the grid's to the bit.
+splitting` with both weights on the d = 4 gaussian run of the splitting tests
+and with the power weight on a d = 3 `bumps` run, and `critheat decayfit` on
+the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
+are Hankel transforms, and on a d = 4 gaussian run, whose initial spectrum has
+a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5), 1
+(d = 4) and 0.5 (d = 3). The tool writes the checkpoints and the spectrum
+file itself, once for both trees; the checkpoint on the run grid is the t = 0
+checkpoint of an OLD_SRC `critheat run`, so that its nodes are the grid's to
+the bit.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration and exits 0 when all of them match, 1 otherwise. Standard
@@ -43,6 +46,11 @@ GAUSSIAN_4 = {
     "family": {"name": "gaussian", "amp": 0.05, "width": 1.0},
     "integrator": {"tol": 1e-6, "dt_init": 1e-6, "t_max": 40.0},
     "snapshots": {"first": 0.05, "checkpoint_every": 2}}
+
+#: `bumps` in d = 3 on the grid of GAUSSIAN_4, with checkpoints to transform
+BUMPS_3 = {
+    "dimension": 3, "grid": GAUSSIAN_4["grid"], "family": {"name": "bumps", "n_bumps": 3},
+    "integrator": GAUSSIAN_4["integrator"], "snapshots": GAUSSIAN_4["snapshots"], "seed": 5}
 
 #: name -> (verb and its flags, configuration tree)
 CONFIGS = {
@@ -95,9 +103,14 @@ CONFIGS = {
         "dimension": 3, "spectrum": {"kind": "power", "k": 1.0, "amp": 2.0, "s_max": 40.0}}),
     "splitting_log_cubed": ("splitting --weight log_cubed", GAUSSIAN_4),
     "splitting_power": ("splitting --weight power", GAUSSIAN_4),
+    # the power weight bisects its constant, which every bit of the masses moves
+    "splitting_power_bumps_d3": ("splitting --weight power", BUMPS_3),
     "decayfit_hankel": ("decayfit", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6}}),
+    "decayfit_bumps_d3": ("decayfit", {
+        "dimension": 3, "grid": GRID_3, "family": {"name": "bumps", "n_bumps": 3},
+        "integrator": {"t_max": 1e4, "tol": 1e-3}, "seed": 5}),
     "decayfit_gaussian": ("decayfit", {
         **GAUSSIAN_4, "integrator": {"tol": 1e-6, "dt_init": 1e-6, "t_max": 500.0},
         "snapshots": {"factor": 1.2}, "verdict": {"eps_dissip_rel": 1e-7}}),
