@@ -1,4 +1,6 @@
-"""scipy's compiled extensions without any scipy package: importing `scipy.linalg`
+"""What the package reads from its platform: the CPUs this process may use,
+which size every fan-out (the Bessel kernel's threads, the sweep's pool), and
+scipy's compiled extensions without any scipy package: importing `scipy.linalg`
 or `scipy.special` costs more than the rest of a cold run, and a verb needs one
 routine of one extension that itself needs only numpy (LAPACK's pttrf/pttrs in
 `linalg._flapack`, the Bessel function `jv` in `special._special_ufuncs`)."""
@@ -10,6 +12,13 @@ import importlib.util
 import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: its affinity (`taskset`) where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def scipy_extension(name: str):

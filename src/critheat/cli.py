@@ -28,9 +28,9 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, evolve, experiments, families, spectral
+from . import __version__, _extensions, evolve, experiments, families, spectral
 from .config import (
-    CharacterConfig, ConfigError, RunConfig, parse_character, parse_config, parse_sweep,
+    CharacterConfig, ConfigError, RunConfig, parse_character, parse_config, parse_sweep, reseeded,
 )
 from .radial import CorruptionError
 
@@ -143,8 +143,8 @@ def cmd_run(cfg: RunConfig) -> Result:
     return Result(files, {**_described(cfg), "verdict": verdict}, _exit_for_verdict(traj.verdict))
 
 
-def cmd_sweep(configs: list[RunConfig], workers: int) -> Result:
-    rows = experiments.dichotomy_sweep(configs, workers)
+def cmd_sweep(configs: list[RunConfig]) -> Result:
+    rows = experiments.dichotomy_sweep(configs, _extensions.cpu_count())
     table = []
     for i, row in enumerate(rows):
         table.append([
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("run", "integrate one configuration to a verdict"),
-        ("sweep", "run a parameter sweep against the dichotomy"),
+        ("sweep", "run a parameter sweep against the dichotomy, one row per CPU"),
         ("decayfit", "run and fit the decay exponent of the critical norm"),
         ("character", "estimate the decay character of a spectrum"),
         ("splitting", "run and evaluate the frequency-splitting diagnostic"),
@@ -239,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--overwrite", action="store_true", help="allow writing into a non-empty directory")
         if name != "character":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=1,
-                           help="processes that run sweep rows in parallel")
         if name == "splitting":
             p.add_argument("--weight", default="log_cubed", choices=("log_cubed", "power"))
     return parser
@@ -252,23 +249,20 @@ def _overridden(cfg, args):
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = reseeded(cfg, args.seed)
     if cfg.out_dir is None:
         raise ConfigError("out_dir: missing (set in config or pass --out)")
     return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
         text = Path(args.config).read_text()
         if args.command == "sweep":
             configs = [_overridden(cfg, args) for cfg in parse_sweep(text)]
-            cfg, verb = configs[0], partial(cmd_sweep, configs, args.workers)
+            cfg, verb = configs[0], partial(cmd_sweep, configs)
         elif args.command == "character":
             cfg = _overridden(parse_character(text), args)
             verb = partial(cmd_character, cfg)

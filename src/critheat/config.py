@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import families, functionals, spectral
-from .evolve import NONLINEARITY_SIGN, FlowSettings
+from .evolve import MAX_SNAPSHOTS, NONLINEARITY_SIGN, FlowSettings, snapshot_count
 from .radial import RadialGrid, make_grid
 
 
@@ -264,19 +264,6 @@ def _load(text: str) -> dict:
     return tree
 
 
-#: the most snapshot times a run may have; a denser ladder cannot finish
-MAX_SNAPSHOTS = 10_000
-
-
-def _snapshot_count(first: float, factor: float, t_max: float, forced_times: tuple) -> int:
-    """Times on the snapshot ladder of `evolve.run_flow`, without building it:
-    the rungs first * factor^k below t_max, t_max and the forced times. The
-    ladder may hold one rung more, by rounding in its repeated product, and
-    fewer times where a forced time is past t_max or repeats another."""
-    rungs = (math.log(t_max) - math.log(first)) / math.log(factor)
-    return max(0, math.ceil(rungs)) + 1 + len(forced_times)
-
-
 def _run_config(tree: dict) -> RunConfig:
     # the family object also holds the family's own parameters, and the
     # `sweep` verb reads `sweep` from the same file
@@ -293,8 +280,8 @@ def _run_config(tree: dict) -> RunConfig:
     if q is not None and not lo < 1.0 / q < hi:
         raise ConfigError(f"diagnostics.q: must lie in ({1 / hi:.6g}, {1 / lo:.6g}) in d={d}, "
                           f"got {q!r}")
-    count = _snapshot_count(values["snapshot_first"], values["snapshot_factor"],
-                            values["t_max"], values["forced_times"])
+    count = snapshot_count(values["snapshot_first"], values["snapshot_factor"],
+                           values["t_max"], values["forced_times"])
     if count > MAX_SNAPSHOTS:
         raise ConfigError(f"snapshots.factor: {values['snapshot_factor']!r} gives {count} "
                           f"snapshot times up to integrator.t_max, more than {MAX_SNAPSHOTS}")
@@ -304,6 +291,11 @@ def _run_config(tree: dict) -> RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration, materializing every default."""
     return _run_config(_load(text))
+
+
+def reseeded(cfg: RunConfig, seed) -> RunConfig:
+    """`cfg` with `seed`, checked by the rule that `KEYS` gives the seed."""
+    return replace(cfg, seed=_checked(next(k for k in KEYS if k.field == "seed"), seed))
 
 
 def parse_sweep(text: str) -> list[RunConfig]:

@@ -27,6 +27,7 @@ need not contain the blowup time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,13 +224,12 @@ class HeatProblem:
     def l2_sq(self, v: np.ndarray) -> float:
         return float(self.volumes @ (v * v))
 
-    def form_energy(self, u: np.ndarray) -> float:
-        """Energy in the solver frame: the Laplacian's Dirichlet form plus the
-        matching pointwise potential; exactly dissipated by the flow. Either
-        integral overflowing raises CorruptionError, as a report's does."""
-        grad = power_integral(self.grid.face_weights, np.diff(u), 2)
+    def form_energy(self, u: np.ndarray, grad_sq: float) -> float:
+        """Energy in the solver frame: the Laplacian's Dirichlet form `grad_sq`
+        (u's report's `h1_sq`) plus the matching pointwise potential; exactly
+        dissipated by the flow. The potential overflowing raises CorruptionError."""
         pot = power_integral(self.volumes, u, self.two_star)
-        return 0.5 * grad - self.sign * pot / self.two_star
+        return 0.5 * grad_sq - self.sign * pot / self.two_star
 
 
 def _scaled_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -366,6 +366,19 @@ def _nehari_persisted_negative(snapshots: list[Snapshot]) -> bool:
     return len(snapshots) > 1 and all(s.report.nehari < 0.0 for s in snapshots[:-1])
 
 
+#: the most snapshot times a run may have; a denser ladder cannot finish
+MAX_SNAPSHOTS = 10_000
+
+
+def snapshot_count(first: float, factor: float, t_max: float, forced_times: tuple) -> int:
+    """Times on `_snapshot_ladder`, without building it: the rungs
+    first * factor^k below t_max, t_max and the forced times. The ladder may
+    hold one rung more, by rounding in its repeated product, and fewer times
+    where a forced time is past t_max or repeats another."""
+    rungs = (math.log(t_max) - math.log(first)) / math.log(factor)
+    return max(0, math.ceil(rungs)) + 1 + len(forced_times)
+
+
 def _snapshot_ladder(settings: FlowSettings) -> list[float]:
     times = set(t for t in settings.forced_times if 0.0 < t <= settings.t_max)
     t = settings.snapshot_first
@@ -409,7 +422,7 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
             kq=kq,
             dt=state.dt,
             dissipation=state.accumulated_dissipation,
-            form_energy=problem.form_energy(state.u.values),
+            form_energy=problem.form_energy(state.u.values, rep.h1_sq),
             field=state.u.copy() if with_field else None,
         )
         if traj.snapshots:

@@ -85,10 +85,10 @@ def _sweep_row(cfg: RunConfig) -> SweepRow:
     )
 
 
-def dichotomy_sweep(configs: list[RunConfig], workers: int = 1) -> list[SweepRow]:
+def dichotomy_sweep(configs: list[RunConfig], workers: int) -> list[SweepRow]:
     """One run per configuration; rows come back in input order, each with
-    its trajectory. Several rows and workers: a pool of at most one process
-    per row; otherwise the rows run here, one after another."""
+    its trajectory. Several rows and workers: a pool of min(workers, rows)
+    processes; otherwise the rows run here, one after another."""
     if workers <= 1 or len(configs) <= 1:
         return [_sweep_row(cfg) for cfg in configs]
     from concurrent.futures import ProcessPoolExecutor

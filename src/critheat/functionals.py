@@ -28,18 +28,15 @@ AT_THRESHOLD = "AtThreshold"
 TOL_THRESHOLD_REL = 1e-5
 
 
-def threshold_band(e_w: float, e_w_grid: float | None = None) -> float:
+def threshold_band(e_w: float, e_w_grid: float) -> float:
     """Half-width of the AtThreshold band around E(W).
 
     Ten classification tolerances of E(W), widened to twice a grid's own
-    E(W) bias when `e_w_grid`, E(W) on that grid, is supplied (`run_flow`
-    supplies its run grid's): a margin inside the grid's quadrature error is
-    not a resolvable margin.
+    E(W) bias, `e_w_grid` being E(W) on that grid (`run_flow` passes its run
+    grid's): a margin inside the grid's quadrature error is not a resolvable
+    margin.
     """
-    band = 10.0 * TOL_THRESHOLD_REL * abs(e_w)
-    if e_w_grid is not None:
-        band = max(band, 2.0 * abs(e_w_grid - e_w))
-    return band
+    return max(10.0 * TOL_THRESHOLD_REL * abs(e_w), 2.0 * abs(e_w_grid - e_w))
 
 #: a truncated L2 integral counts as "not in L2" when the outer quarter of the
 #: domain contributes more than this fraction of the total

@@ -28,7 +28,6 @@ bits do not depend on how many CPUs there are.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _extensions
 from ._extensions import scipy_extension
 from .radial import RadialField, column_text, pchip, read_columns, sphere_area, write_columns
 
@@ -378,21 +378,14 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 BLOCKS_PER_WORKER = 4
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """jv(nu, np.outer(s, r)), the same bits, with its rows cut into blocks that
-    one thread per CPU (`_cpu_count()`, at most one per block, the calling
-    thread one of them) takes from one shared iterator; `jv` releases the GIL.
-    The first exception a block raises is raised here, after every thread has
-    ended."""
+    one thread per CPU (`_extensions.cpu_count()`, at most one per block, the
+    calling thread one of them) takes from one shared iterator; `jv` releases
+    the GIL. The first exception a block raises is raised here, after every
+    thread has ended."""
     kernel = np.empty((len(s), len(r)))
-    cpus = _cpu_count()
+    cpus = _extensions.cpu_count()
     n_blocks = max(1, min(len(s), BLOCKS_PER_WORKER * cpus))
     edges = [len(s) * i // n_blocks for i in range(n_blocks + 1)]
     blocks = iter(zip(edges[:-1], edges[1:]))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import inspect
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critheat import cli, evolve, experiments, families, spectral
+from critheat import _extensions, cli, evolve, experiments, families, spectral
 from critheat.config import (
-    CHARACTER_KEYS, KEYS, MAX_SNAPSHOTS, PARAMS, SPECTRUM_KINDS, ConfigError, parse_character,
+    CHARACTER_KEYS, KEYS, PARAMS, SPECTRUM_KINDS, ConfigError, parse_character,
     parse_config, parse_sweep,
 )
 from critheat.radial import CorruptionError, grid_for_span
@@ -338,29 +339,39 @@ class TestCommands:
         tree["integrator"]["t_max"] = 1e6
         tree["sweep"] = [{"a": 0.9}, {"a": 1.2}]
         path = cfg_file("sweep.json", json.dumps(tree))
-        assert cli.main(["sweep", "--config", path, "--workers", "2"]) == 0
+        assert cli.main(["sweep", "--config", path]) == 0
         rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 rows
         assert "Dissipative" in rows[1] and "Blowup" in rows[2]
 
-    def test_sweep_workers_write_identical_csv(self, tmp_path, cfg_file):
+    def test_sweep_workers_write_identical_csv(self, tmp_path, cfg_file, monkeypatch):
+        # a pool of min(CPUs, rows) processes, none for one CPU, and the same CSV
+        sizes = []
+
+        class Recorder(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         tree = json.loads(run_config_text())
         tree["sweep"] = [{"a": 0.9}, {"a": 1.2}, {"a": 0.8}]
         path = cfg_file("sweep.json", json.dumps(tree))
         written = []
-        for workers in ("2", "1"):
-            out = tmp_path / f"w{workers}"
-            assert cli.main(["sweep", "--config", path, "--out", str(out),
-                             "--workers", workers]) == 0
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(_extensions, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
             written.append((out / "sweep.csv").read_bytes())
-        assert written[0] == written[1]
+        assert sizes == [2, 3, 3]
+        assert written == [written[0]] * 4
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_sweep_refuses_fewer_than_one_worker(self, tmp_path, cfg_file, monkeypatch, workers):
+    def test_sweep_has_no_workers_flag(self, tmp_path, cfg_file, monkeypatch):
+        # the pool's size is the CPUs the process may use; `taskset` narrows it
         monkeypatch.setattr(experiments, "dichotomy_sweep", None)  # never reached
         path = cfg_file("sweep.json", run_config_text(tmp_path / "sw"))
         with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--config", path, "--workers", workers])
+            cli.main(["sweep", "--config", path, "--workers", "2"])
         assert exc.value.code == 2
         assert not (tmp_path / "sw").exists()
 
@@ -370,10 +381,11 @@ class TestCommands:
 
         # the pool's processes start after the patch and inherit it
         monkeypatch.setattr(families, "build_initial", refuse)
+        monkeypatch.setattr(_extensions, "cpu_count", lambda: 2)
         tree = json.loads(run_config_text(tmp_path / "sw"))
         tree["sweep"] = [{"a": 0.9}, {"a": 1.2}]
         path = cfg_file("sweep.json", json.dumps(tree))
-        assert cli.main(["sweep", "--config", path, "--workers", "2"]) == 2
+        assert cli.main(["sweep", "--config", path]) == 2
         assert "config error: family.a: refused" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
@@ -521,19 +533,22 @@ def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg
 
 #: imports the front end, runs each command line of the JSON list sys.argv[2]
 #: in turn, and prints as JSON which modules of the list sys.argv[1] are loaded
-#: after the import and after each command, keyed by its verb
+#: after the import and after each command, keyed by its verb; with CPUs to
+#: use in sys.argv[3] (else null), `cpu_count` reports that many
 FOOTPRINT_SCRIPT = """
 import json, sys
-from critheat import cli
-watched = json.loads(sys.argv[1])
+from critheat import _extensions, cli
+watched, commands, cpus = map(json.loads, sys.argv[1:])
+if cpus is not None:
+    _extensions.cpu_count = lambda: cpus
 loaded = {"import": [m for m in watched if m in sys.modules]}
-for argv in json.loads(sys.argv[2]):
+for argv in commands:
     cli.main(argv)
     loaded[argv[0]] = [m for m in watched if m in sys.modules]
 print(json.dumps(loaded))
 """
 
-#: modules that `run`, a one-worker `sweep`, `splitting`, a Hankel `decayfit`
+#: modules that `run`, a one-row or one-CPU `sweep`, `splitting`, a Hankel `decayfit`
 #: and `character` on a table never use: any scipy package (the compiled
 #: extensions they load are not packages), the sweep pool, and numpy.random,
 #: which only the `bumps` family draws from
@@ -541,11 +556,12 @@ UNUSED = ("scipy", "scipy.linalg", "scipy.interpolate", "scipy.special", "scipy.
           "scipy.optimize", "multiprocessing", "concurrent.futures.process", "numpy.random")
 
 
-def footprint(*commands) -> dict:
+def footprint(*commands, cpus=None) -> dict:
     """What `FOOTPRINT_SCRIPT` prints for `commands`, in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(UNUSED), json.dumps(commands)],
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(UNUSED), json.dumps(commands),
+         json.dumps(cpus)],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=120, check=True,
     )
@@ -567,6 +583,15 @@ def test_run_and_sweep_import_no_unused_scipy_module(tmp_path, cfg_file):
     for verb, name in zip(verbs, ("series.csv", "sweep.csv", "splitting.csv", "decayfit.csv",
                                   "character.csv")):
         assert (tmp_path / verb / name).is_file()
+
+
+def test_one_cpu_sweep_starts_no_pool(tmp_path, cfg_file):
+    tree = json.loads(run_config_text())
+    tree["sweep"] = [{"a": 0.9}, {"a": 1.2}, {"a": 0.8}]
+    path = cfg_file("sweep.json", json.dumps(tree))
+    got = footprint(["sweep", "--config", path, "--out", str(tmp_path / "sw")], cpus=1)
+    assert got == {"import": [], "sweep": []}
+    assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("verb, tree", [("character", {"dimension": 3, "spectrum": {
@@ -739,6 +764,16 @@ def test_seed_flag_only_where_the_configuration_has_a_seed(tmp_path, cfg_file):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("family", [{"name": "aW", "a": 0.9}, {"name": "bumps"}])
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_seed_flag_obeys_the_seed_rule(tmp_path, cfg_file, monkeypatch, capsys, family, verb):
+    monkeypatch.setattr(evolve, "run_flow", None)  # never reached
+    path = cfg_file("c.json", run_config_text(tmp_path / "out", family=family))
+    assert cli.main([verb, "--config", path, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb", ["decayfit", "splitting"])
 def test_corrupted_run_leaves_no_output(tmp_path, cfg_file, monkeypatch, verb):
     corrupted = evolve.Trajectory(d=5, grid=None, e_w=1.0, grad_sq_w=1.0,
@@ -849,4 +884,4 @@ def test_dry_build_refuses_or_has_finite_operators(d, r_max, n, stretch, first, 
     for weights in (problem.volumes, grid.face_weights, problem.k_diag):
         assert np.all((weights > 0.0) & np.isfinite(weights))
     # the ladder's repeated product may round one rung past the count
-    assert len(evolve._snapshot_ladder(cfg)) <= MAX_SNAPSHOTS + 1
+    assert len(evolve._snapshot_ladder(cfg)) <= evolve.MAX_SNAPSHOTS + 1

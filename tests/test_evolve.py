@@ -510,7 +510,7 @@ class TestDetectors:
             lambda: fn.lq_norm(u0, fn.default_q(5)),
             lambda: fn.energy(u0),
             lambda: fn.energy_report(0.0, u0),
-            lambda: evolve.HeatProblem(grid).form_energy(u0.values),
+            lambda: evolve.HeatProblem(grid).form_energy(u0.values, fn.h1_norm_sq(u0)),
             lambda: evolve.run_flow(u0, FlowSettings(t_max=1.0)),
             lambda: fn.h1_norm_sq(v),
             lambda: fn.l2_norm_sq(v),

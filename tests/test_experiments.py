@@ -92,7 +92,7 @@ class TestSweep:
 
     def test_near_threshold_row_is_undecided(self):
         cfg = base_config(5, 600.0, params={"a": 1.001}.items(), t_max=10.0)
-        row = experiments.dichotomy_sweep([cfg])[0]
+        row = experiments.dichotomy_sweep([cfg], workers=1)[0]
         assert row.verdict.kind == evolve.UNDECIDED
         assert row.verdict.detail["reason"] == "at_threshold"
         assert row.hypothesis_branch == "none"
@@ -101,7 +101,7 @@ class TestSweep:
     def test_superthreshold_without_l2_is_not_a_claim(self):
         # a W in d = 3 is not square integrable, so branch II never applies
         cfg = base_config(3, 2e6, params={"a": 1.5}.items(), t_max=50.0, tol=1e-3)
-        row = experiments.dichotomy_sweep([cfg])[0]
+        row = experiments.dichotomy_sweep([cfg], workers=1)[0]
         assert not row.l2_finite
         assert row.hypothesis_branch == "none"
         assert row.verdict.kind == evolve.BLOWUP

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critheat import functionals as fn
+from critheat import _extensions
 from critheat import spectral as sp
 from critheat._extensions import scipy_extension
 from critheat.radial import RadialField, grid_for_span, make_grid, sphere_area
@@ -396,7 +397,7 @@ class TestParallelKernel:
     def parallel(call, monkeypatch, cpus):
         """`call()` with `cpus` CPUs to use and frequent thread switches, so
         that a lost or repeated block would show."""
-        monkeypatch.setattr(sp, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_extensions, "cpu_count", lambda: cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -444,7 +445,7 @@ class TestParallelKernel:
             raise FloatingPointError("jv block failed")
 
         monkeypatch.setattr(sp, "scipy_extension", lambda name: types.SimpleNamespace(jv=failing_jv))
-        monkeypatch.setattr(sp, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(_extensions, "cpu_count", lambda: 3)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="jv block failed"):
             sp.hankel_spectra(fields, np.geomspace(1e-4, 12.0, 90))

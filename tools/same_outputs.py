@@ -9,17 +9,21 @@ collapse at t = 0, Undecided at the threshold, a u0 whose integrals overflow,
 `bumps` drawn from a seed, and initial data read from three checkpoint files:
 a uniform and a graded one, each interpolated onto the finer run grid, and one
 on the run grid itself),
-`critheat sweep` on two (d = 5 and d = 3 rows around the ground state),
+`critheat sweep` on two (d = 5 and d = 3 rows around the ground state, each
+in a pool as wide as the CPUs the interpreter may use, or serially on one),
 `critheat character` on a spectrum file and on the two closed forms, `critheat
 splitting` with both weights on the d = 4 gaussian run of the splitting tests
 and with the power weight on a d = 3 `bumps` run, and `critheat decayfit` on
 the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
 are Hankel transforms, and on a d = 4 gaussian run, whose initial spectrum has
 a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5), 1
-(d = 4) and 0.5 (d = 3). The tool writes the checkpoints and the spectrum
-file itself, once for both trees; the checkpoint on the run grid is the t = 0
-checkpoint of an OLD_SRC `critheat run`, so that its nodes are the grid's to
-the bit.
+(d = 4) and 0.5 (d = 3). Those verbs read a Hankel table only up to the
+splitting radius or the decay-character window, so one more check writes a
+whole table: the Hankel transform of the run-grid checkpoint below on the
+`decayfit` nodes, saved by `spectral.save_spectrum`. The tool writes the
+checkpoints and the spectrum file itself, once for both trees; the checkpoint
+on the run grid is the t = 0 checkpoint of an OLD_SRC `critheat run`, so that
+its nodes are the grid's to the bit.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration and exits 0 when all of them match, 1 otherwise. Standard
@@ -34,6 +38,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 #: the criterion-11 grid, d = 5
@@ -86,12 +91,12 @@ CONFIGS = {
         "dimension": 5, "grid": GRID_5,
         "family": {"name": "from_file", "path": "checkpoint_grid5.txt"},
         "integrator": {"t_max": 1e6}}),
-    "sweep_d5": ("sweep --workers 2", {
+    "sweep_d5": ("sweep", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6},
         "sweep": [{"a": 0.9}, {"a": 1.2}, {"a": 1.001}, {"a": 0.999},
                   {"name": "gaussian", "amp": 0.05}, {"name": "aW_cutoff", "a": 1.3}]}),
-    "sweep_d3": ("sweep --workers 2", {
+    "sweep_d3": ("sweep", {
         "dimension": 3, "grid": GRID_3, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e4, "tol": 1e-3},
         "sweep": [{"a": 0.9}, {"a": 1.5}, {"name": "aW_cutoff", "a": 1.3}]}),
@@ -156,6 +161,21 @@ RUN_INPUTS = {
         "integrator": {"t_max": 1e-3}},
 }
 
+#: name -> Python source that a fresh interpreter runs in the `INPUTS`
+#: directory, with its output directory as sys.argv[1]
+SCRIPTS = {
+    "hankel_table_grid5": """
+import sys
+from pathlib import Path
+from critheat import experiments, families, spectral
+field, _t = families.load_checkpoint("checkpoint_grid5.txt")
+out = Path(sys.argv[1])
+out.mkdir(parents=True)
+spectral.save_spectrum(spectral.hankel_spectrum(field, experiments.DECAYFIT_NODES),
+                       out / "spectrum.txt")
+""",
+}
+
 #: manifest entries that may differ between two runs of the same configuration
 VOLATILE = {"wall_time_s", "out_dir"}
 
@@ -176,11 +196,18 @@ def run(src: Path, verb: str, tree: dict, work: Path,
     work.mkdir(parents=True)
     cfg = work / "config.json"
     cfg.write_text(json.dumps(tree))
+    return execute(src, ["-m", "critheat.cli", *verb.split(), "--config", str(cfg), "--out"],
+                   work, inputs)
+
+
+def execute(src: Path, args: list[str], work: Path,
+            inputs: Path) -> tuple[int, dict[str, bytes]]:
+    """Exit code and output files of `python *args OUT` under the tree `src`,
+    run in `inputs`, with OUT the directory `work`/out."""
     out = work / "out"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    args = [sys.executable, "-m", "critheat.cli", *verb.split(), "--config", str(cfg),
-            "--out", str(out)]
-    code = subprocess.run(args, env=env, cwd=inputs, stdout=subprocess.DEVNULL).returncode
+    code = subprocess.run([sys.executable, *args, str(out)], env=env, cwd=inputs,
+                          stdout=subprocess.DEVNULL).returncode
     files = {}
     for path in sorted(out.iterdir()) if out.is_dir() else []:
         data = path.read_bytes()
@@ -208,9 +235,13 @@ def main(argv: list[str]) -> int:
         for name, tree in RUN_INPUTS.items():
             _code, files = run(trees[0], "run", tree, Path(tmp) / "inputs_run" / name, inputs)
             (inputs / name).write_bytes(files["checkpoint_0000.txt"])
-        for name, (verb, tree) in CONFIGS.items():
+        checks = {name: partial(run, verb=verb, tree=tree)
+                  for name, (verb, tree) in CONFIGS.items()}
+        checks.update((name, partial(execute, args=["-c", script]))
+                      for name, script in SCRIPTS.items())
+        for name, check in checks.items():
             (old_code, old), (new_code, new) = (
-                run(src, verb, tree, Path(tmp) / side / name, inputs)
+                check(src=src, work=Path(tmp) / side / name, inputs=inputs)
                 for side, src in zip(("old", "new"), trees)
             )
             differ = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
