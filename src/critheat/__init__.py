@@ -17,44 +17,3 @@ cli           command-line front end (run / sweep / decayfit / character / split
 """
 
 __version__ = "0.1.0"
-
-from .radial import (
-    CorruptionError,
-    RadialField,
-    RadialGrid,
-    make_grid,
-    radial_integral,
-    sphere_area,
-)
-from .ground_state import aubin_talenti, pohozaev_residual
-from .functionals import EnergyReport, SetMembership, classify_set, energy, kq_weight
-from .evolve import FlowSettings, Snapshot, SolverState, Trajectory, Verdict, run_flow, step
-from .spectral import SpectrumFn, decay_character, hankel_spectrum, linear_heat_l2_sq
-
-__all__ = [
-    "CorruptionError",
-    "EnergyReport",
-    "FlowSettings",
-    "RadialField",
-    "RadialGrid",
-    "SetMembership",
-    "Snapshot",
-    "SolverState",
-    "SpectrumFn",
-    "Trajectory",
-    "Verdict",
-    "aubin_talenti",
-    "classify_set",
-    "decay_character",
-    "energy",
-    "hankel_spectrum",
-    "kq_weight",
-    "linear_heat_l2_sq",
-    "make_grid",
-    "pohozaev_residual",
-    "radial_integral",
-    "run_flow",
-    "sphere_area",
-    "step",
-    "__version__",
-]

@@ -52,15 +52,15 @@ class RunConfig(FlowSettings):
         return dict(self.family_params)
 
     def make_grid(self) -> RadialGrid:
-        """The run grid, refused when doubles cannot hold its nodes, cell
-        volumes or face weights as strictly increasing, finite and positive."""
+        """The run grid, refused when memory cannot hold its nodes, or doubles cannot
+        hold them, its cell volumes or face weights as strictly increasing, finite and positive."""
         where = (f"grid.R: {self.r_max!r} with grid.n = {self.n_nodes}, grid.stretch = "
                  f"{self.stretch!r} in d = {self.dimension}")
         with np.errstate(all="ignore"):  # the checks below report what over- or underflows
-            try:
+            try:  # `KEYS` has checked the arguments: what fails here is an allocation
                 grid = make_grid(self.dimension, self.r_max, self.n_nodes, self.stretch)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+            except (MemoryError, ValueError) as exc:
+                raise ConfigError(f"grid.n: {self.n_nodes} nodes exceed memory: {exc}") from None
             for name in ("cell_volumes", "face_weights"):
                 weights = getattr(grid, name)
                 if not np.all((weights > 0.0) & (weights < math.inf)):

@@ -177,7 +177,7 @@ class HeatProblem:
         self.nonlinearity = nonlinearity
         self.sign = NONLINEARITY_SIGN[nonlinearity]
         self.power = 4.0 / (grid.d - 2.0)
-        self.two_star = 2.0 * grid.d / (grid.d - 2.0)
+        self.two_star = functionals.crit_exponent(grid.d)
         self.k_diag, self.k_off = grid.stiffness_bands
         self.volumes = grid.cell_volumes
         self._factored = (None, None, None)

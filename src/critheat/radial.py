@@ -193,10 +193,7 @@ def make_grid(d: int, R: float, n: int, stretch: float = 1.0) -> RadialGrid:
 
 
 def grid_for_span(d: int, R: float, h0: float, eps: float) -> RadialGrid:
-    """Grid reaching R with inner spacing ~ h0 and relative grading eps."""
-    if eps <= 0.0:
-        n = max(16, int(math.ceil(R / h0)) + 1)
-        return make_grid(d, R, n, 1.0)
+    """Grid reaching R with inner spacing ~ h0 and relative grading eps > 0."""
     n = max(16, int(math.ceil(math.log1p(R * eps / h0) / math.log1p(eps))) + 1)
     return make_grid(d, R, n, 1.0 + eps)
 

@@ -10,19 +10,19 @@ two-sided heat-semigroup decay (1+t)^{-(d/2+r*)} of the L2 norm.
 Fourier convention is unitary, so Plancherel carries constant one; the decay
 character itself is convention independent (it is a ratio of powers).
 
-On a closed form, F(rho) and the heat norm are incomplete-gamma integrals
-with an exact value (`_closed_mass`). On a table, F(rho) is the trapezoid rule
-over the nodes refined 4-fold. A spectrum evaluates that integrand over its
-whole table once and keeps it, so a call evaluates it only on the last
-interval, [last node below rho, rho], and the heat-decay integral reuses all
-of it. A table's monotone cubic is `radial.pchip`, with the bits of scipy's
-PCHIP. A Hankel transform takes the Bessel function `jv` from scipy's compiled
-`_special_ufuncs` extension through `_extensions.scipy_extension`, and a
-closed form's masses import `scipy.special` for `hyp1f1`, which only its
+On a closed form, F(rho) and the heat norm are incomplete-gamma integrals with
+an exact value (`_closed_mass`). On a table, F(rho) is the trapezoid rule over
+the nodes refined 4-fold. A spectrum evaluates that integrand over its whole
+table once and keeps it with its trapezoid terms, so a call evaluates it only
+on the last interval, [last node below rho, rho], and the heat-decay integral
+reuses all of it. A table's monotone cubic is `radial.pchip`, with the bits of
+scipy's PCHIP. A Hankel transform takes the Bessel function `jv` from scipy's
+compiled `_special_ufuncs` extension through `_extensions.scipy_extension`,
+and a closed form's masses import `scipy.special` for `hyp1f1`, which only its
 package provides; both load on first use, so importing this module loads no
 scipy module. The transform evaluates its Bessel kernel on every CPU the
-process may use, in blocks of rows; `jv` works element by element, so the
-bits do not depend on how many CPUs there are.
+process may use, in blocks of rows; `jv` works element by element, so the bits
+do not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -122,22 +122,18 @@ class SpectrumFn:
 
     @cached_property
     def _mass_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """The refined table grid and the mass integrand on it; every
-        `low_freq_mass` call reuses them up to its last node below rho, and
-        every `linear_heat_l2_sq` call all of them."""
+        """The refined table grid and the mass integrand on it, which every
+        `linear_heat_l2_sq` call reuses."""
         grid = _refine(self.s_nodes)
         return grid, _mass_integrand(self, grid, self(grid))
 
     @cached_property
     def _mass_terms(self) -> np.ndarray:
         """The trapezoid terms of `_mass_samples`, one per interval of the
-        refined grid, as `np.trapezoid` forms them before it sums."""
+        refined grid, as `np.trapezoid` forms them before it sums; every
+        `low_freq_mass` call reuses them up to its last node below rho."""
         grid, vals = self._mass_samples
         return np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0
-
-    @cached_property
-    def _sphere_area(self) -> float:
-        return sphere_area(self.d)
 
     @cached_property
     def _stub_above(self) -> float:
@@ -206,7 +202,7 @@ def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
 
 def _mass_integrand(spec: SpectrumFn, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """omega_{d-1} |vhat|^2 s^{d-1} at s, where v = vhat(s)."""
-    return spec._sphere_area * v * v * s ** (spec.d - 1)
+    return sphere_area(spec.d) * v * v * s ** (spec.d - 1)
 
 
 def _refine(pts: np.ndarray) -> np.ndarray:
@@ -233,23 +229,18 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     if spec.kind in CLOSED_FORM_KINDS:
         return _closed_mass(spec, rho, 0.0)
     # the grid is `_refine` of the nodes below rho and rho itself: the table's
-    # samples up to the last such node s_k, then np.linspace(s_k, rho, 5). Its
-    # trapezoid terms are the cached ones up to the sample before s_k, the
-    # junction term to s_k and the tail's, summed as one array, as
-    # `np.trapezoid` sums them
+    # samples up to the last such node s_{k-1}, then np.linspace(s_{k-1}, rho, 5).
+    # Its trapezoid terms are the cached ones up to s_{k-1} and the tail's,
+    # summed as one array, as `np.trapezoid` sums them
     k = int(spec.s_nodes.searchsorted(rho))
     if k == 0:
         return _stub_mass(spec, rho)
     tail = np.linspace(spec.s_nodes[k - 1], rho, 5)
     # inside [s_0, s_max], where the table is its cubic: no stub, no clipping
     y = _mass_integrand(spec, tail, spec._interp(tail))
-    terms = [(tail[1:] - tail[:-1]) * (y[1:] + y[:-1]) / 2.0]  # np.diff, without its overhead
-    if k > 1:
-        grid, vals = spec._mass_samples
-        head = 4 * (k - 1)
-        junction = (tail[0] - grid[head - 1]) * (y[0] + vals[head - 1]) / 2.0
-        terms = [spec._mass_terms[:head - 1], [junction], *terms]
-    return float(np.concatenate(terms).sum()) + spec._stub_above
+    tail_terms = (tail[1:] - tail[:-1]) * (y[1:] + y[:-1]) / 2.0  # np.diff, without its overhead
+    terms = np.concatenate([spec._mass_terms[:4 * (k - 1)], tail_terms])
+    return float(terms.sum()) + spec._stub_above
 
 
 @dataclass(frozen=True)
@@ -267,10 +258,6 @@ class DecayCharacterEstimate:
     p_r_value: float
     fit_residual: float
     flag: str | None = None
-
-    @property
-    def exists(self) -> bool:
-        return self.flag is None
 
 
 #: the decay character's ladder, RHO_STEPS geometric steps across RHO_WINDOW,

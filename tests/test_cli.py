@@ -568,6 +568,18 @@ def footprint(*commands, cpus=None) -> dict:
     return json.loads(proc.stdout)
 
 
+def test_importing_the_package_loads_no_module():
+    # the package re-exports nothing: a user imports the module a name lives in
+    script = ("import json, sys, critheat; print(json.dumps([m for m in sys.modules "
+              "if m.partition('.')[0] == 'numpy' or m.startswith('critheat.')]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == []
+
+
 def test_run_and_sweep_import_no_unused_scipy_module(tmp_path, cfg_file):
     path = cfg_file("run.json", run_config_text())
     s = np.geomspace(1e-4, 10.0, 300)
@@ -840,6 +852,10 @@ def run_cli(argv, timeout=60):
 UNRUNNABLE = {
     "R_overflows": ({"grid": {"R": 1e300, "n": 200}}, "grid.R"),
     "R_underflows": ({"grid": {"R": 1e-100, "n": 200}}, "grid.R"),
+    # 711 PiB of nodes: refused at once whatever the host's overcommit policy,
+    # where a size near its memory could be mapped and then touched
+    "nodes_exceed_memory": ({"grid": {"R": 600.0, "n": 10**17}}, "grid.n"),
+    "nodes_exceed_numpy": ({"grid": {"R": 600.0, "n": 2**62}}, "grid.n"),
     # one rung past the cap is still a ladder that could be stepped through
     "ladder_past_the_cap": ({"integrator": {"t_max": 5.0}, "snapshots": {"factor": 1.00085}},
                             "snapshots.factor"),

@@ -215,7 +215,6 @@ class TestDecayCharacter:
         spec = sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s, values=vals)
         est = sp.decay_character(spec)
         assert est.flag == "nonlinear_fit"
-        assert not est.exists
 
     def test_oscillatory_table_fails_the_residual_gate(self):
         # the same table: its first two nodes alone give the stub 2p + d = -14.4,

@@ -29,8 +29,6 @@ from pathlib import Path
 
 import same_outputs  # the sibling tool: one fresh interpreter per command
 
-#: the criterion-11 grid, d = 5
-GRID_5 = {"R": 600.0, "n": 1375, "stretch": 1.004}
 TOL = 1e-5
 #: the reference tolerance of the Dissipative runs and of the Blowup run
 TOL_H1_REF = 1e-11
@@ -40,7 +38,7 @@ A_BLOWUP = 1.3
 
 
 def _tree(a: float, tol: float, t_max: float) -> dict:
-    return {"dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": a},
+    return {"dimension": 5, "grid": same_outputs.GRID_5, "family": {"name": "aW", "a": a},
             "integrator": {"t_max": t_max, "tol": tol}}
 
 
