@@ -57,9 +57,13 @@ class RunConfig(FlowSettings):
         where = (f"grid.R: {self.r_max!r} with grid.n = {self.n_nodes}, grid.stretch = "
                  f"{self.stretch!r} in d = {self.dimension}")
         with np.errstate(all="ignore"):  # the checks below report what over- or underflows
-            try:  # `KEYS` has checked the arguments: what fails here is an allocation
+            try:  # `KEYS` has checked the arguments: what fails here is an allocation,
+                # or nodes that doubles cannot hold as strictly increasing
                 grid = make_grid(self.dimension, self.r_max, self.n_nodes, self.stretch)
             except (MemoryError, ValueError) as exc:
+                # numpy refuses an array of more bytes than it can index with a ValueError
+                if isinstance(exc, ValueError) and 8 * self.n_nodes <= np.iinfo(np.intp).max:
+                    raise ConfigError(f"{where}: {exc}") from None
                 raise ConfigError(f"grid.n: {self.n_nodes} nodes exceed memory: {exc}") from None
             for name in ("cell_volumes", "face_weights"):
                 weights = getattr(grid, name)
@@ -155,7 +159,6 @@ KEYS = (
     Key("snapshots.forced_times", "forced_times", _times, lambda v: all(t > 0 for t in v),
         "times > 0"),
     Key("verdict.eps_dissip_rel", "eps_dissip_rel", _float, _positive, "> 0"),
-    Key("verdict.kq_streak", "kq_streak", _int, lambda v: v >= 1, ">= 1"),
     Key("verdict.blowup_factor", "blowup_factor", _float, _positive, "> 0"),
     Key("verdict.amp_cap", "amp_cap", _float, _positive, "> 0"),
     Key("diagnostics.q", "q", _number, _positive, "> 0"),

@@ -80,10 +80,8 @@ class FlowSettings:
     dt_min: float = 1e-12
     blowup_factor: float = 10.0
     amp_cap: float = 1e8
-    #: dissipation fires when the critical norm has dropped by this factor and
-    #: the weighted-norm diagnostic has decreased over the last kq_streak snapshots
+    #: dissipation fires when the critical norm has dropped by this factor
     eps_dissip_rel: float = 1e-6
-    kq_streak: int = 5
 
 
 class StepCollapseError(RuntimeError):
@@ -338,24 +336,6 @@ def step(
     )
 
 
-def detect_dissipation(
-    snapshots: list[Snapshot],
-    eps_dissip: float,
-    streak: int = FlowSettings.kq_streak,
-) -> bool:
-    """Critical norm below threshold and weighted norm monotonically down.
-
-    Requires at least two snapshots; the weighted-norm streak uses whatever
-    tail of the history exists, up to `streak` consecutive decrements.
-    """
-    if len(snapshots) < 2:
-        return False
-    if snapshots[-1].report.h1_sq >= eps_dissip:
-        return False
-    kqs = [s.kq for s in snapshots if s.kq is not None][-(streak + 1) :]
-    return all(b <= a * (1.0 + 1e-12) for a, b in zip(kqs, kqs[1:]))
-
-
 def _nehari_persisted_negative(snapshots: list[Snapshot]) -> bool:
     """J < 0 on every snapshot strictly before the firing snapshot.
 
@@ -484,10 +464,9 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
             )
         except CorruptionError:
             return finish(UNDECIDED, state.t, {"reason": "corruption"})
-        if detect_dissipation(traj.snapshots, eps_dissip, settings.kq_streak):
-            return finish(
-                DISSIPATIVE, state.t, {"final_h1_sq": traj.snapshots[-1].report.h1_sq}
-            )
+        h1_sq = traj.snapshots[-1].report.h1_sq
+        if h1_sq < eps_dissip:
+            return finish(DISSIPATIVE, state.t, {"final_h1_sq": h1_sq})
     return finish(UNDECIDED, state.t, {"reason": "t_max_reached"})
 
 

@@ -326,7 +326,11 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
     unitary convention, so Plancherel holds with constant one. One Bessel
     kernel serves every field; `_bessel_kernel` evaluates it on every CPU the
     process may use, with the same bits as one `jv` call. Requires each field
-    to have decayed to <= 1e-8 of its peak at the outer radius.
+    to have decayed to <= 1e-8 of its peak at the outer radius. That check
+    reads the outer node alone, which `families.build_initial` and every
+    substep pin to 0, so no field of a run or of its checkpoints trips it:
+    only a hand-built field can. A field that has not decayed well inside R
+    passes and aliases.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     if np.any(s_nodes <= 0) or np.any(np.diff(s_nodes) <= 0):

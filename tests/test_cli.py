@@ -55,7 +55,7 @@ FULL_CONFIG = {
     "integrator": {"tol": 1e-6, "dt_init": 1e-6, "dt_min": 1e-12, "t_max": 40.0,
                    "nonlinearity": "focusing"},
     "snapshots": {"first": 0.05, "factor": 1.3, "checkpoint_every": 2, "forced_times": [1.0]},
-    "verdict": {"eps_dissip_rel": 1e-6, "kq_streak": 5, "blowup_factor": 10.0, "amp_cap": 1e8},
+    "verdict": {"eps_dissip_rel": 1e-6, "blowup_factor": 10.0, "amp_cap": 1e8},
     "diagnostics": {"q": 5.0, "fit_t_lo": 2.0},
     "seed": 0,
     "out_dir": "out",
@@ -200,8 +200,8 @@ class TestParseConfig:
         # no default is materialized, so a valid configuration keeps its hash
         cfg = parse_config(run_config_text(family={"name": "gaussian", "amp": 1}))
         assert cfg.family_params == (("amp", 1),)
-        assert parse_config(run_config_text()).content_hash() == "90d40b28bd958201"
-        assert parse_config(run_config_text(seed=3)).content_hash() == "2747fa1502007ffc"
+        assert parse_config(run_config_text()).content_hash() == "691f938c5e363038"
+        assert parse_config(run_config_text(seed=3)).content_hash() == "9c9eab7288e52d6f"
 
     def test_q_window_depends_on_the_dimension(self):
         parse_config(run_config_text(diagnostics={"q": 3.5}))  # d=5: 10/3 < q < 14/3
@@ -489,7 +489,8 @@ BAD_INPUTS = {
     "q_string": ("diagnostics.q", "diagnostics", "q", '"abc"'),
     "forced_time_string": ("snapshots.forced_times[0]", "snapshots", "forced_times", '["x"]'),
     "checkpoint_every_zero": ("snapshots.checkpoint_every", "snapshots", "checkpoint_every", "0"),
-    "kq_streak_negative": ("verdict.kq_streak", "verdict", "kq_streak", "-3"),
+    # a key that was retired is refused like any other unknown key
+    "kq_streak_retired": ("verdict.kq_streak: unknown key", "verdict", "kq_streak", "5"),
     "typo_in_section": ("integrator.tmax", "integrator", "tmax", "1e6"),
     "typo_at_top_level": ("seeed", "", "seeed", "1"),
     "q_outside_window": ("diagnostics.q", "diagnostics", "q", "100.0"),
@@ -852,6 +853,8 @@ def run_cli(argv, timeout=60):
 UNRUNNABLE = {
     "R_overflows": ({"grid": {"R": 1e300, "n": 200}}, "grid.R"),
     "R_underflows": ({"grid": {"R": 1e-100, "n": 200}}, "grid.R"),
+    # 1.2^4999 overflows, so the nodes collapse; 5000 doubles fit in any memory
+    "stretch_overflows": ({"grid": {"R": 100.0, "n": 5000, "stretch": 1.2}}, "grid.R"),
     # 711 PiB of nodes: refused at once whatever the host's overcommit policy,
     # where a size near its memory could be mapped and then touched
     "nodes_exceed_memory": ({"grid": {"R": 600.0, "n": 10**17}}, "grid.n"),

@@ -474,9 +474,6 @@ class TestDetectors:
         assert traj.verdict.detail["nehari_negative_persisted"]
         assert all(s.report.nehari < 0 for s in traj.snapshots[:-1])
 
-    def test_detect_dissipation_needs_two_snapshots(self):
-        assert not evolve.detect_dissipation([], eps_dissip=1.0)
-
     def test_blowup_amp_cap_immediate(self):
         # amplitude beyond the cap is a blowup signature even at step one
         grid = grid_for_span(5, 100.0, 0.05, 0.01)

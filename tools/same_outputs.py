@@ -26,8 +26,9 @@ on the run grid is the t = 0 checkpoint of an OLD_SRC `critheat run`, so that
 its nodes are the grid's to the bit.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
-configuration and exits 0 when all of them match, 1 otherwise. Standard
-library only.
+configuration, naming the files that differ and, for a manifest, the dotted
+paths of its entries that differ (`config.verdict.eps_dissip_rel`), and exits
+0 when all of them match, 1 otherwise. Standard library only.
 """
 
 from __future__ import annotations
@@ -189,6 +190,31 @@ def _stable(tree):
     return tree
 
 
+#: stands for an entry that one tree lacks
+_ABSENT = object()
+
+
+def _differing_paths(old, new, at: str = "") -> list[str]:
+    """Dotted paths of the entries where two JSON trees differ; an entry that
+    only one tree holds differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [path for key in sorted(old.keys() | new.keys())
+                for path in _differing_paths(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                             f"{at}.{key}" if at else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [path for i, (a, b) in enumerate(zip(old, new))
+                for path in _differing_paths(a, b, f"{at}[{i}]")]
+    return [] if old == new else [at]
+
+
+def _differing(name: str, old: dict[str, bytes], new: dict[str, bytes]) -> str:
+    """The file name, and for a manifest both trees hold, the stable entries that differ."""
+    if name != "manifest.json" or name not in old or name not in new:
+        return name
+    paths = _differing_paths(json.loads(old[name]), json.loads(new[name]))
+    return f"{name} ({', '.join(paths)})"
+
+
 def run(src: Path, verb: str, tree: dict, work: Path,
         inputs: Path) -> tuple[int, dict[str, bytes]]:
     """Exit code and output files of one command under the tree `src`, run in
@@ -248,7 +274,8 @@ def main(argv: list[str]) -> int:
             ok = old_code == new_code and not differ
             same &= ok
             detail = f"exit {old_code}, {len(old)} files" if ok else (
-                f"exit {old_code} vs {new_code}, differing: {', '.join(differ) or 'none'}")
+                f"exit {old_code} vs {new_code}, differing: "
+                f"{', '.join(_differing(n, old, new) for n in differ) or 'none'}")
             print(f"{'SAME' if ok else 'DIFF'} {name}: {detail}")
     return 0 if same else 1
 
