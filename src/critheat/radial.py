@@ -62,11 +62,16 @@ class RadialGrid:
 
     `stretch` is the ratio of consecutive spacings (1 means uniform). Nodes
     are immutable after construction; consumers share grids freely.
+    `bessel_kernel` is the one slot `spectral.hankel_spectra` keeps on the
+    grid: the frequency nodes and read-only Bessel kernel of its last call
+    here, or None.
     """
 
     d: int
     nodes: np.ndarray
     stretch: float = 1.0
+    bessel_kernel: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                                 repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -230,6 +235,8 @@ def pchip(x, y):
     slopes are Moler's shape-preserving one-sided three-point estimates. The
     evaluator sums each interval's cubic in PPoly's order, ascending powers of
     the offset from the interval's left node, with x_end in the last interval.
+    Its `table` attribute holds, per interval i, the column (x_i, a_0 .. a_3)
+    of that cubic's left node and coefficients.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -257,6 +264,7 @@ def pchip(x, y):
         z2 = z * z
         return ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
 
+    evaluate.table = table
     return evaluate
 
 
