@@ -13,6 +13,7 @@ dual cells, in symmetric form -V^{-1} K: K the stiffness matrix of
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -62,16 +63,11 @@ class RadialGrid:
 
     `stretch` is the ratio of consecutive spacings (1 means uniform). Nodes
     are immutable after construction; consumers share grids freely.
-    `bessel_kernel` is the one slot `spectral.hankel_spectra` keeps on the
-    grid: the frequency nodes and read-only Bessel kernel of its last call
-    here, or None.
     """
 
     d: int
     nodes: np.ndarray
     stretch: float = 1.0
-    bessel_kernel: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
-                                                                 repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -235,8 +231,8 @@ def pchip(x, y):
     slopes are Moler's shape-preserving one-sided three-point estimates. The
     evaluator sums each interval's cubic in PPoly's order, ascending powers of
     the offset from the interval's left node, with x_end in the last interval.
-    Its `table` attribute holds, per interval i, the column (x_i, a_0 .. a_3)
-    of that cubic's left node and coefficients.
+    Its `at` attribute evaluates one float the same way in Python floats, with
+    the same bits and without numpy's per-call dispatch.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,7 +260,15 @@ def pchip(x, y):
         z2 = z * z
         return ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
 
-    evaluate.table = table
+    cubics, inner_nodes = table.T.tolist(), inner.tolist()
+
+    def at(s: float) -> float:
+        left, a0, a1, a2, a3 = cubics[bisect_right(inner_nodes, s)]
+        z = s - left
+        z2 = z * z
+        return ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
+
+    evaluate.at = at
     return evaluate
 
 

@@ -14,18 +14,16 @@ On a closed form, F(rho) and the heat norm are incomplete-gamma integrals with
 an exact value (`_closed_mass`). On a table, F(rho) is the trapezoid rule over
 the nodes refined 4-fold. A spectrum evaluates that integrand over its whole
 table once and keeps it with its trapezoid terms, so a call evaluates it only
-on the last interval, [last node below rho, rho], on that interval's cubic,
-and the heat-decay integral reuses all of it. A table's monotone cubic is
-`radial.pchip`, with the bits of scipy's PCHIP. A Hankel transform takes the
-Bessel function `jv` from scipy's compiled `_special_ufuncs` extension through
-`_extensions.scipy_extension`, and a closed form's masses import
-`scipy.special` for `hyp1f1`, which only its package provides; both load on
-first use, so importing this module loads no scipy module. The transform
-evaluates its Bessel kernel on every CPU the process may use, in blocks of
-rows; `jv` works element by element, so the bits do not depend on how many
-CPUs there are. A grid keeps the kernel of its last transform
-(`RadialGrid.bessel_kernel`), so a second transform on the same grid and
-frequency nodes, as the splitting diagnostic's two weights make, reuses it.
+on the last interval, [last node below rho, rho], at five points in Python
+floats with numpy's bits, and the heat-decay integral reuses all of it. A
+table's monotone cubic is `radial.pchip`, with the bits of scipy's PCHIP. A
+Hankel transform takes the Bessel function `jv` from scipy's compiled
+`_special_ufuncs` extension through `_extensions.scipy_extension`, and a
+closed form's masses import `scipy.special` for `hyp1f1`, which only its
+package provides; both load on first use, so importing this module loads no
+scipy module. The transform evaluates its Bessel kernel on every CPU the
+process may use, in blocks of rows; `jv` works element by element, so the bits
+do not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -124,10 +122,6 @@ class SpectrumFn:
         return pchip(self.s_nodes, self.values)
 
     @cached_property
-    def _sphere_area(self) -> float:
-        return sphere_area(self.d)
-
-    @cached_property
     def _mass_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """The refined table grid and the mass integrand on it, which every
         `linear_heat_l2_sq` call reuses."""
@@ -204,12 +198,12 @@ def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
             integral = 0.5 * gammainc(a, x) * np.exp(gammaln(a) - a * log_beta)
         else:  # 1F1 = 1 - O(x), and scipy's is inf below x ~ 1e-180 when a < 1
             integral = np.power(upper, e) / e * (hyp1f1(a, a + 1.0, -x) if x > 1e-100 else 1.0)
-    return float(spec._sphere_area * spec.amp * spec.amp * integral)
+    return float(sphere_area(spec.d) * spec.amp * spec.amp * integral)
 
 
 def _mass_integrand(spec: SpectrumFn, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """omega_{d-1} |vhat|^2 s^{d-1} at s, where v = vhat(s)."""
-    return spec._sphere_area * v * v * s ** (spec.d - 1)
+    return sphere_area(spec.d) * v * v * s ** (spec.d - 1)
 
 
 def _refine(pts: np.ndarray) -> np.ndarray:
@@ -226,11 +220,7 @@ def _stub_mass(spec: SpectrumFn, rho: float) -> float:
     expo = _mass_power(spec)
     s0 = spec.s_nodes[0]
     # the stub's mass grows like s^expo; the factor is exactly 1 for rho >= s0
-    return spec._sphere_area * v0 * v0 * s0**spec.d / expo * (min(rho, s0) / s0) ** expo
-
-
-#: the sample indices of `low_freq_mass`'s 5-point tail, as `np.linspace` counts them
-_ARANGE5 = np.arange(5.0)
+    return sphere_area(spec.d) * v0 * v0 * s0**spec.d / expo * (min(rho, s0) / s0) ** expo
 
 
 def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
@@ -243,30 +233,23 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     # samples up to the last such node s_{k-1}, then np.linspace(s_{k-1}, rho, 5).
     # Its trapezoid terms are the cached ones up to s_{k-1} and the tail's,
     # summed as one array, as `np.trapezoid` sums them
-    s = spec.s_nodes
-    k = int(s.searchsorted(rho))
+    k = int(spec.s_nodes.searchsorted(rho))
     if k == 0:
         return _stub_mass(spec, rho)
-    # inside [s_0, s_max], where the table is its cubic: no stub, no clipping
-    lo = s[k - 1]
-    step = (rho - lo) / 4.0
-    if step != 0.0 and (rho < s[k] or k == len(s) - 1):
-        # np.linspace(lo, rho, 5) by its own arithmetic, every point in interval
-        # k-1, whose cubic is summed as the evaluator sums it, without its
-        # searchsorted and gather. Otherwise rho is an interior node, which the
-        # evaluator puts in interval k, or the gap is too small for a step,
-        # which np.linspace scales another way
-        tail = _ARANGE5 * step + lo
-        tail[4] = rho
-        _, a0, a1, a2, a3 = spec._interp.table[:, k - 1]
-        z = tail - lo
-        z2 = z * z
-        v = ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
-    else:
-        tail = np.linspace(lo, rho, 5)
-        v = spec._interp(tail)
-    y = _mass_integrand(spec, tail, v)
-    tail_terms = (tail[1:] - tail[:-1]) * (y[1:] + y[:-1]) / 2.0  # np.diff, without its overhead
+    # the tail np.linspace(s_{k-1}, rho, 5), its integrand as `_mass_integrand`
+    # forms it and its terms, in Python floats with numpy's bits: on five points
+    # numpy's per-call dispatch costs more than the arithmetic. Inside
+    # [s_0, s_max] the table is its cubic: no stub, no clipping
+    lo = float(spec.s_nodes[k - 1])
+    delta = rho - lo
+    step = delta / 4.0
+    # as np.linspace, which scales by the gap where the step underflows to 0
+    tail = [i * step + lo if step else i / 4.0 * delta + lo for i in range(4)] + [rho]
+    # the power stays an array operation: numpy's loop need not round as libm's pow
+    powers = (np.array(tail) ** (spec.d - 1)).tolist()
+    area = sphere_area(spec.d)
+    y = [area * v * v * p for v, p in zip(map(spec._interp.at, tail), powers)]
+    tail_terms = [(tail[i + 1] - tail[i]) * (y[i + 1] + y[i]) / 2.0 for i in range(4)]
     terms = np.concatenate([spec._mass_terms[:4 * (k - 1)], tail_terms])
     return float(terms.sum()) + spec._stub_above
 
@@ -352,13 +335,13 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 
     vhat(s) = s^{-(d-2)/2} int_0^R u(r) J_{(d-2)/2}(r s) r^{d/2} dr in the
     unitary convention, so Plancherel holds with constant one. One Bessel
-    kernel serves every field; `_grid_kernel` takes it from the grid's slot or
-    evaluates it on every CPU the process may use, with the same bits as one
-    `jv` call. Requires each field to have decayed to <= 1e-8 of its peak at
-    the outer radius. That check reads the outer node alone, which
-    `families.build_initial` and every substep pin to 0, so no field of a run
-    or of its checkpoints trips it: only a hand-built field can. A field that
-    has not decayed well inside R passes and aliases.
+    kernel serves every field; `_bessel_kernel` evaluates it on every CPU the
+    process may use, with the same bits as one `jv` call. Requires each field
+    to have decayed to <= 1e-8 of its peak at the outer radius. That check
+    reads the outer node alone, which `families.build_initial` and every
+    substep pin to 0, so no field of a run or of its checkpoints trips it:
+    only a hand-built field can. A field that has not decayed well inside R
+    passes and aliases.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     if np.any(s_nodes <= 0) or np.any(np.diff(s_nodes) <= 0):
@@ -373,10 +356,12 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
             raise TailMassError(
                 f"field carries {edge/peak:.2e} of its peak at r = R; transform would alias"
             )
+    jv = scipy_extension("special._special_ufuncs").jv  # the ufunc scipy.special exports
     nu = (grid.d - 2) / 2.0
-    rpow = grid.nodes ** (grid.d / 2.0)
+    r = grid.nodes
+    rpow = r ** (grid.d / 2.0)
     weighted = np.stack([grid.line_weights * u.values * rpow for u in fields])
-    kernel = _grid_kernel(grid, s_nodes)
+    kernel = _bessel_kernel(jv, nu, s_nodes, r)
     # einsum, not `@`: a BLAS product this size wakes the BLAS thread pool,
     # whose threads keep spinning on another core after the call returns
     vals = np.einsum("fr,sr->fs", weighted, kernel) * s_nodes ** (-nu)
@@ -393,22 +378,6 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 #: than rows of large s, so workers that take small blocks from one shared
 #: iterator finish together
 BLOCKS_PER_WORKER = 4
-
-
-def _grid_kernel(grid, s: np.ndarray) -> np.ndarray:
-    """The Bessel kernel jv(nu, np.outer(s, grid.nodes)), nu = (d - 2) / 2:
-    the one in the grid's slot if its frequency nodes equal s by value, else
-    evaluated by `_bessel_kernel`, made read-only and put in the slot in place
-    of the last one. A kernel whose evaluation raises leaves the slot as it was."""
-    slot = grid.bessel_kernel
-    if slot is not None and np.array_equal(slot[0], s):
-        return slot[1]
-    jv = scipy_extension("special._special_ufuncs").jv  # the ufunc scipy.special exports
-    kernel = _bessel_kernel(jv, (grid.d - 2) / 2.0, s, grid.nodes)
-    kernel.flags.writeable = False
-    # a copy of s, so a caller that later writes its array cannot change the key
-    object.__setattr__(grid, "bessel_kernel", (s.copy(), kernel))
-    return kernel
 
 
 def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:

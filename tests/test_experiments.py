@@ -281,29 +281,6 @@ class TestSplitting:
             assert report.c_tilde == c_tilde
             assert report.margins == margins
 
-    def test_weights_in_turn_match_each_weight_alone(self, monkeypatch):
-        # the second weight's transform reuses the first one's kernel from the
-        # grid; each weight alone, on a fresh run with its own grid, gives the
-        # same constant and margins, bit for bit
-        def run():
-            return experiments.run_config(base_config(
-                4, 160.0, family="gaussian", params={"amp": 0.05, "width": 1.0}.items(),
-                t_max=40.0, tol=1e-6, dt_init=1e-6, checkpoint_every=2, snapshot_first=0.05,
-            ))
-
-        weights = (("log_cubed", None), ("power", 4.0))
-        alone = [experiments.splitting_diagnostic(run(), g_choice=g, alpha=a) for g, a in weights]
-        kernels = []
-        bessel_kernel = spectral._bessel_kernel
-        monkeypatch.setattr(spectral, "_bessel_kernel",
-                            lambda *args: kernels.append(args) or bessel_kernel(*args))
-        traj = run()
-        in_turn = [experiments.splitting_diagnostic(traj, g_choice=g, alpha=a) for g, a in weights]
-        assert len(kernels) == 1
-        for one, other in zip(in_turn, alone):
-            assert one.c_tilde == other.c_tilde
-            assert np.array(one.margins).tobytes() == np.array(other.margins).tobytes()
-
     def test_stationary_bubble_is_degenerate(self):
         # constant critical norm: the inequality closes only as the ball grows,
         # so margins sit at zero scale for the smallest constant

@@ -156,12 +156,24 @@ class TestPchip:
         s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), inner, [x[0], x[-1]]])
         assert pchip(x, y)(s).tobytes() == scipy_pchip(x, y, s).tobytes()
 
+    @given(pchip_tables(), st.lists(st.floats(0.0, 1.0), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_at_has_the_evaluators_bits(self, table, fractions):
+        # one float at a time: the nodes, where an interior one opens the next
+        # interval, midpoints, x_end and points drawn between
+        x, y = table
+        inner = np.minimum(x[0] + (x[-1] - x[0]) * np.array(fractions), x[-1])
+        s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), inner])
+        interp = pchip(x, y)
+        assert np.array([interp.at(p) for p in s.tolist()]).tobytes() == interp(s).tobytes()
+
     def test_negative_zero_node_reads_positive_zero(self):
         # every coefficient of the interval at -0.0 is negative, and the sum
         # starts from +0.0 as PPoly's does
         x, y = np.arange(5.0), np.array([0.5, 0.4, -0.0, -1.0, -4.0])
         assert pchip(x, y)(x).tobytes() == scipy_pchip(x, y, x).tobytes()
         assert pchip(x, y)(2.0).tobytes() == np.float64(0.0).tobytes()
+        assert math.copysign(1.0, pchip(x, y).at(2.0)) == 1.0
 
     def test_bits_on_the_decayfit_hankel_table(self):
         # the table `decayfit` interpolates: the d = 4 gaussian at DECAYFIT_NODES,

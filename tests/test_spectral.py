@@ -170,10 +170,10 @@ class TestMassCache:
     @given(spec=tabulated_spectra(st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
            us=st.lists(st.floats(0.0, 1.0), max_size=3), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_every_tail_branch_on_signed_values(self, spec, us, data):
-        # an interior node, where the tail's last point is in the next interval
-        # and the generic evaluator runs; the first interval; s_max, the last
-        # interval's right end; values of both signs and exact zeros
+    def test_interval_edges_on_signed_values(self, spec, us, data):
+        # an interior node, where the tail's last point is in the next interval;
+        # the first interval; s_max, the last interval's right end; values of
+        # both signs and exact zeros
         s = spec.s_nodes
         if not 2.0 * spec._low_power[0] + spec.d > 0.0:
             return  # the stub diverges; TestRefinement covers the refusal
@@ -403,7 +403,7 @@ class TestHankel:
 class TestParallelKernel:
     """The Bessel kernel, cut into row blocks over threads, keeps every bit."""
 
-    @pytest.fixture
+    @pytest.fixture(scope="class")
     def fields(self):
         grid = grid_for_span(3, 14.0, 2e-3, 1e-3)
         r = grid.nodes
@@ -466,82 +466,6 @@ class TestParallelKernel:
         with pytest.raises(FloatingPointError, match="jv block failed"):
             sp.hankel_spectra(fields, np.geomspace(1e-4, 12.0, 90))
         assert threading.active_count() == before
-
-
-class TestKernelSlot:
-    """A grid keeps the Bessel kernel of its last transform, keyed by the
-    frequency nodes' values, and serves it to the next transform there."""
-
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        """The `_bessel_kernel` calls made while the test runs."""
-        calls = []
-        bessel_kernel = sp._bessel_kernel
-
-        def counting(jv, nu, s, r):
-            calls.append(s)
-            return bessel_kernel(jv, nu, s, r)
-
-        monkeypatch.setattr(sp, "_bessel_kernel", counting)
-        return calls
-
-    @staticmethod
-    def field(grid):
-        return RadialField(grid, np.exp(-((grid.nodes / 1.3) ** 2)))
-
-    @staticmethod
-    def nodes(s_hi=12.0):
-        return np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, s_hi, 60)])
-
-    def test_equal_nodes_reuse_the_kernel(self, counted):
-        u = self.field(grid_for_span(4, 14.0, 2e-3, 1e-3))
-        first = sp.hankel_spectrum(u, self.nodes())
-        again = sp.hankel_spectrum(u, self.nodes())  # equal values, another array
-        assert len(counted) == 1
-        assert again.values.tobytes() == first.values.tobytes()
-
-    def test_other_nodes_or_grid_evaluate_again(self, counted):
-        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
-        sp.hankel_spectrum(self.field(grid), self.nodes())
-        sp.hankel_spectrum(self.field(grid), self.nodes(9.0))
-        assert len(counted) == 2
-        other = grid_for_span(4, 14.0, 2e-3, 1e-3)  # equal nodes, another grid
-        sp.hankel_spectrum(self.field(other), self.nodes(9.0))
-        assert len(counted) == 3
-        # the slot holds only the newest kernel: the first nodes evaluate again
-        assert np.array_equal(grid.bessel_kernel[0], self.nodes(9.0))
-        sp.hankel_spectrum(self.field(grid), self.nodes())
-        assert len(counted) == 4
-
-    def test_the_kept_kernel_is_read_only(self):
-        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
-        s = self.nodes()
-        sp.hankel_spectrum(self.field(grid), s)
-        nodes, kernel = grid.bessel_kernel
-        with pytest.raises(ValueError, match="read-only"):
-            kernel[0, 0] = 1.0
-        # the key is the nodes' values at the call: a later write to the
-        # caller's array does not reach it
-        s[-1] = 20.0
-        assert nodes[-1] == 12.0
-
-    def test_a_failed_evaluation_leaves_the_slot(self, monkeypatch, counted):
-        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
-        u = self.field(grid)
-        sp.hankel_spectrum(u, self.nodes())
-        kept = grid.bessel_kernel
-
-        def failing_jv(nu, x, out):
-            raise FloatingPointError("jv failed")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sp, "scipy_extension", lambda name: types.SimpleNamespace(jv=failing_jv))
-            with pytest.raises(FloatingPointError, match="jv failed"):
-                sp.hankel_spectrum(u, self.nodes(9.0))
-        assert grid.bessel_kernel is kept
-        sp.hankel_spectrum(u, self.nodes(9.0))
-        assert len(counted) == 3
-        assert np.array_equal(grid.bessel_kernel[0], self.nodes(9.0))
 
 
 class TestSpectrumIO:
