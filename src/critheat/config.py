@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import families, functionals, spectral
-from .evolve import MAX_SNAPSHOTS, NONLINEARITY_SIGN, FlowSettings, snapshot_count
+from .evolve import NONLINEARITY_SIGN, FlowSettings, snapshot_ladder
 from .radial import RadialGrid, make_grid
 
 
@@ -283,12 +283,12 @@ def _run_config(tree: dict) -> RunConfig:
     if q is not None and not lo < 1.0 / q < hi:
         raise ConfigError(f"diagnostics.q: must lie in ({1 / hi:.6g}, {1 / lo:.6g}) in d={d}, "
                           f"got {q!r}")
-    count = snapshot_count(values["snapshot_first"], values["snapshot_factor"],
-                           values["t_max"], values["forced_times"])
-    if count > MAX_SNAPSHOTS:
-        raise ConfigError(f"snapshots.factor: {values['snapshot_factor']!r} gives {count} "
-                          f"snapshot times up to integrator.t_max, more than {MAX_SNAPSHOTS}")
-    return RunConfig(family_params=tuple(sorted(params.items())), **values)
+    cfg = RunConfig(family_params=tuple(sorted(params.items())), **values)
+    try:  # the ladder `run_flow` steps through, refused before any stepping
+        snapshot_ladder(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:

@@ -27,7 +27,6 @@ need not contain the blowup time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,28 +349,47 @@ def _nehari_persisted_negative(snapshots: list[Snapshot]) -> bool:
 MAX_SNAPSHOTS = 10_000
 
 
-def snapshot_count(first: float, factor: float, t_max: float, forced_times: tuple) -> int:
-    """Times on `_snapshot_ladder`, without building it: the rungs
-    first * factor^k below t_max, t_max and the forced times. The ladder may
-    hold one rung more, by rounding in its repeated product, and fewer times
-    where a forced time is past t_max or repeats another."""
-    rungs = (math.log(t_max) - math.log(first)) / math.log(factor)
-    return max(0, math.ceil(rungs)) + 1 + len(forced_times)
+def snapshot_ladder(settings: FlowSettings) -> list[float]:
+    """The times a run snapshots at, ascending: the rungs first * factor^k
+    below t_max by repeated product, t_max, and the forced times in
+    (0, t_max]. Their only definition: `config` checks a configuration with
+    it, and `run_flow` steps through it.
 
-
-def _snapshot_ladder(settings: FlowSettings) -> list[float]:
-    times = set(t for t in settings.forced_times if 0.0 < t <= settings.t_max)
-    t = settings.snapshot_first
-    while t < settings.t_max:
+    Raises ValueError naming the configuration key when the rungs stop
+    growing, when there are more than MAX_SNAPSHOTS distinct times, or when
+    a time lies less than dt_min past the one before it (or past 0), where
+    the step landing on it would collapse.
+    """
+    first, factor, t_max = settings.snapshot_first, settings.snapshot_factor, settings.t_max
+    times = {t for t in settings.forced_times if 0.0 < t <= t_max}
+    times.add(t_max)
+    t = first
+    for _ in range(MAX_SNAPSHOTS):
+        if t >= t_max:
+            break
         times.add(t)
-        t *= settings.snapshot_factor
-    times.add(settings.t_max)
-    return sorted(times)
+        grown = t * factor
+        if not grown > t:
+            raise ValueError(f"snapshots.first: {first!r} gives rungs that stop growing at "
+                             f"{t!r} under snapshots.factor = {factor!r}")
+        t = grown
+    if t < t_max or len(times) > MAX_SNAPSHOTS:
+        raise ValueError(f"snapshots.factor: {factor!r} gives more than {MAX_SNAPSHOTS} "
+                         "snapshot times up to integrator.t_max")
+    ladder = sorted(times)
+    for before, t in zip([0.0, *ladder], ladder):
+        if t - before < settings.dt_min:
+            raise ValueError(f"integrator.dt_min: {settings.dt_min!r} exceeds the gap from "
+                             f"{before!r} to the snapshot time {t!r}, so the step landing "
+                             "on it would collapse")
+    return ladder
 
 
 def run_flow(u0: RadialField, settings: FlowSettings, *,
              threshold_guard: bool = True) -> Trajectory:
-    """Integrate from u0 until a verdict fires or t reaches settings.t_max.
+    """Integrate from u0 until a verdict fires or t reaches settings.t_max,
+    snapshotting at the times of `snapshot_ladder`, which is built first: a
+    ladder it refuses raises ValueError before any work.
 
     It builds the threshold itself, from u0's grid, and nothing else does:
     E(W) and ||grad W||^2 in closed form (`ground_state.reference`), and the
@@ -384,6 +402,7 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
     later snapshot whose diagnostics overflow ends the run
     Undecided("corruption").
     """
+    ladder = snapshot_ladder(settings)
     grid = u0.grid
     d = grid.d
     ref = ground_state.reference(d)
@@ -435,7 +454,6 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
 
     init_h1 = traj.initial_h1_sq
     eps_dissip = settings.eps_dissip_rel * init_h1 + 1e-300
-    ladder = _snapshot_ladder(settings)
     forced = set(settings.forced_times)
     snap_index = 0
 

@@ -218,26 +218,28 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
         scale = abs(lhs[i]) + abs(rhs) + 1e-300
         return (rhs - lhs[i]) / scale
 
-    def margins(c_tilde: float) -> np.ndarray:
-        return np.array([margin(i, c_tilde) for i in range(len(times))])
-
-    failed = 0  # the pair that failed last, tried first
-
-    def holds(c_tilde: float) -> bool:
-        """Whether every margin at c_tilde is >= 0, stopping at the first that is not."""
-        nonlocal failed
-        for i in [failed, *(j for j in range(len(times)) if j != failed)]:
-            if not margin(i, c_tilde) >= 0.0:
-                failed = i
-                return False
-        return True
-
-    at_lo = margins(c_lo)
+    at_lo = np.array([margin(i, c_lo) for i in range(len(times))])
     if at_lo.min() < -1e-9:
         return SplittingReport(
             g_choice=g_choice, c_tilde=None, times=tuple(times),
             margins=tuple(at_lo), alpha=alpha,
         )
+    failed = 0  # the pair that failed last, tried first
+    kept = at_lo  # the margins at lo, which only a successful `holds` raises
+
+    def holds(c_tilde: float) -> bool:
+        """Whether every margin at c_tilde is >= 0, stopping at the first that
+        is not; when all are, they become `kept`."""
+        nonlocal failed, kept
+        trial = np.empty(len(times))
+        for i in [failed, *(j for j in range(len(times)) if j != failed)]:
+            trial[i] = margin(i, c_tilde)
+            if not trial[i] >= 0.0:
+                failed = i
+                return False
+        kept = trial
+        return True
+
     lo, hi = c_lo, c_hi
     if holds(hi):
         lo = hi
@@ -250,5 +252,5 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
                 hi = mid
     return SplittingReport(
         g_choice=g_choice, c_tilde=lo, times=tuple(times),
-        margins=tuple(margins(lo)), alpha=alpha,
+        margins=tuple(kept), alpha=alpha,
     )

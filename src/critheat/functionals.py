@@ -64,20 +64,22 @@ def l2_norm_sq(u: RadialField) -> float:
     return power_integral(u.grid.quad_weights, u.values, 2)
 
 
-def l2_tail_heavy(u: RadialField) -> bool:
-    """True when the outer quarter of [0, R] carries > 1% of the L2 mass."""
-    w = u.grid.quad_weights
-    sq = u.values**2
-    total = float(w @ sq)
-    if total == 0.0:
-        return False
+def converged_l2_sq(u: RadialField) -> float | None:
+    """||u||_{L2}^2 on the truncated domain, or None when the outer quarter of
+    [0, R] carries more than `L2_TAIL_FRACTION` of it."""
+    total = l2_norm_sq(u)
     outer = u.grid.nodes >= 0.75 * u.grid.rmax
-    return float(w[outer] @ sq[outer]) > L2_TAIL_FRACTION * total
+    tail = power_integral(u.grid.quad_weights[outer], u.values[outer], 2)
+    return None if tail > L2_TAIL_FRACTION * total else total
+
+
+def _energy(h1_sq: float, l2star_pow: float, d: int) -> float:
+    return 0.5 * h1_sq - l2star_pow / crit_exponent(d)
 
 
 def energy(u: RadialField) -> float:
     """E(u) = (1/2)||grad u||^2 - (1/2*)||u||_{2*}^{2*}."""
-    return 0.5 * h1_norm_sq(u) - l2star_power(u) / crit_exponent(u.grid.d)
+    return _energy(h1_norm_sq(u), l2star_power(u), u.grid.d)
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,13 @@ class EnergyReport:
 def energy_report(t: float, u: RadialField) -> EnergyReport:
     h1 = h1_norm_sq(u)
     l2s = l2star_power(u)
-    l2 = None if l2_tail_heavy(u) else l2_norm_sq(u)
     return EnergyReport(
         t=t,
         h1_sq=h1,
         l2star_pow=l2s,
-        energy=0.5 * h1 - l2s / crit_exponent(u.grid.d),
+        energy=_energy(h1, l2s, u.grid.d),
         nehari=h1 - l2s,
-        l2_sq=l2,
+        l2_sq=converged_l2_sq(u),
     )
 
 

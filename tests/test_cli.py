@@ -209,15 +209,36 @@ class TestParseConfig:
             parse_config(run_config_text(diagnostics={"q": 5.0}))
 
     def test_snapshot_ladder_past_the_cap_is_refused(self):
-        # t_max 5 from first 1e-3: log(5e3) / log(factor) rungs, counted without a ladder
+        # t_max 5 from first 1e-3: about log(5e3) / log(factor) rungs
         def parse(factor):
             return parse_config(run_config_text(integrator={"t_max": 5.0},
                                                 snapshots={"factor": factor}))
 
-        assert len(evolve._snapshot_ladder(parse(1.00086))) == 9909
+        assert len(evolve.snapshot_ladder(parse(1.00086))) == 9909
         for factor in (1.00085, 1.0000000001):
             with pytest.raises(ConfigError, match=r"snapshots\.factor"):
                 parse(factor)
+
+    def test_the_cap_counts_distinct_times_exactly(self):
+        # t_max on the rung first * factor^(MAX - 1), by the ladder's own
+        # repeated product: MAX - 1 rungs below it, then t_max
+        first, factor, cap = 1e-3, 1.0005, evolve.MAX_SNAPSHOTS
+        rung = first
+        for _ in range(cap - 1):
+            rung *= factor
+
+        def parse(t_max, forced=()):
+            return parse_config(run_config_text(
+                integrator={"t_max": t_max},
+                snapshots={"first": first, "factor": factor, "forced_times": list(forced)}))
+
+        assert len(evolve.snapshot_ladder(parse(rung))) == cap
+        # a forced time on a rung, or at t_max, is no new time
+        assert len(evolve.snapshot_ladder(parse(rung, [first * factor, rung]))) == cap
+        # one more distinct time: a rung just below t_max, or a forced time
+        for t_max, forced in ((math.nextafter(rung, math.inf), ()), (rung, [0.5 * first])):
+            with pytest.raises(ConfigError, match=r"^snapshots\.factor: "):
+                parse(t_max, forced)
 
 
 class TestParseSweep:
@@ -862,6 +883,12 @@ UNRUNNABLE = {
     # one rung past the cap is still a ladder that could be stepped through
     "ladder_past_the_cap": ({"integrator": {"t_max": 5.0}, "snapshots": {"factor": 1.00085}},
                             "snapshots.factor"),
+    # the repeated product stalls at the smallest subnormal
+    "rungs_stop_growing": ({"snapshots": {"first": 5e-324}}, "snapshots.first"),
+    # the step from t = 0, or from the rung at 1e-3, to the next time is below dt_min
+    "first_time_within_dt_min": ({"snapshots": {"first": 1e-13}}, "integrator.dt_min"),
+    "forced_time_within_dt_min": ({"snapshots": {"forced_times": [0.0010000000000001]}},
+                                  "integrator.dt_min"),
 }
 
 
@@ -902,5 +929,6 @@ def test_dry_build_refuses_or_has_finite_operators(d, r_max, n, stretch, first, 
     problem = evolve.HeatProblem(grid, cfg.nonlinearity)
     for weights in (problem.volumes, grid.face_weights, problem.k_diag):
         assert np.all((weights > 0.0) & np.isfinite(weights))
-    # the ladder's repeated product may round one rung past the count
-    assert len(evolve._snapshot_ladder(cfg)) <= evolve.MAX_SNAPSHOTS + 1
+    ladder = evolve.snapshot_ladder(cfg)
+    assert len(ladder) <= evolve.MAX_SNAPSHOTS
+    assert all(t - before >= cfg.dt_min for before, t in zip([0.0, *ladder], ladder))

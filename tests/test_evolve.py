@@ -494,6 +494,20 @@ class TestDetectors:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CorruptionError):
             evolve.run_flow(u0, FlowSettings(t_max=1.0), threshold_guard=False)
 
+    @pytest.mark.parametrize("settings, key", [
+        (FlowSettings(t_max=1.0, snapshot_first=5e-324), "snapshots.first"),
+        (FlowSettings(t_max=1.0, snapshot_factor=1.0000000001), "snapshots.factor"),
+        (FlowSettings(t_max=1.0, snapshot_first=1e-13), "integrator.dt_min"),
+        (FlowSettings(t_max=1.0, forced_times=(0.5, 0.5 + 1e-13)), "integrator.dt_min"),
+    ])
+    def test_refused_ladder_raises_before_any_work(self, settings, key):
+        # the t = 0 snapshot of this u0 would raise CorruptionError
+        grid = grid_for_span(5, 100.0, 0.05, 0.01)
+        u0 = RadialField(grid, np.exp(-grid.nodes**2))
+        u0.values[3] = np.nan
+        with pytest.raises(ValueError, match=rf"^{key}: "):
+            evolve.run_flow(u0, settings)
+
     def test_overflowing_integrals_are_refused_quietly(self):
         # |u0|^{2*} of this d = 5 gaussian is finite at every node, but its
         # integral overflows; so do ||grad v||^2 and ||v||^2 of v = +-1e150.

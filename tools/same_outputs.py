@@ -3,12 +3,13 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat` package.
-Under each tree a fresh interpreter runs `critheat run` on nine fixed
+Under each tree a fresh interpreter runs `critheat run` on ten fixed
 configurations (Dissipative, Blowup at the amplitude cap, Blowup on a step
 collapse at t = 0, Undecided at the threshold, a u0 whose integrals overflow,
-`bumps` drawn from a seed, and initial data read from three checkpoint files:
-a uniform and a graded one, each interpolated onto the finer run grid, and one
-on the run grid itself),
+`bumps` drawn from a seed, initial data read from three checkpoint files: a
+uniform and a graded one, each interpolated onto the finer run grid, and one
+on the run grid itself, and a ladder of non-default rungs with two forced
+times and a checkpoint at every snapshot),
 `critheat sweep` on two (d = 5 and d = 3 rows around the ground state, each
 in a pool as wide as the CPUs the interpreter may use, or serially on one),
 `critheat character` on a spectrum file and on the two closed forms, `critheat
@@ -92,6 +93,12 @@ CONFIGS = {
         "dimension": 5, "grid": GRID_5,
         "family": {"name": "from_file", "path": "checkpoint_grid5.txt"},
         "integrator": {"t_max": 1e6}}),
+    # the only check whose steps land on forced times, each a checkpoint
+    "run_forced_times": ("run", {
+        "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
+        "integrator": {"t_max": 100.0},
+        "snapshots": {"first": 0.02, "factor": 1.7, "checkpoint_every": 1,
+                      "forced_times": [0.35, 7.0]}}),
     "sweep_d5": ("sweep", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6},
