@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import families, functionals, spectral
+from . import families, spectral
 from .evolve import NONLINEARITY_SIGN, FlowSettings, snapshot_ladder
 from .radial import RadialGrid, make_grid
 
@@ -159,9 +159,7 @@ KEYS = (
     Key("snapshots.forced_times", "forced_times", _times, lambda v: all(t > 0 for t in v),
         "times > 0"),
     Key("verdict.eps_dissip_rel", "eps_dissip_rel", _float, _positive, "> 0"),
-    Key("verdict.blowup_factor", "blowup_factor", _float, _positive, "> 0"),
     Key("verdict.amp_cap", "amp_cap", _float, _positive, "> 0"),
-    Key("diagnostics.q", "q", _number, _positive, "> 0"),
     Key("diagnostics.fit_t_lo", "fit_t_lo", _float),
     Key("seed", "seed", _int, lambda v: v >= 0, ">= 0"),
     Key("out_dir", "out_dir", _text),
@@ -278,11 +276,6 @@ def _run_config(tree: dict) -> RunConfig:
             families.cutoff_window(values["r_max"], params.get("rho_c"), params.get("taper"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    d, q = values["dimension"], values["q"]
-    lo, hi = functionals.kq_inv_window(d)
-    if q is not None and not lo < 1.0 / q < hi:
-        raise ConfigError(f"diagnostics.q: must lie in ({1 / hi:.6g}, {1 / lo:.6g}) in d={d}, "
-                          f"got {q!r}")
     cfg = RunConfig(family_params=tuple(sorted(params.items())), **values)
     try:  # the ladder `run_flow` steps through, refused before any stepping
         snapshot_ladder(cfg)

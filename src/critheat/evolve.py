@@ -56,6 +56,8 @@ ENERGY_SLACK_REL = 1e-6
 LYAPUNOV_SLACK_REL = 1e-10
 
 _BRACKET_SAFETY = 1e3
+#: a step collapse is Blowup when the critical norm has grown past this factor
+BLOWUP_FACTOR = 10.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -67,17 +69,14 @@ class FlowSettings:
     tol: float = 1e-5
     dt_init: float = 1e-5
     nonlinearity: str = "focusing"
-    #: exponent of the weighted-norm diagnostic; None picks functionals.default_q
-    q: float | None = None
     snapshot_first: float = 1e-3
     snapshot_factor: float = 1.3
     checkpoint_every: int = 4
     forced_times: tuple = ()
-    #: step-collapse floor, gradient-growth factor and amplitude cap for the
-    #: blowup detector; blowup is self-similar with unbounded amplitude, so step
-    #: collapse plus an amplitude cap is a robust proxy for the maximal time
+    #: step-collapse floor and amplitude cap for the blowup detector; blowup
+    #: is self-similar with unbounded amplitude, so step collapse plus an
+    #: amplitude cap is a robust proxy for the maximal time
     dt_min: float = 1e-12
-    blowup_factor: float = 10.0
     amp_cap: float = 1e8
     #: dissipation fires when the critical norm has dropped by this factor
     eps_dissip_rel: float = 1e-6
@@ -357,8 +356,8 @@ def snapshot_ladder(settings: FlowSettings) -> list[float]:
 
     Raises ValueError naming the configuration key when the rungs stop
     growing, when there are more than MAX_SNAPSHOTS distinct times, or when
-    a time lies less than dt_min past the one before it (or past 0), where
-    the step landing on it would collapse.
+    dt_init or a time's gap from the one before it (or from 0) is below
+    dt_min, where the first step or the step landing on that time collapses.
     """
     first, factor, t_max = settings.snapshot_first, settings.snapshot_factor, settings.t_max
     times = {t for t in settings.forced_times if 0.0 < t <= t_max}
@@ -376,6 +375,9 @@ def snapshot_ladder(settings: FlowSettings) -> list[float]:
     if t < t_max or len(times) > MAX_SNAPSHOTS:
         raise ValueError(f"snapshots.factor: {factor!r} gives more than {MAX_SNAPSHOTS} "
                          "snapshot times up to integrator.t_max")
+    if settings.dt_init < settings.dt_min:
+        raise ValueError(f"integrator.dt_init: {settings.dt_init!r} is below integrator.dt_min "
+                         f"= {settings.dt_min!r}, where the first step collapses")
     ladder = sorted(times)
     for before, t in zip([0.0, *ladder], ladder):
         if t - before < settings.dt_min:
@@ -408,7 +410,7 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
     ref = ground_state.reference(d)
     e_w, grad_sq_w = ref.e_w, ref.grad_sq_w
     band = functionals.threshold_band(e_w, functionals.energy(ground_state.aubin_talenti(grid)))
-    q = functionals.default_q(d) if settings.q is None else settings.q
+    q = functionals.default_q(d)
     traj = Trajectory(d=d, grid=grid, e_w=e_w, grad_sq_w=grad_sq_w)
     problem = HeatProblem(grid, settings.nonlinearity)
 
@@ -465,7 +467,7 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
             except StepCollapseError as exc:
                 snap = take_snapshot(state, with_field=True)
                 if (float(np.max(np.abs(state.u.values))) > settings.amp_cap
-                        or snap.report.h1_sq > settings.blowup_factor**2 * init_h1):
+                        or snap.report.h1_sq > BLOWUP_FACTOR**2 * init_h1):
                     return blowup(exc.dt)
                 return finish(UNDECIDED, state.t, {"reason": "step_collapse"})
             if abs(state.t - t_next) <= 1e-12 * max(t_next, 1.0):

@@ -11,19 +11,20 @@ Fourier convention is unitary, so Plancherel carries constant one; the decay
 character itself is convention independent (it is a ratio of powers).
 
 On a closed form, F(rho) and the heat norm are incomplete-gamma integrals with
-an exact value (`_closed_mass`). On a table, F(rho) is the trapezoid rule over
-the nodes refined 4-fold. A spectrum evaluates that integrand over its whole
-table once and keeps it with its trapezoid terms, so a call evaluates it only
-on the last interval, [last node below rho, rho], at five points in Python
-floats with numpy's bits, and the heat-decay integral reuses all of it. A
-table's monotone cubic is `radial.pchip`, with the bits of scipy's PCHIP. A
-Hankel transform takes the Bessel function `jv` from scipy's compiled
-`_special_ufuncs` extension through `_extensions.scipy_extension`, and a
-closed form's masses import `scipy.special` for `hyp1f1`, which only its
-package provides; both load on first use, so importing this module loads no
-scipy module. The transform evaluates its Bessel kernel on every CPU the
-process may use, in blocks of rows; `jv` works element by element, so the bits
-do not depend on how many CPUs there are.
+an exact value, in logs (`_closed_log_mass`): the decay character fits log F
+where F underflows, and only a regularized gamma P(a, x) that is not a normal
+float is refused. On a table, F(rho) is the trapezoid rule over the nodes
+refined 4-fold. A spectrum evaluates that integrand over its whole table once
+and keeps it with its trapezoid terms, so a call evaluates it only on the last
+interval, [last node below rho, rho], at five points in Python floats with
+numpy's bits, and the heat-decay integral reuses all of it. A table's monotone
+cubic is `radial.pchip`, with the bits of scipy's PCHIP. The Bessel function
+`jv` of a Hankel transform, and a closed form's `gammainc` and `gammaln`, come
+from scipy's compiled `_special_ufuncs` extension, which
+`_extensions.scipy_extension` loads on first use: no scipy package loads. The
+transform evaluates its Bessel kernel on every CPU the process may use, in
+blocks of rows; `jv` works element by element, so the bits do not depend on
+how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -179,26 +180,26 @@ def _mass_power(spec: SpectrumFn) -> float:
     return expo
 
 
-def _closed_mass(spec: SpectrumFn, upper: float, t: float) -> float:
-    """omega_{d-1} int_0^upper e^{-2ts^2} |vhat|^2 s^{d-1} ds of a closed form, exactly. With
-    a = e/2, beta = 2t + 2/sig^2 and x = beta upper^2, the integral of s^(e-1) e^{-beta s^2}
-    is upper^e / e 1F1(a; a+1; -x) = Gamma(a) P(a, x) / (2 beta^a)."""
-    # not from `_special_ufuncs`: hyp1f1 is in the Cython `_ufuncs`, whose init imports the package
-    from scipy.special import gammainc, gammaln, hyp1f1
-
+def _closed_log_mass(spec: SpectrumFn, upper: float, t: float) -> float:
+    """log of omega_{d-1} int_0^upper e^{-2ts^2} |vhat|^2 s^{d-1} ds of a closed form (-inf if
+    amp = 0): with a = e/2, beta = 2t + 2/sig^2, in logs as it leaves the double range for sig
+    beyond ~1e+-154, and x = beta upper^2, omega amp^2 Gamma(a) P(a, x) / (2 beta^a), or the
+    power law where x <= 2^-54. Refused outside (0, s_max] or where P(a, x) is not normal."""
+    if not 0.0 < upper <= spec.s_max:
+        raise SpectrumDomainError(f"rho={upper} outside (0, {spec.s_max}]")
+    special = scipy_extension("special._special_ufuncs")
     e = _mass_power(spec)
     a = 0.5 * e
-    beta = 2.0 * t + 2.0 / spec.sig / spec.sig
-    x = beta * upper * upper
-    with np.errstate(over="ignore"):
-        if x > a:  # where scipy's 1F1 loses digits; P(a, x) > 1/2, and beta^a may overflow
-            # beta itself overflows for sig below ~1e-154, where 2/sig^2 dwarfs 2t
-            log_beta = (np.log(beta) if math.isfinite(beta)
-                        else math.log(2.0) - 2.0 * math.log(spec.sig))
-            integral = 0.5 * gammainc(a, x) * np.exp(gammaln(a) - a * log_beta)
-        else:  # 1F1 = 1 - O(x), and scipy's is inf below x ~ 1e-180 when a < 1
-            integral = np.power(upper, e) / e * (hyp1f1(a, a + 1.0, -x) if x > 1e-100 else 1.0)
-    return float(sphere_area(spec.d) * spec.amp * spec.amp * integral)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 is -inf, and x may be inf
+        log_scale = float(np.log(sphere_area(spec.d) * spec.amp * spec.amp))
+        log_beta = math.log(2.0) + float(np.logaddexp(np.log(t), -2.0 * np.log(spec.sig)))
+        x = float(np.exp(log_beta + 2.0 * math.log(upper)))
+    if x <= 2.0**-54:  # e^{-beta s^2} is 1 to the last bit on [0, upper]
+        return log_scale + e * math.log(upper) - math.log(e)
+    p = float(special.gammainc(a, x))
+    if not p >= 2.0**-1022:  # the least normal float
+        raise SpectrumDomainError(f"closed-form mass out of range: P({a}, {x}) = {p}")
+    return log_scale + math.log(0.5 * p) + float(special.gammaln(a)) - a * log_beta
 
 
 def _mass_integrand(spec: SpectrumFn, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -225,10 +226,10 @@ def _stub_mass(spec: SpectrumFn, rho: float) -> float:
 
 def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     """F(rho) = omega_{d-1} int_0^rho |vhat(s)|^2 s^{d-1} ds."""
+    if spec.kind in CLOSED_FORM_KINDS:
+        return float(np.exp(_closed_log_mass(spec, rho, 0.0)))
     if not 0.0 < rho <= spec.s_max:
         raise SpectrumDomainError(f"rho={rho} outside (0, {spec.s_max}]")
-    if spec.kind in CLOSED_FORM_KINDS:
-        return _closed_mass(spec, rho, 0.0)
     # the grid is `_refine` of the nodes below rho and rho itself: the table's
     # samples up to the last such node s_{k-1}, then np.linspace(s_{k-1}, rho, 5).
     # Its trapezoid terms are the cached ones up to s_{k-1} and the tail's,
@@ -281,12 +282,16 @@ TOL_FIT = 0.05
 def decay_character(spec: SpectrumFn) -> DecayCharacterEstimate:
     """Estimate r* = (slope of log F vs log rho - d) / 2 on a geometric ladder."""
     rhos = np.geomspace(*RHO_WINDOW, RHO_STEPS)
-    masses = np.array([low_freq_mass(spec, rho) for rho in rhos])
-    if np.any(masses <= 0.0):
+    if spec.kind in CLOSED_FORM_KINDS:  # in logs: F may underflow where log F does not
+        y = np.array([_closed_log_mass(spec, rho, 0.0) for rho in rhos])
+        masses = np.exp(y)
+    else:
+        masses = np.array([low_freq_mass(spec, rho) for rho in rhos])
+        y = np.log(np.where(masses > 0.0, masses, np.nan))
+    if not np.all(np.isfinite(y)):  # a mass that is zero or negative
         return DecayCharacterEstimate(r_star=math.inf, p_r_value=0.0, fit_residual=math.inf,
                                       flag="nonlinear_fit")
     x = np.log(rhos)
-    y = np.log(masses)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.max(np.abs(y - (slope * x + intercept))))
     r_star = (slope - spec.d) / 2.0
@@ -314,7 +319,7 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if spec.kind in CLOSED_FORM_KINDS:
-        return _closed_mass(spec, spec.s_max, t)
+        return float(np.exp(_closed_log_mass(spec, spec.s_max, t)))
     grid, samples = spec._mass_samples
     vals = samples * np.exp(-2.0 * t * grid * grid)
     return float(np.trapezoid(vals, grid)) + spec._stub_above

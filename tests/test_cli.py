@@ -55,8 +55,8 @@ FULL_CONFIG = {
     "integrator": {"tol": 1e-6, "dt_init": 1e-6, "dt_min": 1e-12, "t_max": 40.0,
                    "nonlinearity": "focusing"},
     "snapshots": {"first": 0.05, "factor": 1.3, "checkpoint_every": 2, "forced_times": [1.0]},
-    "verdict": {"eps_dissip_rel": 1e-6, "blowup_factor": 10.0, "amp_cap": 1e8},
-    "diagnostics": {"q": 5.0, "fit_t_lo": 2.0},
+    "verdict": {"eps_dissip_rel": 1e-6, "amp_cap": 1e8},
+    "diagnostics": {"fit_t_lo": 2.0},
     "seed": 0,
     "out_dir": "out",
 }
@@ -200,13 +200,8 @@ class TestParseConfig:
         # no default is materialized, so a valid configuration keeps its hash
         cfg = parse_config(run_config_text(family={"name": "gaussian", "amp": 1}))
         assert cfg.family_params == (("amp", 1),)
-        assert parse_config(run_config_text()).content_hash() == "691f938c5e363038"
-        assert parse_config(run_config_text(seed=3)).content_hash() == "9c9eab7288e52d6f"
-
-    def test_q_window_depends_on_the_dimension(self):
-        parse_config(run_config_text(diagnostics={"q": 3.5}))  # d=5: 10/3 < q < 14/3
-        with pytest.raises(ConfigError, match=r"diagnostics\.q.*d=5"):
-            parse_config(run_config_text(diagnostics={"q": 5.0}))
+        assert parse_config(run_config_text()).content_hash() == "30dc76ab30fb3243"
+        assert parse_config(run_config_text(seed=3)).content_hash() == "930e157cd08e9475"
 
     def test_snapshot_ladder_past_the_cap_is_refused(self):
         # t_max 5 from first 1e-3: about log(5e3) / log(factor) rungs
@@ -476,6 +471,15 @@ class TestCommands:
         assert float(record["r_star"]) == pytest.approx(-1.5, abs=1e-9)
         assert record["flag"] == "at_lower_bound"
 
+    def test_character_fits_a_lambda_mass_below_the_double_range(self, tmp_path, cfg_file):
+        # the Lambda spectrum's mass, about 3e-440, underflows; its logarithm does not
+        tree = {"dimension": 3, "spectrum": {"kind": "power_gauss", "k": -1.4, "sig": 1e-200},
+                "out_dir": str(tmp_path / "char")}
+        assert cli.main(["character", "--config", cfg_file("char.json", json.dumps(tree))]) == 0
+        header, row = (tmp_path / "char" / "character.csv").read_text().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert float(record["lambda_r_star"]) == pytest.approx(-1.5, abs=0.01)
+
     def test_decayfit_command(self, tmp_path, cfg_file):
         tree = {**DECAYFIT_GAUSSIAN, "out_dir": str(tmp_path / "fit")}
         path = cfg_file("fit.json", json.dumps(tree))
@@ -507,14 +511,16 @@ class TestCommands:
 BAD_INPUTS = {
     "R_inf": ("grid.R", "grid", "R", "1e999"),
     "forced_time_inf": ("snapshots.forced_times[0]", "snapshots", "forced_times", "[1e999]"),
-    "q_string": ("diagnostics.q", "diagnostics", "q", '"abc"'),
     "forced_time_string": ("snapshots.forced_times[0]", "snapshots", "forced_times", '["x"]'),
     "checkpoint_every_zero": ("snapshots.checkpoint_every", "snapshots", "checkpoint_every", "0"),
     # a key that was retired is refused like any other unknown key
     "kq_streak_retired": ("verdict.kq_streak: unknown key", "verdict", "kq_streak", "5"),
+    "q_string": ("diagnostics.q: unknown key", "diagnostics", "q", '"abc"'),
+    "q_outside_window": ("diagnostics.q: unknown key", "diagnostics", "q", "100.0"),
+    "blowup_factor_retired": ("verdict.blowup_factor: unknown key", "verdict", "blowup_factor",
+                              "10.0"),
     "typo_in_section": ("integrator.tmax", "integrator", "tmax", "1e6"),
     "typo_at_top_level": ("seeed", "", "seeed", "1"),
-    "q_outside_window": ("diagnostics.q", "diagnostics", "q", "100.0"),
     "family_param_inf": ("family.a", "family", "a", "1e999"),
 }
 
@@ -553,10 +559,10 @@ def test_splitting_with_too_few_checkpoints_exits_2_without_output(tmp_path, cfg
     assert not out.exists()
 
 
-#: imports the front end, runs each command line of the JSON list sys.argv[2]
+#: imports the front end, runs each command line of the JSON object sys.argv[2]
 #: in turn, and prints as JSON which modules of the list sys.argv[1] are loaded
-#: after the import and after each command, keyed by its verb; with CPUs to
-#: use in sys.argv[3] (else null), `cpu_count` reports that many
+#: after the import and after each command, keyed by the command's name; with
+#: CPUs to use in sys.argv[3] (else null), `cpu_count` reports that many
 FOOTPRINT_SCRIPT = """
 import json, sys
 from critheat import _extensions, cli
@@ -564,25 +570,26 @@ watched, commands, cpus = map(json.loads, sys.argv[1:])
 if cpus is not None:
     _extensions.cpu_count = lambda: cpus
 loaded = {"import": [m for m in watched if m in sys.modules]}
-for argv in commands:
+for name, argv in commands.items():
     cli.main(argv)
-    loaded[argv[0]] = [m for m in watched if m in sys.modules]
+    loaded[name] = [m for m in watched if m in sys.modules]
 print(json.dumps(loaded))
 """
 
-#: modules that `run`, a one-row or one-CPU `sweep`, `splitting`, a Hankel `decayfit`
-#: and `character` on a table never use: any scipy package (the compiled
-#: extensions they load are not packages), the sweep pool, and numpy.random,
-#: which only the `bumps` family draws from
+#: modules that no verb uses, on a table or a closed form, with `run`'s
+#: families other than `bumps` and a one-row or one-CPU `sweep`: any scipy
+#: package (the compiled extensions they load are not packages), the sweep
+#: pool, and numpy.random, which only the `bumps` family draws from
 UNUSED = ("scipy", "scipy.linalg", "scipy.interpolate", "scipy.special", "scipy.integrate",
           "scipy.optimize", "multiprocessing", "concurrent.futures.process", "numpy.random")
 
 
-def footprint(*commands, cpus=None) -> dict:
-    """What `FOOTPRINT_SCRIPT` prints for `commands`, in a fresh interpreter."""
+def footprint(commands: dict, cpus=None, watched=UNUSED) -> dict:
+    """What `FOOTPRINT_SCRIPT` prints for `commands`, name -> command line, and
+    the modules `watched`, in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(UNUSED), json.dumps(commands),
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(watched), json.dumps(commands),
          json.dumps(cpus)],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=120, check=True,
@@ -607,23 +614,34 @@ def test_run_and_sweep_import_no_unused_scipy_module(tmp_path, cfg_file):
     s = np.geomspace(1e-4, 10.0, 300)
     spectral.save_spectrum(spectral.SpectrumFn(d=3, kind="tabulated", s_nodes=s,
                                                values=s * np.exp(-s * s)), tmp_path / "spec.txt")
-    character = cfg_file("character.json", json.dumps(
-        {"dimension": 3, "spectrum": {"kind": "file", "path": str(tmp_path / "spec.txt")}}))
-    verbs = {"run": path, "sweep": path, "splitting": path, "decayfit": path,
-             "character": character}
-    got = footprint(*([verb, "--config", config, "--out", str(tmp_path / verb)]
-                      for verb, config in verbs.items()))
-    assert got == {"import": [], **{verb: [] for verb in verbs}}
-    for verb, name in zip(verbs, ("series.csv", "sweep.csv", "splitting.csv", "decayfit.csv",
-                                  "character.csv")):
-        assert (tmp_path / verb / name).is_file()
+
+    def character(**spectrum) -> str:
+        return cfg_file(f"{spectrum['kind']}.json",
+                        json.dumps({"dimension": 3, "spectrum": spectrum}))
+
+    # name: (verb, configuration); the decayfit of `path` transforms its initial
+    # field, the gaussian's has a closed form, as have the last two spectra
+    commands = {
+        "run": ("run", path), "sweep": ("sweep", path), "splitting": ("splitting", path),
+        "decayfit": ("decayfit", path),
+        "character": ("character", character(kind="file", path=str(tmp_path / "spec.txt"))),
+        "decayfit_gaussian": ("decayfit", cfg_file("fit.json", json.dumps(DECAYFIT_GAUSSIAN))),
+        "character_power_gauss": ("character", character(kind="power_gauss", k=0.0)),
+        "character_power": ("character", character(kind="power", k=1.0)),
+    }
+    got = footprint({name: [verb, "--config", config, "--out", str(tmp_path / name)]
+                     for name, (verb, config) in commands.items()})
+    assert got == {"import": [], **{name: [] for name in commands}}
+    for name, (verb, _config) in commands.items():
+        output = "series" if verb == "run" else verb
+        assert (tmp_path / name / f"{output}.csv").is_file()
 
 
 def test_one_cpu_sweep_starts_no_pool(tmp_path, cfg_file):
     tree = json.loads(run_config_text())
     tree["sweep"] = [{"a": 0.9}, {"a": 1.2}, {"a": 0.8}]
     path = cfg_file("sweep.json", json.dumps(tree))
-    got = footprint(["sweep", "--config", path, "--out", str(tmp_path / "sw")], cpus=1)
+    got = footprint({"sweep": ["sweep", "--config", path, "--out", str(tmp_path / "sw")]}, cpus=1)
     assert got == {"import": [], "sweep": []}
     assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 4
 
@@ -631,15 +649,15 @@ def test_one_cpu_sweep_starts_no_pool(tmp_path, cfg_file):
 @pytest.mark.parametrize("verb, tree", [("character", {"dimension": 3, "spectrum": {
     "kind": "power_gauss", "k": 0.0}}), ("decayfit", DECAYFIT_GAUSSIAN)])
 def test_closed_forms_load_scipy_special(tmp_path, cfg_file, verb, tree):
-    # a closed form's masses need hyp1f1, which scipy defines only in the
-    # Cython `_ufuncs`, whose init imports the scipy.special package; they
-    # still load neither scipy.integrate nor scipy.optimize
+    # a closed form's masses take gammainc and gammaln from scipy.special's
+    # compiled `_special_ufuncs`, loaded by file on first use: the
+    # scipy.special package, like every other module in UNUSED, stays unloaded
     config = cfg_file("closed.json", json.dumps(tree))
-    got = footprint([verb, "--config", config, "--out", str(tmp_path / verb)])
-    assert got["import"] == []
-    assert "scipy.special" in got[verb]
-    assert not {"scipy.integrate", "scipy.optimize"} & set(got[verb])
+    got = footprint({verb: [verb, "--config", config, "--out", str(tmp_path / verb)]},
+                    watched=UNUSED + ("scipy.special._special_ufuncs",))
+    assert got == {"import": [], verb: ["scipy.special._special_ufuncs"]}
     assert (tmp_path / verb / f"{verb}.csv").is_file()
+
 
 def character_tree(**spectrum) -> dict:
     return {"dimension": 3, "spectrum": {"kind": "power_gauss", **spectrum}}
@@ -652,7 +670,7 @@ PROBES = {
     "family_param_inf": ("sweep", json.loads(run_config_text(family={"name": "aW", "a": "VALUE"})),
                          "family.a"),
     "q_outside_window": ("run", json.loads(run_config_text(diagnostics={"q": 100})),
-                         "diagnostics.q"),
+                         "diagnostics.q: unknown key"),
     "character_k_list": ("character", character_tree(k=[1]), "spectrum.k"),
     "character_power_without_k": ("character", character_tree(kind="power"), "spectrum.k"),
     "character_file_without_path": ("character", character_tree(kind="file"), "spectrum.path"),
@@ -889,6 +907,11 @@ UNRUNNABLE = {
     "first_time_within_dt_min": ({"snapshots": {"first": 1e-13}}, "integrator.dt_min"),
     "forced_time_within_dt_min": ({"snapshots": {"forced_times": [0.0010000000000001]}},
                                   "integrator.dt_min"),
+    # the first step would collapse before its first attempt
+    "dt_init_below_dt_min": ({"integrator": {"t_max": 1e6, "dt_init": 1e-13}},
+                             "integrator.dt_init"),
+    "dt_min_above_dt_init": ({"integrator": {"t_max": 1e6, "dt_min": 1e-4}},
+                             "integrator.dt_init"),
 }
 
 

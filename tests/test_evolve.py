@@ -499,6 +499,7 @@ class TestDetectors:
         (FlowSettings(t_max=1.0, snapshot_factor=1.0000000001), "snapshots.factor"),
         (FlowSettings(t_max=1.0, snapshot_first=1e-13), "integrator.dt_min"),
         (FlowSettings(t_max=1.0, forced_times=(0.5, 0.5 + 1e-13)), "integrator.dt_min"),
+        (FlowSettings(t_max=1.0, dt_init=1e-13), "integrator.dt_init"),
     ])
     def test_refused_ladder_raises_before_any_work(self, settings, key):
         # the t = 0 snapshot of this u0 would raise CorruptionError

@@ -318,12 +318,14 @@ class TestClosedForm:
         assert sp.linear_heat_l2_sq(spec, 0.0) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("k, sig", [(0.0, 1e-4), (0.0, 1e-5), (-1.45, 1e-7),
-                                        (-1.4, 1e-160), (-1.4, 1e-200), (-1.4, 1e-300)])
+                                        (-1.4, 1e-160), (-1.4, 1e-200), (-1.4, 1e-300),
+                                        (-0.4, 1e-200)])
     def test_narrow_gaussian_is_at_the_lower_bound(self, k, sig):
         # all the mass lies below the ladder's first rho, 1e-3, so F is flat on it:
-        # r* = -d/2; at k = -1.45, scipy's 1F1(a; a+1; -x) is NaN from x ~ 1e11.
-        # Below sig ~ 1e-154 beta = 2/sig^2 overflows, but the mass
-        # omega Gamma(a) / (2 beta^a), taken here in logs, is a normal float
+        # r* = -d/2. Below sig ~ 1e-154 beta = 2/sig^2 overflows, but the mass
+        # omega Gamma(a) / (2 beta^a), taken in logs, is a normal float, except at
+        # k = -0.4 (the Lambda spectrum of k = -1.4): about 3e-440, 0 as a double,
+        # so the fit reads its logarithm
         spec = sp.gaussian_spectrum(3, k=k, sig=sig)
         a = 0.5 * (2.0 * k + 3.0)
         log_beta = math.log(2.0) - 2.0 * math.log(sig)
@@ -332,6 +334,25 @@ class TestClosedForm:
         est = sp.decay_character(spec)
         assert est.flag == "at_lower_bound"
         assert est.r_star == pytest.approx(-1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-40])
+    def test_power_at_a_tiny_time_is_its_power_law(self, t):
+        # beta upper^2 = 5e3 t is below 2^-54, so e^{-2ts^2} is 1 to the last bit
+        want = sphere_area(3) * 50.0**3 / 3.0
+        assert sp.linear_heat_l2_sq(sp.power_spectrum(3, k=0.0), t) == pytest.approx(
+            want, rel=1e-12)
+
+    def test_large_dimension_mass_is_finite(self):
+        # beta^-a = (2e-18)^-18 overflows, so Gamma(a) P(a, x) / (2 beta^a) is taken in
+        # logs; the value is the one of the hypergeometric form it replaced
+        spec = sp.gaussian_spectrum(30, k=3.0, sig=1e9)
+        assert sp.low_freq_mass(spec, 50.0) == pytest.approx(2.657586379771006e+56, rel=1e-12)
+
+    def test_mass_whose_gamma_ratio_underflows_is_refused(self):
+        # P(20, 2e-16) is below the double range; the mass is refused, not 0
+        spec = sp.gaussian_spectrum(40, k=0.0, sig=1e6)
+        with pytest.raises(sp.SpectrumDomainError, match="closed-form mass out of range"):
+            sp.low_freq_mass(spec, 0.01)
 
 
 class TestDecayBounds:

@@ -12,7 +12,8 @@ on the run grid itself, and a ladder of non-default rungs with two forced
 times and a checkpoint at every snapshot),
 `critheat sweep` on two (d = 5 and d = 3 rows around the ground state, each
 in a pool as wide as the CPUs the interpreter may use, or serially on one),
-`critheat character` on a spectrum file and on the two closed forms, `critheat
+`critheat character` on a spectrum file, on the two closed forms and on a
+gaussian so narrow that its masses leave the double range, `critheat
 splitting` with both weights on the d = 4 gaussian run of the splitting tests
 and with the power weight on a d = 3 `bumps` run, and `critheat decayfit` on
 the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
@@ -114,6 +115,9 @@ CONFIGS = {
         "dimension": 3, "spectrum": {"kind": "power_gauss", "k": 0.0}}),
     "character_power": ("character", {
         "dimension": 3, "spectrum": {"kind": "power", "k": 1.0, "amp": 2.0, "s_max": 40.0}}),
+    # beta = 2/sig^2 overflows, and the Lambda spectrum's mass (about 3e-440) underflows
+    "character_narrow_gaussian": ("character", {
+        "dimension": 3, "spectrum": {"kind": "power_gauss", "k": -1.4, "sig": 1e-200}}),
     "splitting_log_cubed": ("splitting --weight log_cubed", GAUSSIAN_4),
     "splitting_power": ("splitting --weight power", GAUSSIAN_4),
     # the power weight bisects its constant, which every bit of the masses moves
