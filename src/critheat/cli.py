@@ -214,7 +214,7 @@ def cmd_splitting(cfg: RunConfig, g_choice: str) -> Result:
     alpha = cfg.dimension / 2.0 + 1.5 if g_choice == "power" else None
     report = experiments.splitting_diagnostic(traj, g_choice=g_choice, alpha=alpha)
     rows = [[t, m] for t, m in zip(report.times, report.margins)]
-    splitting = {"g": report.g_choice, "c_tilde": report.c_tilde, "alpha": report.alpha}
+    splitting = {"g": g_choice, "c_tilde": report.c_tilde, "alpha": alpha}
     return Result({"splitting.csv": _csv(["t_mid", "normalized_margin"], rows)},
                   {**_described(cfg), "splitting": splitting})
 

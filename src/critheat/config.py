@@ -26,6 +26,7 @@ import numpy as np
 
 from . import families, spectral
 from .evolve import NONLINEARITY_SIGN, FlowSettings, snapshot_ladder
+from .ground_state import MAX_DIMENSION
 from .radial import RadialGrid, make_grid
 
 
@@ -141,7 +142,8 @@ class Key(NamedTuple):
 
 
 KEYS = (
-    Key("dimension", "dimension", _int, lambda v: v >= 3, ">= 3"),
+    Key("dimension", "dimension", _int, lambda v: 3 <= v <= MAX_DIMENSION,
+        f"in [3, {MAX_DIMENSION}]"),
     Key("grid.R", "r_max", _float, _positive, "> 0"),
     Key("grid.n", "n_nodes", _int, lambda v: v >= 16, ">= 16"),
     Key("grid.stretch", "stretch", _float, lambda v: 1.0 <= v <= 1.2, "in [1, 1.2]"),
@@ -160,7 +162,7 @@ KEYS = (
         "times > 0"),
     Key("verdict.eps_dissip_rel", "eps_dissip_rel", _float, _positive, "> 0"),
     Key("verdict.amp_cap", "amp_cap", _float, _positive, "> 0"),
-    Key("diagnostics.fit_t_lo", "fit_t_lo", _float),
+    Key("diagnostics.fit_t_lo", "fit_t_lo", _float, _positive, "> 0"),
     Key("seed", "seed", _int, lambda v: v >= 0, ">= 0"),
     Key("out_dir", "out_dir", _text),
 )

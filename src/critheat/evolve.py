@@ -170,7 +170,6 @@ class HeatProblem:
         if nonlinearity not in NONLINEARITY_SIGN:
             raise ValueError(f"unknown nonlinearity mode {nonlinearity!r}")
         self.grid = grid
-        self.nonlinearity = nonlinearity
         self.sign = NONLINEARITY_SIGN[nonlinearity]
         self.power = 4.0 / (grid.d - 2.0)
         self.two_star = functionals.crit_exponent(grid.d)
@@ -410,13 +409,12 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
     ref = ground_state.reference(d)
     e_w, grad_sq_w = ref.e_w, ref.grad_sq_w
     band = functionals.threshold_band(e_w, functionals.energy(ground_state.aubin_talenti(grid)))
-    q = functionals.default_q(d)
     traj = Trajectory(d=d, grid=grid, e_w=e_w, grad_sq_w=grad_sq_w)
     problem = HeatProblem(grid, settings.nonlinearity)
 
     def take_snapshot(state: SolverState, with_field: bool) -> Snapshot:
-        rep = energy_report(state.t, state.u)
-        kq = functionals.kq_weight(state.t, state.u, q) if state.t > 0.0 else None
+        rep = energy_report(state.u)
+        kq = functionals.kq_weight(state.t, state.u) if state.t > 0.0 else None
         snap = Snapshot(
             t=state.t,
             report=rep,

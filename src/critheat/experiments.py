@@ -51,11 +51,9 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class SplittingReport:
-    g_choice: str
     c_tilde: float | None
     times: tuple
     margins: tuple
-    alpha: float | None = None
 
 
 def run_config(cfg: RunConfig) -> evolve.Trajectory:
@@ -106,7 +104,10 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def fit_window(traj: evolve.Trajectory, t_lo: float, t_hi: float | None = None):
-    """Snapshot samples inside [t_lo, t_hi], guarded by sqrt(t) <= R/8."""
+    """Snapshot samples inside [t_lo, t_hi], guarded by sqrt(t) <= R/8. A t_lo
+    that is not positive is refused: the t = 0 sample would void the decade test."""
+    if not t_lo > 0.0:
+        raise ValueError(f"fit window needs t_lo > 0, got {t_lo!r}")
     guard = (traj.grid.rmax / 8.0) ** 2
     hi = guard if t_hi is None else min(t_hi, guard)
     pts = [
@@ -148,17 +149,14 @@ def decay_fit(
     predicted = min(d / 2.0 + q_star, 1.0)
     t, h1 = fit_window(traj, t_lo, t_hi)
     if d <= 10:
-        slope, _c, r2 = _loglog_fit(np.log1p(t), np.log(h1))
-        return DecayFit(
-            exponent=slope, window=(float(t[0]), float(t[-1])), r2=r2,
-            predicted=predicted, q_star=q_star, law="power",
-        )
-    x = -2.0 * np.log(np.log(math.e + t))
+        law, x, envelope = "power", np.log1p(t), None
+    else:
+        law, x = "log", -2.0 * np.log(np.log(math.e + t))
+        envelope = float(np.max(h1 * np.log(math.e + t) ** 2))
     slope, _c, r2 = _loglog_fit(x, np.log(h1))
-    envelope = float(np.max(h1 * np.log(math.e + t) ** 2))
     return DecayFit(
         exponent=slope, window=(float(t[0]), float(t[-1])), r2=r2,
-        predicted=predicted, q_star=q_star, law="log", envelope_constant=envelope,
+        predicted=predicted, q_star=q_star, law=law, envelope_constant=envelope,
     )
 
 
@@ -220,10 +218,7 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
 
     at_lo = np.array([margin(i, c_lo) for i in range(len(times))])
     if at_lo.min() < -1e-9:
-        return SplittingReport(
-            g_choice=g_choice, c_tilde=None, times=tuple(times),
-            margins=tuple(at_lo), alpha=alpha,
-        )
+        return SplittingReport(c_tilde=None, times=tuple(times), margins=tuple(at_lo))
     failed = 0  # the pair that failed last, tried first
     kept = at_lo  # the margins at lo, which only a successful `holds` raises
 
@@ -250,7 +245,4 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
                 lo = mid
             else:
                 hi = mid
-    return SplittingReport(
-        g_choice=g_choice, c_tilde=lo, times=tuple(times),
-        margins=tuple(kept), alpha=alpha,
-    )
+    return SplittingReport(c_tilde=lo, times=tuple(times), margins=tuple(kept))

@@ -4,7 +4,8 @@ Energy E(u) = (1/2)||grad u||_{L2}^2 - (1/2*)||u||_{L2*}^{2*} with the critical
 exponent 2* = 2d/(d-2), and the Nehari functional J(u) = ||u||_{H1}^2 -
 ||u||_{L2*}^{2*}: every `EnergyReport` carries both. Also stable/unstable set
 membership below the ground-state energy, and the weighted norm
-t^{(d/2)(1/2* - 1/q)} ||u(t)||_{Lq} whose vanishing characterizes dissipation.
+t^{(d/2)(1/2* - 1/q)} ||u(t)||_{Lq} whose vanishing characterizes dissipation,
+at the one admissible q that the lab uses, `default_q(d)`.
 Each integral is checked once, on its value (`radial.power_integral`): NaN/Inf
 samples, or an integral that overflows, raise CorruptionError.
 """
@@ -92,7 +93,6 @@ class EnergyReport:
     field is not in L2 numerically).
     """
 
-    t: float
     h1_sq: float
     l2star_pow: float
     energy: float
@@ -100,11 +100,10 @@ class EnergyReport:
     l2_sq: float | None
 
 
-def energy_report(t: float, u: RadialField) -> EnergyReport:
+def energy_report(u: RadialField) -> EnergyReport:
     h1 = h1_norm_sq(u)
     l2s = l2star_power(u)
     return EnergyReport(
-        t=t,
         h1_sq=h1,
         l2star_pow=l2s,
         energy=_energy(h1, l2s, u.grid.d),
@@ -172,23 +171,10 @@ def default_q(d: int) -> float:
     return 2.0 / (lo + hi)
 
 
-def lq_norm(u: RadialField, q: float) -> float:
-    """||u||_{Lq} on R^d for radial u."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    return power_integral(u.grid.quad_weights, u.values, q) ** (1.0 / q)
-
-
-def kq_weight(t: float, u: RadialField, q: float) -> float:
-    """t^{(d/2)(1/2* - 1/q)} ||u(t)||_{Lq}; decays to 0 on dissipative flows."""
+def kq_weight(t: float, u: RadialField) -> float:
+    """t^{(d/2)(1/2* - 1/q)} ||u(t)||_{Lq} at the one q the lab uses, `default_q(d)`;
+    decays to 0 on dissipative flows."""
     d = u.grid.d
-    lo, hi = kq_inv_window(d)
-    inv = 1.0 / q
-    if not (lo < inv < hi):
-        raise ValueError(
-            f"q={q} outside the admissible window: need {1/hi:.6g} < q < {1/lo:.6g} in d={d}"
-        )
-    if not t > 0.0:
-        raise ValueError(f"weight needs t > 0, got {t}")
-    power = 0.5 * d * (1.0 / crit_exponent(d) - inv)
-    return t**power * lq_norm(u, q)
+    q = default_q(d)
+    power = 0.5 * d * (1.0 / crit_exponent(d) - 1.0 / q)
+    return t**power * power_integral(u.grid.quad_weights, u.values, q) ** (1.0 / q)

@@ -32,12 +32,15 @@ def bubble_values(d: int, r: np.ndarray, lam: float = 1.0) -> np.ndarray:
     return lam ** (-(d - 2.0) / 2.0) * bubble_amplitude(d) / (1.0 + x * x) ** ((d - 2.0) / 2.0)
 
 
-def aubin_talenti(grid: RadialGrid, lam: float = 1.0) -> RadialField:
-    """Samples of lambda^{-(d-2)/2} W(r/lambda), centred at 0, on the grid in
-    the grid's dimension."""
-    if not lam > 0:
-        raise ValueError(f"scale must be positive, got {lam}")
-    return RadialField(grid, bubble_values(grid.d, grid.nodes, lam))
+def aubin_talenti(grid: RadialGrid) -> RadialField:
+    """Samples of W on the grid, in the grid's dimension."""
+    return RadialField(grid, bubble_values(grid.d, grid.nodes))
+
+
+#: the largest dimension whose ||grad W||^2 `grad_norm_sq_closed_form` gives as a
+#: double: its product pi^{d/2} (d(d-2))^{d/2} leaves the double range from d = 106
+#: on (inf, and from d = 144 an OverflowError), so E(W) would be inf
+MAX_DIMENSION = 105
 
 
 def grad_norm_sq_closed_form(d: int) -> float:

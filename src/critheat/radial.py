@@ -36,17 +36,12 @@ def gamma_half_integer(twice_x: int) -> float:
     if twice_x < 1:
         raise ValueError(f"gamma argument must be >= 1/2, got {twice_x}/2")
     if twice_x % 2 == 0:
-        value = 1.0
-        x = 1.0
-        while 2 * x < twice_x:
-            value *= x
-            x += 1.0
+        value, x = 1.0, 1.0
     else:
-        value = math.sqrt(math.pi)
-        x = 0.5
-        while 2 * x < twice_x:
-            value *= x
-            x += 1.0
+        value, x = math.sqrt(math.pi), 0.5
+    while 2 * x < twice_x:
+        value *= x
+        x += 1.0
     return value
 
 
@@ -171,10 +166,9 @@ def make_grid(d: int, R: float, n: int, stretch: float = 1.0) -> RadialGrid:
     """Build a grid whose spacings grow geometrically by `stretch`.
 
     The last node lands exactly on R (the geometric sum is normalized), the
-    first sits exactly at 0. `stretch` = 1 gives uniform spacing.
+    first sits exactly at 0. `stretch` = 1 gives uniform spacing. `RadialGrid`
+    refuses d < 3.
     """
-    if d < 3:
-        raise ValueError(f"dimension must be >= 3, got {d}")
     if not R > 0:
         raise ValueError(f"outer radius must be positive, got {R}")
     if n < 16:

@@ -182,16 +182,17 @@ def _mass_power(spec: SpectrumFn) -> float:
 
 def _closed_log_mass(spec: SpectrumFn, upper: float, t: float) -> float:
     """log of omega_{d-1} int_0^upper e^{-2ts^2} |vhat|^2 s^{d-1} ds of a closed form (-inf if
-    amp = 0): with a = e/2, beta = 2t + 2/sig^2, in logs as it leaves the double range for sig
-    beyond ~1e+-154, and x = beta upper^2, omega amp^2 Gamma(a) P(a, x) / (2 beta^a), or the
-    power law where x <= 2^-54. Refused outside (0, s_max] or where P(a, x) is not normal."""
+    amp = 0): with a = e/2, beta = 2t + 2/sig^2, and x = beta upper^2, omega amp^2 Gamma(a)
+    P(a, x) / (2 beta^a), or the power law where x <= 2^-54. beta and amp^2 are taken in logs,
+    as they leave the double range for sig or |amp| beyond ~1e+-154. Refused outside
+    (0, s_max] or where P(a, x) is not normal."""
     if not 0.0 < upper <= spec.s_max:
         raise SpectrumDomainError(f"rho={upper} outside (0, {spec.s_max}]")
     special = scipy_extension("special._special_ufuncs")
     e = _mass_power(spec)
     a = 0.5 * e
     with np.errstate(divide="ignore", over="ignore"):  # log 0 is -inf, and x may be inf
-        log_scale = float(np.log(sphere_area(spec.d) * spec.amp * spec.amp))
+        log_scale = float(np.log(sphere_area(spec.d)) + 2.0 * np.log(abs(spec.amp)))
         log_beta = math.log(2.0) + float(np.logaddexp(np.log(t), -2.0 * np.log(spec.sig)))
         x = float(np.exp(log_beta + 2.0 * math.log(upper)))
     if x <= 2.0**-54:  # e^{-beta s^2} is 1 to the last bit on [0, upper]
@@ -284,7 +285,8 @@ def decay_character(spec: SpectrumFn) -> DecayCharacterEstimate:
     rhos = np.geomspace(*RHO_WINDOW, RHO_STEPS)
     if spec.kind in CLOSED_FORM_KINDS:  # in logs: F may underflow where log F does not
         y = np.array([_closed_log_mass(spec, rho, 0.0) for rho in rhos])
-        masses = np.exp(y)
+        with np.errstate(over="ignore"):  # or overflow, and P_r with it: both read inf
+            masses = np.exp(y)
     else:
         masses = np.array([low_freq_mass(spec, rho) for rho in rhos])
         y = np.log(np.where(masses > 0.0, masses, np.nan))
@@ -300,7 +302,8 @@ def decay_character(spec: SpectrumFn) -> DecayCharacterEstimate:
         flag = "nonlinear_fit"
     elif r_star <= -spec.d / 2.0 + 1e-9:
         flag = "at_lower_bound"
-    p_r = float(np.mean(masses * rhos ** (-2.0 * r_star - spec.d)))
+    with np.errstate(over="ignore"):
+        p_r = float(np.mean(masses * rhos ** (-2.0 * r_star - spec.d)))
     return DecayCharacterEstimate(r_star=float(r_star), p_r_value=p_r, fit_residual=residual,
                                   flag=flag)
 

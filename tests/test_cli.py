@@ -480,6 +480,22 @@ class TestCommands:
         record = dict(zip(header.split(","), row.split(",")))
         assert float(record["lambda_r_star"]) == pytest.approx(-1.5, abs=0.01)
 
+    def test_character_does_not_depend_on_a_large_amplitude(self, tmp_path, cfg_file):
+        # omega amp^2 leaves the double range at amp = 1e160; its logarithm does not
+        records = []
+        for amp in (1.0, 1e160):
+            out = tmp_path / f"char_{amp:g}"
+            tree = {"dimension": 3, "spectrum": {"kind": "power_gauss", "k": 0.0, "amp": amp},
+                    "out_dir": str(out)}
+            path = cfg_file(f"char_{amp:g}.json", json.dumps(tree))
+            assert cli.main(["character", "--config", path]) == 0
+            header, row = (out / "character.csv").read_text().splitlines()
+            records.append(dict(zip(header.split(","), row.split(","))))
+        unit, large = records
+        for key in ("r_star", "lambda_r_star"):
+            assert float(large[key]) == pytest.approx(float(unit[key]), abs=1e-9)
+        assert large["flag"] == unit["flag"]
+
     def test_decayfit_command(self, tmp_path, cfg_file):
         tree = {**DECAYFIT_GAUSSIAN, "out_dir": str(tmp_path / "fit")}
         path = cfg_file("fit.json", json.dumps(tree))
@@ -522,6 +538,11 @@ BAD_INPUTS = {
     "typo_in_section": ("integrator.tmax", "integrator", "tmax", "1e6"),
     "typo_at_top_level": ("seeed", "", "seeed", "1"),
     "family_param_inf": ("family.a", "family", "a", "1e999"),
+    # a t = 0 sample would enter the decay fit and void its decade test
+    "fit_t_lo_zero": ("config error: diagnostics.fit_t_lo: must be > 0", "diagnostics",
+                      "fit_t_lo", "0"),
+    "fit_t_lo_negative": ("config error: diagnostics.fit_t_lo: must be > 0", "diagnostics",
+                          "fit_t_lo", "-5"),
 }
 
 
@@ -534,6 +555,22 @@ def test_bad_input_exits_2_before_stepping(tmp_path, cfg_file, capsys, where, se
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
     assert not out.exists()  # refused before the output directory, let alone a step
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_dimension_past_the_ground_state_exits_2_before_stepping(tmp_path, cfg_file, capsys,
+                                                                  verb):
+    # ||grad W||^2, and with it E(W), leaves the double range from d = 106 on
+    tree = {"dimension": 150, "grid": {"R": 50.0, "n": 200, "stretch": 1.01},
+            "family": {"name": "gaussian"}}
+    if verb == "sweep":
+        tree["sweep"] = [{"amp": 0.05}]
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", cfg_file("d.json", json.dumps(tree)),
+                     "--out", str(out)]) == 2
+    where = "sweep[0]: dimension" if verb == "sweep" else "dimension"
+    assert capsys.readouterr().err.startswith(f"config error: {where}: must be in [3, 105]")
+    assert not out.exists()
 
 
 def test_unexpected_exception_exits_6(tmp_path, cfg_file, capsys, monkeypatch):

@@ -519,9 +519,9 @@ class TestDetectors:
         v = RadialField(grid, np.where(np.arange(grid.n) % 2, 1e150, -1e150))
         refused = [
             lambda: fn.l2star_power(u0),
-            lambda: fn.lq_norm(u0, fn.default_q(5)),
+            lambda: fn.kq_weight(1.0, u0),
             lambda: fn.energy(u0),
-            lambda: fn.energy_report(0.0, u0),
+            lambda: fn.energy_report(u0),
             lambda: evolve.HeatProblem(grid).form_energy(u0.values, fn.h1_norm_sq(u0)),
             lambda: evolve.run_flow(u0, FlowSettings(t_max=1.0)),
             lambda: fn.h1_norm_sq(v),
@@ -544,6 +544,26 @@ class TestEnergyBookkeeping:
         scale = abs(traj.snapshots[0].form_energy)
         assert res < 1e-5 * scale
         assert d_tally < 1e-4 * scale  # stationary up to the discretization residual
+
+    def test_energy_rise_past_the_slack_is_refused(self):
+        # hand-built checkpoints at t = 1 and 2 whose solver-frame energy rises
+        grid = make_grid(4, 5.0, 32, 1.0)
+        zero = RadialField(grid, np.zeros(grid.n))
+
+        def rising_to(e1: float) -> evolve.Trajectory:
+            traj = evolve.Trajectory(d=4, grid=grid, e_w=1.0, grad_sq_w=1.0)
+            for t, energy, dissipation in ((1.0, 1.0, 0.0), (2.0, e1, 0.25)):
+                traj.snapshots.append(evolve.Snapshot(
+                    t=t, report=fn.energy_report(zero), kq=0.0, dt=0.1,
+                    dissipation=dissipation, form_energy=energy, field=zero))
+            return traj
+
+        slack = evolve.ENERGY_SLACK_REL  # of max(|E(t0)|, |E(0)|) = 1
+        with pytest.raises(evolve.EnergyMonotonicityError, match="E increased"):
+            evolve.energy_identity_residual(rising_to(1.0 + 2.0 * slack), 1.0, 2.0)
+        inside = 1.0 + 0.5 * slack
+        assert evolve.energy_identity_residual(rising_to(inside), 1.0, 2.0) == abs(
+            inside + 0.25 - 1.0)
 
     def test_identity_residual_dissipative_and_refinement(self):
         grid = grid_for_span(4, 400.0, 0.005, 0.002)

@@ -152,6 +152,12 @@ class TestDecayFit:
         with pytest.raises(experiments.WindowTooShortError):
             experiments.decay_fit(traj, spectral.gaussian_spectrum(4), t_lo=20.0)
 
+    @pytest.mark.parametrize("t_lo", [0.0, -5.0])
+    def test_window_from_t0_is_refused(self, t_lo):
+        # the t = 0 sample would make the decade test pass on any run
+        with pytest.raises(ValueError, match="t_lo > 0"):
+            experiments.fit_window(zero_trajectory([0.0, 1.0, 100.0]), t_lo)
+
     def test_log_law_mode_beyond_d10(self):
         cfg = base_config(
             11, 60.0, family="gaussian", params={"amp": 2.0, "width": 1.0}.items(),
@@ -186,7 +192,7 @@ def zero_trajectory(times) -> evolve.Trajectory:
     for t in times:
         traj.snapshots.append(
             evolve.Snapshot(
-                t=t, report=fn.energy_report(t, zero), kq=0.0, dt=0.1,
+                t=t, report=fn.energy_report(zero), kq=0.0, dt=0.1,
                 dissipation=0.0, form_energy=0.0, field=zero.copy(),
             )
         )

@@ -30,12 +30,14 @@ class TestBubble:
         amp = (5 * 3) ** (3 / 4)
         assert w.values[-1] * r**3 == pytest.approx(amp, rel=1e-4)
 
+    def test_largest_dimension_is_the_last_finite_gradient_norm(self):
+        assert math.isfinite(gs.grad_norm_sq_closed_form(gs.MAX_DIMENSION))
+        assert gs.grad_norm_sq_closed_form(gs.MAX_DIMENSION + 1) == math.inf
+
     def test_spec_validation(self):
         # the bubble takes its dimension from the grid, which refuses d < 3
         with pytest.raises(ValueError):
             make_grid(2, 5.0, 32, 1.0)
-        with pytest.raises(ValueError):
-            gs.aubin_talenti(make_grid(4, 5.0, 32, 1.0), lam=0.0)
 
 
 class TestPohozaev:
@@ -59,9 +61,14 @@ class TestPohozaev:
         assert gs.pohozaev_residual(half) > 0
 
 
+def rescaled_bubble(grid, lam):
+    """W_lam = lam^{-(d-2)/2} W(./lam) sampled on the grid."""
+    return RadialField(grid, gs.bubble_values(grid.d, grid.nodes, lam))
+
+
 def bubble_energy(grid, lam=1.0):
     """E(W_lam) by quadrature on the grid."""
-    return fn.energy(gs.aubin_talenti(grid, lam))
+    return fn.energy(rescaled_bubble(grid, lam))
 
 
 class TestGroundStateEnergy:
@@ -107,7 +114,7 @@ class TestRescale:
     def test_nehari_stays_zero(self, lam):
         grid = gs.default_grid(4)
         w = gs.aubin_talenti(grid)
-        j = gs.pohozaev_residual(gs.aubin_talenti(grid, lam))
+        j = gs.pohozaev_residual(rescaled_bubble(grid, lam))
         assert abs(j) < 1e-4 * fn.h1_norm_sq(w)
 
     def test_matches_exact_rescaled_samples(self):

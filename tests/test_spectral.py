@@ -353,6 +353,9 @@ class TestClosedForm:
         spec = sp.gaussian_spectrum(40, k=0.0, sig=1e6)
         with pytest.raises(sp.SpectrumDomainError, match="closed-form mass out of range"):
             sp.low_freq_mass(spec, 0.01)
+        # in d = 400 the sphere's area underflows to 0 too: its log is -inf, not an error
+        with pytest.raises(sp.SpectrumDomainError, match="closed-form mass out of range"):
+            sp.low_freq_mass(sp.gaussian_spectrum(400), 0.01)
 
 
 class TestDecayBounds:
