@@ -211,7 +211,8 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
         # the ball's share of the critical norm, omega_{d-1} int_0^radius
         # s^2 |vhat|^2 s^{d-1} ds, is the low-frequency mass of Lambda v
         rho = min(radius, l1.s_max)
-        mass = 0.5 * (spectral.low_freq_mass(l1, rho) + spectral.low_freq_mass(l2, rho))
+        m1, m2 = spectral.table_masses([l1, l2], rho)
+        mass = 0.5 * (m1 + m2)
         rhs = gp(tm) * mass
         scale = abs(lhs[i]) + abs(rhs) + 1e-300
         return (rhs - lhs[i]) / scale

@@ -24,7 +24,9 @@ from scipy's compiled `_special_ufuncs` extension, which
 `_extensions.scipy_extension` loads on first use: no scipy package loads. The
 transform evaluates its Bessel kernel on every CPU the process may use, in
 blocks of rows; `jv` works element by element, so the bits do not depend on
-how many CPUs there are.
+how many CPUs there are. It evaluates J only on the span of nodes where some
+field carries weight, and the transform keeps its bits. Tables on one set of
+nodes share each mass's tail (`table_masses`).
 """
 
 from __future__ import annotations
@@ -61,6 +63,25 @@ KIND_FIELDS = {
 }
 
 
+_MATCHING_ARRAYS = "tabulated spectrum needs matching 1-d arrays, >= 4 nodes"
+
+
+def _tabulated_nodes(s_nodes) -> np.ndarray:
+    """`s_nodes` as a float array, refused unless a table can stand on them:
+    one dimension, at least 4 nodes, finite, positive, strictly increasing, and
+    the first at or below s = 1e-3."""
+    s = np.asarray(s_nodes, dtype=float)
+    if s.ndim != 1 or len(s) < 4:
+        raise ValueError(_MATCHING_ARRAYS)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("tabulated nodes and values must be finite")
+    if np.any(np.diff(s) <= 0) or s[0] <= 0:
+        raise ValueError("tabulated nodes must be positive and strictly increasing")
+    if s[0] > 1e-3:
+        raise ValueError("tabulated nodes must start at or below s = 1e-3")
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumFn:
     """Radial frequency profile with dimension attached.
@@ -90,16 +111,12 @@ class SpectrumFn:
         if missing:
             raise ValueError(f"a {self.kind} spectrum needs {', '.join(missing)}")
         if self.kind == "tabulated":
-            s = np.asarray(self.s_nodes, dtype=float)
+            s = _tabulated_nodes(self.s_nodes)
             v = np.asarray(self.values, dtype=float)
-            if s.ndim != 1 or s.shape != v.shape or len(s) < 4:
-                raise ValueError("tabulated spectrum needs matching 1-d arrays, >= 4 nodes")
-            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+            if v.shape != s.shape:
+                raise ValueError(_MATCHING_ARRAYS)
+            if not np.all(np.isfinite(v)):
                 raise ValueError("tabulated nodes and values must be finite")
-            if np.any(np.diff(s) <= 0) or s[0] <= 0:
-                raise ValueError("tabulated nodes must be positive and strictly increasing")
-            if s[0] > 1e-3:
-                raise ValueError("tabulated nodes must start at or below s = 1e-3")
             object.__setattr__(self, "s_nodes", s)
             object.__setattr__(self, "values", v)
             object.__setattr__(self, "s_max", float(s[-1]))
@@ -229,31 +246,46 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     """F(rho) = omega_{d-1} int_0^rho |vhat(s)|^2 s^{d-1} ds."""
     if spec.kind in CLOSED_FORM_KINDS:
         return float(np.exp(_closed_log_mass(spec, rho, 0.0)))
-    if not 0.0 < rho <= spec.s_max:
-        raise SpectrumDomainError(f"rho={rho} outside (0, {spec.s_max}]")
+    return table_masses([spec], rho)[0]
+
+
+def table_masses(specs: list[SpectrumFn], rho: float) -> list[float]:
+    """`low_freq_mass` of each table in `specs`, which must share their nodes
+    and dimension: the interval search, the tail's points and their powers are
+    formed once for all of them."""
+    first = specs[0]
+    if any(spec.kind != "tabulated" or spec.d != first.d
+           or not (spec.s_nodes is first.s_nodes or np.array_equal(spec.s_nodes, first.s_nodes))
+           for spec in specs):
+        raise ValueError("table masses need tables on one set of nodes, in one dimension")
+    if not 0.0 < rho <= first.s_max:
+        raise SpectrumDomainError(f"rho={rho} outside (0, {first.s_max}]")
     # the grid is `_refine` of the nodes below rho and rho itself: the table's
     # samples up to the last such node s_{k-1}, then np.linspace(s_{k-1}, rho, 5).
     # Its trapezoid terms are the cached ones up to s_{k-1} and the tail's,
     # summed as one array, as `np.trapezoid` sums them
-    k = int(spec.s_nodes.searchsorted(rho))
+    k = int(first.s_nodes.searchsorted(rho))
     if k == 0:
-        return _stub_mass(spec, rho)
+        return [_stub_mass(spec, rho) for spec in specs]
     # the tail np.linspace(s_{k-1}, rho, 5), its integrand as `_mass_integrand`
     # forms it and its terms, in Python floats with numpy's bits: on five points
     # numpy's per-call dispatch costs more than the arithmetic. Inside
     # [s_0, s_max] the table is its cubic: no stub, no clipping
-    lo = float(spec.s_nodes[k - 1])
+    lo = float(first.s_nodes[k - 1])
     delta = rho - lo
     step = delta / 4.0
     # as np.linspace, which scales by the gap where the step underflows to 0
     tail = [i * step + lo if step else i / 4.0 * delta + lo for i in range(4)] + [rho]
     # the power stays an array operation: numpy's loop need not round as libm's pow
-    powers = (np.array(tail) ** (spec.d - 1)).tolist()
-    area = sphere_area(spec.d)
-    y = [area * v * v * p for v, p in zip(map(spec._interp.at, tail), powers)]
-    tail_terms = [(tail[i + 1] - tail[i]) * (y[i + 1] + y[i]) / 2.0 for i in range(4)]
-    terms = np.concatenate([spec._mass_terms[:4 * (k - 1)], tail_terms])
-    return float(terms.sum()) + spec._stub_above
+    powers = (np.array(tail) ** (first.d - 1)).tolist()
+    area = sphere_area(first.d)
+    masses = []
+    for spec in specs:
+        y = [area * v * v * p for v, p in zip(map(spec._interp.at, tail), powers)]
+        tail_terms = [(tail[i + 1] - tail[i]) * (y[i + 1] + y[i]) / 2.0 for i in range(4)]
+        terms = np.concatenate([spec._mass_terms[:4 * (k - 1)], tail_terms])
+        masses.append(float(terms.sum()) + spec._stub_above)
+    return masses
 
 
 @dataclass(frozen=True)
@@ -343,17 +375,19 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 
     vhat(s) = s^{-(d-2)/2} int_0^R u(r) J_{(d-2)/2}(r s) r^{d/2} dr in the
     unitary convention, so Plancherel holds with constant one. One Bessel
-    kernel serves every field; `_bessel_kernel` evaluates it on every CPU the
-    process may use, with the same bits as one `jv` call. Requires each field
-    to have decayed to <= 1e-8 of its peak at the outer radius. That check
-    reads the outer node alone, which `families.build_initial` and every
-    substep pin to 0, so no field of a run or of its checkpoints trips it:
-    only a hand-built field can. A field that has not decayed well inside R
-    passes and aliases.
+    kernel serves every field. J is evaluated only on the span of nodes where
+    some field's u r^{d/2} is nonzero (never r = 0), and the kernel is 0
+    elsewhere; the sum over nodes stays full width, so each value has the full
+    kernel's bits, but for the sign of an exactly-zero sum. `_bessel_kernel`
+    evaluates the span on every CPU the process may use, with the same bits as
+    one `jv` call. Nodes that no table can stand on are refused before any
+    kernel work. Requires each field to have decayed to <= 1e-8 of its
+    peak at the outer radius. That check reads the outer node alone, which
+    `families.build_initial` and every substep pin to 0, so no field of a run
+    or of its checkpoints trips it: only a hand-built field can. A field that
+    has not decayed well inside R passes and aliases.
     """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    if np.any(s_nodes <= 0) or np.any(np.diff(s_nodes) <= 0):
-        raise ValueError("frequency nodes must be positive and strictly increasing")
+    s_nodes = _tabulated_nodes(s_nodes)
     grid = fields[0].grid
     if any(u.grid.d != grid.d or not np.array_equal(u.grid.nodes, grid.nodes) for u in fields):
         raise ValueError("fields must share one grid")
@@ -364,12 +398,16 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
             raise TailMassError(
                 f"field carries {edge/peak:.2e} of its peak at r = R; transform would alias"
             )
-    jv = scipy_extension("special._special_ufuncs").jv  # the ufunc scipy.special exports
     nu = (grid.d - 2) / 2.0
     r = grid.nodes
     rpow = r ** (grid.d / 2.0)
     weighted = np.stack([grid.line_weights * u.values * rpow for u in fields])
-    kernel = _bessel_kernel(jv, nu, s_nodes, r)
+    live = np.flatnonzero(weighted.any(axis=0))
+    kernel = np.zeros((len(s_nodes), len(r)))
+    if live.size:
+        span = slice(live[0], live[-1] + 1)
+        jv = scipy_extension("special._special_ufuncs").jv  # the ufunc scipy.special exports
+        _bessel_kernel(jv, nu, s_nodes, r[span], kernel[:, span])
     # einsum, not `@`: a BLAS product this size wakes the BLAS thread pool,
     # whose threads keep spinning on another core after the call returns
     vals = np.einsum("fr,sr->fs", weighted, kernel) * s_nodes ** (-nu)
@@ -388,13 +426,12 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 BLOCKS_PER_WORKER = 4
 
 
-def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """jv(nu, np.outer(s, r)), the same bits, with its rows cut into blocks that
-    one thread per CPU (`_extensions.cpu_count()`, at most one per block, the
-    calling thread one of them) takes from one shared iterator; `jv` releases
-    the GIL. The first exception a block raises is raised here, after every
-    thread has ended."""
-    kernel = np.empty((len(s), len(r)))
+def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """Writes jv(nu, np.outer(s, r)) into `out`, the same bits, with its rows cut
+    into blocks that one thread per CPU (`_extensions.cpu_count()`, at most one
+    per block, the calling thread one of them) takes from one shared iterator;
+    each block is formed in place, and `jv` releases the GIL. The first
+    exception a block raises is raised here, after every thread has ended."""
     cpus = _extensions.cpu_count()
     n_blocks = max(1, min(len(s), BLOCKS_PER_WORKER * cpus))
     edges = [len(s) * i // n_blocks for i in range(n_blocks + 1)]
@@ -410,7 +447,9 @@ def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
                 if block is None:
                     return
                 lo, hi = block
-                jv(nu, np.outer(s[lo:hi], r), out=kernel[lo:hi])
+                view = out[lo:hi]
+                np.multiply.outer(s[lo:hi], r, out=view)
+                jv(nu, view, out=view)
         except Exception as exc:  # raised in the caller once every thread has ended
             errors.append(exc)
 
@@ -426,7 +465,6 @@ def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
             thread.join()
     if errors:
         raise errors[0]
-    return kernel
 
 
 def hankel_spectrum(u: RadialField, s_nodes) -> SpectrumFn:

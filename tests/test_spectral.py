@@ -2,12 +2,14 @@ import math
 import sys
 import threading
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critheat import families
 from critheat import functionals as fn
 from critheat import _extensions
 from critheat import spectral as sp
@@ -207,6 +209,42 @@ class TestHankelTableMass:
                    "s_max": s[-1]}[where]
             grid = sp._refine(np.concatenate([s[s < rho], [rho]]))
             assert sp.low_freq_mass(spec, rho) == reference_table_integral(spec, grid, 1.0, rho)
+
+
+class TestTableMasses:
+    """`table_masses` of tables on one set of nodes is `low_freq_mass` of each."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
+        r = grid.nodes
+        fields = [RadialField(grid, np.exp(-((r / w) ** 2)) * (1 + 0.3 * np.cos(r)))
+                  for w in (1.3, 0.9)]
+        s = np.concatenate([np.geomspace(1e-4, 0.1, 30), np.geomspace(0.11, 9.0, 60)])
+        return [sp.lambda_spectrum(spec) for spec in sp.hankel_spectra(fields, s)]
+
+    @pytest.mark.parametrize("where", ["below_first_node", "on_a_node", "between_nodes",
+                                       "s_max"])
+    def test_pair_matches_single_masses(self, pair, where):
+        s = pair[0].s_nodes
+        rho = {"below_first_node": 0.3 * s[0], "on_a_node": s[45],
+               "between_nodes": 0.5 * (s[50] + s[51]), "s_max": s[-1]}[where]
+        got = sp.table_masses(pair, rho)
+        want = [sp.low_freq_mass(spec, rho) for spec in pair]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        grid = sp._refine(np.concatenate([s[s < rho], [rho]]))
+        assert got == [reference_table_integral(spec, grid, 1.0, rho) for spec in pair]
+
+    def test_tables_must_share_nodes_and_dimension(self, pair):
+        a, b = pair
+        with pytest.raises(ValueError, match="one set of nodes"):
+            sp.table_masses([a, replace(b, s_nodes=b.s_nodes * 0.5)], 1e-2)
+        with pytest.raises(ValueError, match="one set of nodes"):
+            sp.table_masses([a, replace(b, d=5)], 1e-2)
+        with pytest.raises(ValueError, match="one set of nodes"):
+            sp.table_masses([a, sp.gaussian_spectrum(4)], 1e-2)
+        with pytest.raises(sp.SpectrumDomainError):
+            sp.table_masses(pair, 2.0 * a.s_max)
 
 
 class TestDecayCharacter:
@@ -450,11 +488,16 @@ class TestParallelKernel:
     @pytest.mark.parametrize("n_s", [1, 2, 4, 90])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
     def test_kernel_same_bits_for_any_worker_count(self, monkeypatch, fields, n_s, cpus):
+        # written in place into a column span of a wider kernel, which keeps its zeros
         jv = scipy_extension("special._special_ufuncs").jv
         s = np.geomspace(1e-4, 12.0, n_s) if n_s > 1 else np.array([0.7])
         r = fields[0].grid.nodes
-        want = jv(0.5, np.outer(s, r))
-        got = self.parallel(lambda: sp._bessel_kernel(jv, 0.5, s, r), monkeypatch, cpus)
+        span = slice(3, len(r) - 5)
+        want = np.zeros((n_s, len(r)))
+        want[:, span] = jv(0.5, np.outer(s, r[span]))
+        got = np.zeros((n_s, len(r)))
+        self.parallel(lambda: sp._bessel_kernel(jv, 0.5, s, r[span], got[:, span]),
+                      monkeypatch, cpus)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_s", [4, 90])
@@ -470,6 +513,70 @@ class TestParallelKernel:
         got = self.parallel(lambda: sp.hankel_spectra(fields, s), monkeypatch, cpus)
         for spec, values in zip(got, want):
             assert spec.values.tobytes() == values.tobytes()
+
+    @pytest.fixture(scope="class")
+    def zero_spans(self):
+        """Fields with exact zeros on the d = 4 grid of the splitting runs:
+        a gaussian whose tail underflows, `bumps`, `aW_cutoff`, one with a
+        zero inside its span, and a batch of fields with different spans."""
+        grid = grid_for_span(4, 160.0, 0.01, 0.004)
+        r = grid.nodes
+        gauss = RadialField(grid, 0.05 * np.exp(-(r**2)))
+        holed = gauss.values * np.cos(r)
+        holed[40:45] = 0.0
+        return {
+            "gaussian": [gauss],
+            "bumps": [families.build_initial("bumps", {"n_bumps": 3}, grid, seed=3)],
+            "aW_cutoff": [families.build_initial("aW_cutoff", {"a": 0.8}, grid)],
+            "zero_inside": [RadialField(grid, holed)],
+            "batch": [gauss,
+                      RadialField(grid, np.where(r < 120.0, np.exp(-((r / 6.0) ** 2)), 0.0)),
+                      RadialField(grid, np.where(r > 2.0, 0.0, 1.0 - r**2 / 4.0))],
+        }
+
+    @pytest.mark.parametrize("case", ["gaussian", "bumps", "aW_cutoff", "zero_inside", "batch"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_transform_same_bits_on_exact_zeros(self, monkeypatch, zero_spans, case, cpus):
+        fields = zero_spans[case]
+        grid = fields[0].grid
+        assert all(np.any(u.values[1:-1] == 0.0) for u in fields)
+        s = np.concatenate([np.geomspace(1e-4, 0.1, 40), np.geomspace(0.11, 20.0, 80)])
+        nu = (grid.d - 2) / 2.0
+        r = grid.nodes
+        weighted = np.stack([grid.line_weights * u.values * r ** (grid.d / 2.0) for u in fields])
+        kernel = scipy_extension("special._special_ufuncs").jv(nu, np.outer(s, r))
+        want = np.einsum("fr,sr->fs", weighted, kernel) * s ** (-nu)
+        got = self.parallel(lambda: sp.hankel_spectra(fields, s), monkeypatch, cpus)
+        for spec, values in zip(got, want):
+            assert spec.values.tobytes() == values.tobytes()
+
+    def test_zero_field_calls_no_bessel_function(self, monkeypatch, fields):
+        def no_jv(name):
+            raise AssertionError("the Bessel function was loaded for an all-zero field")
+
+        monkeypatch.setattr(sp, "scipy_extension", no_jv)
+        grid = fields[0].grid
+        s = np.geomspace(1e-4, 12.0, 20)
+        (spec,) = sp.hankel_spectra([RadialField(grid, np.zeros(grid.n))], s)
+        assert spec.values.tobytes() == np.zeros(20).tobytes()
+
+    @pytest.mark.parametrize("s_nodes, message", [
+        (np.array([0.01, 0.1, 1.0, 10.0]), "start at or below s = 1e-3"),
+        (np.array([1e-4, 1e-3, 1e-2]), ">= 4 nodes"),
+        (np.geomspace(0.01, 50.0, 2000), "start at or below s = 1e-3"),
+        (np.array([1e-4, 1e-3, 1e-3, 1e-2]), "positive and strictly increasing"),
+        (np.array([1e-4, 1e-3, np.nan, 1e-2]), "must be finite"),
+    ])
+    def test_unusable_nodes_are_refused_before_the_kernel(self, monkeypatch, fields, s_nodes,
+                                                         message):
+        def no_kernel(*args):
+            raise AssertionError("the Bessel kernel was evaluated")
+
+        monkeypatch.setattr(sp, "_bessel_kernel", no_kernel)
+        with pytest.raises(ValueError, match=message):
+            sp.hankel_spectra(fields, s_nodes)
+        with pytest.raises(ValueError, match=message):
+            sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s_nodes, values=np.ones(len(s_nodes)))
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch, fields):
         jv = scipy_extension("special._special_ufuncs").jv

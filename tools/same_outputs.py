@@ -20,12 +20,13 @@ the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
 are Hankel transforms, and on a d = 4 gaussian run, whose initial spectrum has
 a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5), 1
 (d = 4) and 0.5 (d = 3). Those verbs read a Hankel table only up to the
-splitting radius or the decay-character window, so one more check writes a
-whole table: the Hankel transform of the run-grid checkpoint below on the
-`decayfit` nodes, saved by `spectral.save_spectrum`. The tool writes the
-checkpoints and the spectrum file itself, once for both trees; the checkpoint
-on the run grid is the t = 0 checkpoint of an OLD_SRC `critheat run`, so that
-its nodes are the grid's to the bit.
+splitting radius or the decay-character window, so two more checks write
+whole tables, Hankel transforms on the `decayfit` nodes saved by
+`spectral.save_spectrum`: of the run-grid checkpoint below, and of the d = 4
+gaussian u0 of the splitting runs, which is exactly 0 on its outer 426 nodes.
+The tool writes the checkpoints and the spectrum file itself, once for both
+trees; the checkpoint on the run grid is the t = 0 checkpoint of an OLD_SRC
+`critheat run`, so that its nodes are the grid's to the bit.
 Every output file is compared byte for byte, manifests without `wall_time_s`
 and `out_dir`, and the exit codes must agree. Prints one line per
 configuration, naming the files that differ and, for a manifest, the dotted
@@ -176,6 +177,21 @@ RUN_INPUTS = {
 #: name -> Python source that a fresh interpreter runs in the `INPUTS`
 #: directory, with its output directory as sys.argv[1]
 SCRIPTS = {
+    # the d = 4 gaussian u0 of GAUSSIAN_4, exactly 0 from r ~ 27 out (426 of its
+    # 1047 nodes), with Bessel order 1: a kernel that misplaces its columns moves
+    # this table. Its last nonzero values are near the underflow limit and move
+    # no bit; the cutoff edge of the run-grid checkpoint below covers that end
+    "hankel_table_gaussian4": f"""
+import sys
+from pathlib import Path
+from critheat import config, experiments, families, spectral
+cfg = config.parse_config({json.dumps(GAUSSIAN_4)!r})
+u0 = families.build_initial(cfg.family, cfg.params, cfg.make_grid(), cfg.seed)
+out = Path(sys.argv[1])
+out.mkdir(parents=True)
+spectral.save_spectrum(spectral.hankel_spectrum(u0, experiments.DECAYFIT_NODES),
+                       out / "spectrum.txt")
+""",
     "hankel_table_grid5": """
 import sys
 from pathlib import Path
