@@ -147,10 +147,11 @@ def cmd_sweep(configs: list[RunConfig]) -> Result:
     rows = experiments.dichotomy_sweep(configs, _extensions.cpu_count())
     table = []
     for i, row in enumerate(rows):
+        cfg, m = row.config, row.trajectory.membership
         table.append([
-            i, row.family, json.dumps(row.params, sort_keys=True), row.d,
-            row.e_ratio, row.grad_ratio, row.l2_finite, row.hypothesis_branch,
-            row.verdict.kind, row.verdict.t_end, row.consistent_with_theorem,
+            i, cfg.family, json.dumps(cfg.params, sort_keys=True), cfg.dimension,
+            m.e_ratio, m.grad_ratio, row.trajectory.snapshots[0].report.l2_sq is not None,
+            m.branch, row.verdict.kind, row.verdict.t_end, row.consistent_with_theorem,
         ])
     files = {"sweep.csv": _csv(
         ["index", "family", "params", "d", "e_over_ew", "grad_over_gradw",
@@ -161,7 +162,7 @@ def cmd_sweep(configs: list[RunConfig]) -> Result:
         "rows": len(rows),
         "inconsistent": sum(not r.consistent_with_theorem for r in rows),
         "undecided": sum(r.verdict.kind == evolve.UNDECIDED for r in rows),
-        "without_hypotheses": sum(r.hypothesis_branch == "none" for r in rows),
+        "without_hypotheses": sum(r.trajectory.membership.branch == "none" for r in rows),
     }
     manifest = {"config_hash": [cfg.content_hash() for cfg in configs],
                 "config": [json.loads(cfg.to_json()) for cfg in configs],

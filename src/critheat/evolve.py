@@ -106,7 +106,6 @@ class SolverState:
     t: float
     u: RadialField
     dt: float
-    step_count: int = 0
     accumulated_dissipation: float = 0.0
     #: (dt, error estimate) of the last accepted step, for the predictive
     #: step-size controller; None before the first step
@@ -133,10 +132,7 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    d: int
     grid: RadialGrid
-    e_w: float
-    grad_sq_w: float
     snapshots: list[Snapshot] = field(default_factory=list)
     events: list[tuple[float, str]] = field(default_factory=list)
     verdict: Verdict | None = None
@@ -327,7 +323,6 @@ def step(
         t=state.t + dt,
         u=RadialField(state.u.grid, table[-1]),
         dt=next_dt,
-        step_count=state.step_count + 1,
         accumulated_dissipation=state.accumulated_dissipation + tally[-1],
         last_step=(dt, err),
     )
@@ -399,17 +394,16 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
     `functionals.classify_set`, and kept as `Trajectory.membership`. With the
     guard on, AtThreshold data is ill-conditioned for the dichotomy and is
     reported Undecided without stepping. A u0 that is not finite, or whose
-    diagnostics or solver-frame energy overflow, raises CorruptionError; a
-    later snapshot whose diagnostics overflow ends the run
-    Undecided("corruption").
+    diagnostics or solver-frame energy overflow, raises CorruptionError; any
+    later snapshot whose diagnostics overflow, on the ladder, at a step
+    collapse or at the amplitude cap, ends the run Undecided("corruption").
     """
     ladder = snapshot_ladder(settings)
     grid = u0.grid
-    d = grid.d
-    ref = ground_state.reference(d)
+    ref = ground_state.reference(grid.d)
     e_w, grad_sq_w = ref.e_w, ref.grad_sq_w
     band = functionals.threshold_band(e_w, functionals.energy(ground_state.aubin_talenti(grid)))
-    traj = Trajectory(d=d, grid=grid, e_w=e_w, grad_sq_w=grad_sq_w)
+    traj = Trajectory(grid=grid)
     problem = HeatProblem(grid, settings.nonlinearity)
 
     def take_snapshot(state: SolverState, with_field: bool) -> Snapshot:
@@ -457,34 +451,34 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
     forced = set(settings.forced_times)
     snap_index = 0
 
-    for t_next in ladder:
-        while state.t < t_next:
-            try:
-                state = step(state, settings.tol, problem, dt_min=settings.dt_min,
-                             dt_cap=t_next - state.t)
-            except StepCollapseError as exc:
-                snap = take_snapshot(state, with_field=True)
-                if (float(np.max(np.abs(state.u.values))) > settings.amp_cap
-                        or snap.report.h1_sq > BLOWUP_FACTOR**2 * init_h1):
-                    return blowup(exc.dt)
-                return finish(UNDECIDED, state.t, {"reason": "step_collapse"})
-            if abs(state.t - t_next) <= 1e-12 * max(t_next, 1.0):
-                state.t = t_next
-            amplitude = float(np.max(np.abs(state.u.values)))
-            if amplitude > settings.amp_cap:
-                take_snapshot(state, with_field=True)
-                return blowup(state.dt, amplitude=amplitude)
-        snap_index += 1
-        try:
+    try:
+        for t_next in ladder:
+            while state.t < t_next:
+                try:
+                    state = step(state, settings.tol, problem, dt_min=settings.dt_min,
+                                 dt_cap=t_next - state.t)
+                except StepCollapseError as exc:
+                    snap = take_snapshot(state, with_field=True)
+                    if (float(np.max(np.abs(state.u.values))) > settings.amp_cap
+                            or snap.report.h1_sq > BLOWUP_FACTOR**2 * init_h1):
+                        return blowup(exc.dt)
+                    return finish(UNDECIDED, state.t, {"reason": "step_collapse"})
+                if abs(state.t - t_next) <= 1e-12 * max(t_next, 1.0):
+                    state.t = t_next
+                amplitude = float(np.max(np.abs(state.u.values)))
+                if amplitude > settings.amp_cap:
+                    take_snapshot(state, with_field=True)
+                    return blowup(state.dt, amplitude=amplitude)
+            snap_index += 1
             take_snapshot(
                 state,
                 with_field=(snap_index % settings.checkpoint_every == 0) or state.t in forced,
             )
-        except CorruptionError:
-            return finish(UNDECIDED, state.t, {"reason": "corruption"})
-        h1_sq = traj.snapshots[-1].report.h1_sq
-        if h1_sq < eps_dissip:
-            return finish(DISSIPATIVE, state.t, {"final_h1_sq": h1_sq})
+            h1_sq = traj.snapshots[-1].report.h1_sq
+            if h1_sq < eps_dissip:
+                return finish(DISSIPATIVE, state.t, {"final_h1_sq": h1_sq})
+    except CorruptionError:
+        return finish(UNDECIDED, state.t, {"reason": "corruption"})
     return finish(UNDECIDED, state.t, {"reason": "t_max_reached"})
 
 

@@ -26,16 +26,19 @@ class WindowTooShortError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepRow:
-    family: str
-    params: dict
-    d: int
-    e_ratio: float
-    grad_ratio: float
-    l2_finite: bool
-    hypothesis_branch: str  # "I", "II", or "none"
-    verdict: evolve.Verdict
-    consistent_with_theorem: bool
-    trajectory: evolve.Trajectory | None = None  # carried for reuse, never serialized
+    """One sweep row: its configuration and its run, which holds the row's
+    placement against W (`membership`) and its verdict."""
+
+    config: RunConfig
+    trajectory: evolve.Trajectory
+
+    @property
+    def verdict(self) -> evolve.Verdict:
+        return self.trajectory.verdict
+
+    @property
+    def consistent_with_theorem(self) -> bool:
+        return (self.trajectory.membership.branch, self.verdict.kind) not in CONTRADICTIONS
 
 
 @dataclass(frozen=True)
@@ -67,20 +70,7 @@ CONTRADICTIONS = {("I", evolve.BLOWUP), ("II", evolve.DISSIPATIVE)}
 
 
 def _sweep_row(cfg: RunConfig) -> SweepRow:
-    traj = run_config(cfg)
-    m = traj.membership
-    return SweepRow(
-        family=cfg.family,
-        params=cfg.params,
-        d=cfg.dimension,
-        e_ratio=m.e_ratio,
-        grad_ratio=m.grad_ratio,
-        l2_finite=traj.snapshots[0].report.l2_sq is not None,
-        hypothesis_branch=m.branch,
-        verdict=traj.verdict,
-        consistent_with_theorem=(m.branch, traj.verdict.kind) not in CONTRADICTIONS,
-        trajectory=traj,
-    )
+    return SweepRow(cfg, run_config(cfg))
 
 
 def dichotomy_sweep(configs: list[RunConfig], workers: int) -> list[SweepRow]:
@@ -145,7 +135,7 @@ def decay_fit(
         raise ValueError("decay fits require a Dissipative trajectory")
     est = spectral.decay_character(spectral.lambda_spectrum(spec0))
     q_star = est.r_star
-    d = traj.d
+    d = traj.grid.d
     predicted = min(d / 2.0 + q_star, 1.0)
     t, h1 = fit_window(traj, t_lo, t_hi)
     if d <= 10:

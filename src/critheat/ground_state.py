@@ -88,7 +88,6 @@ def default_grid(d: int) -> RadialGrid:
 class GroundStateReference:
     """Per-dimension threshold quantities ||grad W||^2 and E(W)."""
 
-    d: int
     e_w: float
     grad_sq_w: float
 
@@ -96,4 +95,4 @@ class GroundStateReference:
 def reference(d: int) -> GroundStateReference:
     """Exact threshold quantities: E(W) = ||grad W||^2 / d in closed form."""
     grad_sq_w = grad_norm_sq_closed_form(d)
-    return GroundStateReference(d=d, e_w=grad_sq_w / d, grad_sq_w=grad_sq_w)
+    return GroundStateReference(e_w=grad_sq_w / d, grad_sq_w=grad_sq_w)

@@ -104,9 +104,10 @@ def test_default_matrix_theorem_consistency(suite):
     # rows with hypotheses actually resolve: every branch-I row dissipates,
     # every branch-II row blows up
     for key, row in suite.items():
-        if row.hypothesis_branch == "I":
+        branch = row.trajectory.membership.branch
+        if branch == "I":
             assert row.verdict.kind == evolve.DISSIPATIVE, key
-        if row.hypothesis_branch == "II":
+        if branch == "II":
             assert row.verdict.kind == evolve.BLOWUP, key
 
 
@@ -172,11 +173,12 @@ def test_criterion_04_dichotomy_branch_two(suite):
                 failures.append((d, a, row.verdict.kind))
     for d in (3, 4):
         row = suite[("cutoff", d, None)]
+        m = row.trajectory.membership
         hyp_ok = (
-            row.e_ratio < 1.0 - 10 * fn.TOL_THRESHOLD_REL
-            and row.grad_ratio > 1.0
-            and row.l2_finite
-            and row.hypothesis_branch == "II"
+            m.e_ratio < 1.0 - 10 * fn.TOL_THRESHOLD_REL
+            and m.grad_ratio > 1.0
+            and row.trajectory.snapshots[0].report.l2_sq is not None
+            and m.branch == "II"
         )
         pre = row.trajectory.snapshots[:-1]
         if not (hyp_ok and row.verdict.kind == evolve.BLOWUP

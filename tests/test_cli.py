@@ -20,6 +20,7 @@ from critheat.config import (
     parse_config, parse_sweep,
 )
 from critheat.radial import CorruptionError, grid_for_span
+from test_experiments import rising_trajectory
 
 
 def run_config_text(tmp_out=None, **overrides):
@@ -434,17 +435,9 @@ class TestCommands:
         assert cli.main(["sweep", "--config", path]) == 1
 
     def test_sweep_inconsistent_row_exit(self, tmp_path, cfg_file, monkeypatch):
-        # control-flow contract: a theorem-inconsistent row is exit category 5
-        import critheat.experiments as experiments
-
-        real = experiments._sweep_row
-
-        def poisoned(cfg):
-            row = real(cfg)
-            object.__setattr__(row, "consistent_with_theorem", False)
-            return row
-
-        monkeypatch.setattr(experiments, "_sweep_row", poisoned)
+        # control-flow contract: a theorem-inconsistent row is exit category 5;
+        # here a Dissipative branch-I row, read as a contradiction
+        monkeypatch.setattr(experiments, "CONTRADICTIONS", {("I", evolve.DISSIPATIVE)})
         tree = json.loads(run_config_text(tmp_path / "sw"))
         tree["sweep"] = [{"a": 0.9}]
         path = cfg_file("sweep.json", json.dumps(tree))
@@ -865,13 +858,51 @@ def test_seed_flag_obeys_the_seed_rule(tmp_path, cfg_file, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("verb", ["decayfit", "splitting"])
 def test_corrupted_run_leaves_no_output(tmp_path, cfg_file, monkeypatch, verb):
-    corrupted = evolve.Trajectory(d=5, grid=None, e_w=1.0, grad_sq_w=1.0,
-                                  verdict=evolve.Verdict(evolve.UNDECIDED, 0.0,
-                                                         {"reason": "corruption"}))
+    corrupted = evolve.Trajectory(grid=None, verdict=evolve.Verdict(evolve.UNDECIDED, 0.0,
+                                                                    {"reason": "corruption"}))
     monkeypatch.setattr(experiments, "run_config", lambda cfg: corrupted)
     path = cfg_file("run.json", run_config_text(tmp_path / "out"))
     assert cli.main([verb, "--config", path]) == 4
     assert not (tmp_path / "out").exists()
+
+
+#: 1.5 W in d = 3 whose step collapses at t = 0.0202 with an amplitude of 5e49,
+#: below amp_cap: the snapshot taken there has a non-finite integral
+CORRUPT_AT_COLLAPSE = {
+    "dimension": 3, "grid": {"R": 20.0, "n": 120, "stretch": 1.02},
+    "family": {"name": "aW", "a": 1.5},
+    "integrator": {"t_max": 1.0, "dt_min": 1e-200}, "verdict": {"amp_cap": 1e300}}
+
+
+def test_corrupt_snapshot_at_collapse_ends_the_run(tmp_path, cfg_file):
+    path = cfg_file("run.json", json.dumps(CORRUPT_AT_COLLAPSE))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["verdict"]["kind"] == "Undecided"
+    assert manifest["verdict"]["detail"] == {"reason": "corruption"}
+    assert (tmp_path / "out" / "series.csv").is_file()
+
+
+def test_corrupt_sweep_row_keeps_the_other_rows(tmp_path, cfg_file):
+    tree = {**CORRUPT_AT_COLLAPSE, "sweep": [{"a": 0.5}, {"a": 1.5}]}
+    path = cfg_file("sweep.json", json.dumps(tree))
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [json.loads(row["params"]) for row in rows] == [{"a": 0.5}, {"a": 1.5}]
+    assert rows[1]["verdict"] == "Undecided"
+
+
+def test_splitting_without_a_constant_writes_null(tmp_path, cfg_file, monkeypatch):
+    traj = rising_trajectory()
+    traj.verdict = evolve.Verdict(evolve.DISSIPATIVE, 4.0, {})
+    monkeypatch.setattr(experiments, "run_config", lambda cfg: traj)
+    path = cfg_file("run.json", run_config_text(tmp_path / "out"))
+    assert cli.main(["splitting", "--config", path]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["splitting"]["c_tilde"] is None
+    margins = (tmp_path / "out" / "splitting.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in margins] == [-1.0, -1.0, -1.0]
 
 
 class TestCheckpointFormat:

@@ -494,6 +494,23 @@ class TestDetectors:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CorruptionError):
             evolve.run_flow(u0, FlowSettings(t_max=1.0), threshold_guard=False)
 
+    @pytest.mark.parametrize("amp_cap", [1e300, 1e46])
+    def test_snapshot_at_blowup_detection_that_fails_is_corruption(self, amp_cap):
+        # 1.5 W in d = 3 reaches an amplitude of 5e49 when its step collapses
+        # at t = 0.0202: past amp_cap 1e46 the amplitude-cap snapshot fails,
+        # below amp_cap 1e300 the step-collapse snapshot; either is not finite
+        grid = make_grid(3, 20.0, 120, 1.02)
+        u0 = families.build_initial("aW", {"a": 1.5}, grid)
+        settings = FlowSettings(t_max=1.0, dt_min=1e-200, amp_cap=amp_cap)
+        traj = evolve.run_flow(u0, settings)
+        assert traj.verdict.kind == evolve.UNDECIDED
+        assert traj.verdict.detail == {"reason": "corruption"}
+        t_end = traj.verdict.t_end
+        assert 0.02 < t_end < 0.021
+        # only the snapshots taken before the failure: t = 0 and the ladder's times
+        assert [s.t for s in traj.snapshots] == [
+            0.0, *(t for t in evolve.snapshot_ladder(settings) if t < t_end)]
+
     @pytest.mark.parametrize("settings, key", [
         (FlowSettings(t_max=1.0, snapshot_first=5e-324), "snapshots.first"),
         (FlowSettings(t_max=1.0, snapshot_factor=1.0000000001), "snapshots.factor"),
@@ -551,7 +568,7 @@ class TestEnergyBookkeeping:
         zero = RadialField(grid, np.zeros(grid.n))
 
         def rising_to(e1: float) -> evolve.Trajectory:
-            traj = evolve.Trajectory(d=4, grid=grid, e_w=1.0, grad_sq_w=1.0)
+            traj = evolve.Trajectory(grid=grid)
             for t, energy, dissipation in ((1.0, 1.0, 0.0), (2.0, e1, 0.25)):
                 traj.snapshots.append(evolve.Snapshot(
                     t=t, report=fn.energy_report(zero), kq=0.0, dt=0.1,

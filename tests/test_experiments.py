@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,27 +41,26 @@ class TestSweep:
         kinds = [r.verdict.kind for r in sweep_rows]
         assert kinds == ["Dissipative", "Blowup", "Dissipative", "Blowup"]
         assert all(r.consistent_with_theorem for r in sweep_rows)
-        assert [r.hypothesis_branch for r in sweep_rows] == ["I", "II", "I", "II"]
+        assert [r.trajectory.membership.branch for r in sweep_rows] == ["I", "II", "I", "II"]
 
     def test_row_metadata(self, sweep_rows):
         row = sweep_rows[0]
-        assert row.family == "aW" and row.d == 5
-        assert row.e_ratio < 1.0 and row.grad_ratio < 1.0
-        assert row.l2_finite
+        m = row.trajectory.membership
+        assert row.config.family == "aW" and row.config.dimension == 5
+        assert m.e_ratio < 1.0 and m.grad_ratio < 1.0
+        assert row.trajectory.snapshots[0].report.l2_sq is not None
 
     def test_rows_read_the_runs_classification(self, sweep_rows):
         for row in sweep_rows:
             traj = row.trajectory
             m, rep = traj.membership, traj.snapshots[0].report
-            assert (row.e_ratio, row.grad_ratio, row.hypothesis_branch) == (
-                m.e_ratio, m.grad_ratio, m.branch)
-            assert row.e_ratio == rep.energy / traj.e_w
-            assert row.grad_ratio == math.sqrt(rep.h1_sq / traj.grad_sq_w)
-            assert row.l2_finite == (rep.l2_sq is not None)
+            ref = gs.reference(row.config.dimension)
+            assert m.e_ratio == rep.energy / ref.e_w
+            assert m.grad_ratio == math.sqrt(rep.h1_sq / ref.grad_sq_w)
 
     def test_pooled_rows_match_serial_rows(self, sweep_rows):
         serial = experiments.dichotomy_sweep(SWEEP_CONFIGS, workers=1)
-        assert [r.params for r in serial] == [r.params for r in sweep_rows]
+        assert [r.config.params for r in serial] == [r.config.params for r in sweep_rows]
         for one, pooled in zip(serial, sweep_rows):
             assert one.verdict == pooled.verdict
             h1 = [np.array([s.report.h1_sq for s in r.trajectory.snapshots]).tobytes()
@@ -95,15 +95,15 @@ class TestSweep:
         row = experiments.dichotomy_sweep([cfg], workers=1)[0]
         assert row.verdict.kind == evolve.UNDECIDED
         assert row.verdict.detail["reason"] == "at_threshold"
-        assert row.hypothesis_branch == "none"
+        assert row.trajectory.membership.branch == "none"
         assert row.consistent_with_theorem
 
     def test_superthreshold_without_l2_is_not_a_claim(self):
         # a W in d = 3 is not square integrable, so branch II never applies
         cfg = base_config(3, 2e6, params={"a": 1.5}.items(), t_max=50.0, tol=1e-3)
         row = experiments.dichotomy_sweep([cfg], workers=1)[0]
-        assert not row.l2_finite
-        assert row.hypothesis_branch == "none"
+        assert row.trajectory.snapshots[0].report.l2_sq is None
+        assert row.trajectory.membership.branch == "none"
         assert row.verdict.kind == evolve.BLOWUP
         assert row.consistent_with_theorem
 
@@ -188,7 +188,7 @@ def zero_trajectory(times) -> evolve.Trajectory:
     """The zero solution in d = 4 with a field checkpoint at each time."""
     grid = grid_for_span(4, 40.0, 0.02, 0.01)
     zero = RadialField(grid, np.zeros(grid.n))
-    traj = evolve.Trajectory(d=4, grid=grid, e_w=1.0, grad_sq_w=1.0)
+    traj = evolve.Trajectory(grid=grid)
     for t in times:
         traj.snapshots.append(
             evolve.Snapshot(
@@ -196,6 +196,14 @@ def zero_trajectory(times) -> evolve.Trajectory:
                 dissipation=0.0, form_energy=0.0, field=zero.copy(),
             )
         )
+    return traj
+
+
+def rising_trajectory() -> evolve.Trajectory:
+    """Zero checkpoints at t = 0.5, 1, 2, 4 whose reported ||grad u||^2 rises:
+    no ball holds any mass, so no constant closes the splitting inequality."""
+    traj = zero_trajectory((0.5, 1.0, 2.0, 4.0))
+    traj.snapshots = [replace(s, report=replace(s.report, h1_sq=s.t)) for s in traj.snapshots]
     return traj
 
 
@@ -250,6 +258,14 @@ class TestSplitting:
         # both sides of the inequality vanish identically on the zero solution
         report = experiments.splitting_diagnostic(zero_trajectory((0.5, 1.0, 2.0, 4.0)))
         assert all(m == 0.0 for m in report.margins)
+
+    def test_no_constant_when_the_margins_fail_at_the_smallest(self):
+        # a rising critical norm against zero mass: every margin is -1 at
+        # C_RANGE's lower end, so no constant is fitted
+        report = experiments.splitting_diagnostic(rising_trajectory())
+        assert report.c_tilde is None
+        assert report.times == (0.75, 1.5, 3.0)
+        assert report.margins == (-1.0, -1.0, -1.0)
 
     def test_one_lambda_spectrum_per_checkpoint(self, monkeypatch):
         # the margins are evaluated at several constants (here c_lo, c_hi and

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critheat import families
+from critheat import experiments, families
 from critheat import functionals as fn
 from critheat import _extensions
 from critheat import spectral as sp
@@ -262,6 +262,14 @@ class TestDecayCharacter:
             est0 = sp.decay_character(base)
             est1 = sp.decay_character(sp.lambda_spectrum(base))
             assert abs(est1.r_star - est0.r_star - 1.0) < 0.03
+
+    def test_zero_masses_give_no_estimate(self):
+        # the table of an all-zero field has F = 0 on the whole ladder: log F
+        # has no line, so r* is inf with the fit flagged, not a fit of nan
+        grid = grid_for_span(4, 40.0, 0.02, 0.01)
+        table = sp.hankel_spectrum(RadialField(grid, np.zeros(grid.n)), experiments.DECAYFIT_NODES)
+        est = sp.decay_character(sp.lambda_spectrum(table))
+        assert (est.flag, est.r_star, est.p_r_value) == ("nonlinear_fit", math.inf, 0.0)
 
     def test_oscillatory_spectrum_flagged(self):
         # strong log-periodic oscillation near the origin defeats the slope fit
@@ -517,24 +525,31 @@ class TestParallelKernel:
     @pytest.fixture(scope="class")
     def zero_spans(self):
         """Fields with exact zeros on the d = 4 grid of the splitting runs:
-        a gaussian whose tail underflows, `bumps`, `aW_cutoff`, one with a
-        zero inside its span, and a batch of fields with different spans."""
+        a gaussian whose tail underflows, `bumps`, `aW_cutoff`, a `power_tail`
+        steep enough to underflow from r ~ 12 on, one with a zero inside its
+        span, and a batch of fields with different spans."""
         grid = grid_for_span(4, 160.0, 0.01, 0.004)
         r = grid.nodes
         gauss = RadialField(grid, 0.05 * np.exp(-(r**2)))
+        tail = families.build_initial("power_tail", {"p": 300.0, "amp": 0.2}, grid)
+        want = 0.2 * (1.0 + r**2) ** -150.0
+        want[-1] = 0.0  # the Dirichlet value
+        assert tail.values.tobytes() == want.tobytes()
         holed = gauss.values * np.cos(r)
         holed[40:45] = 0.0
         return {
             "gaussian": [gauss],
             "bumps": [families.build_initial("bumps", {"n_bumps": 3}, grid, seed=3)],
             "aW_cutoff": [families.build_initial("aW_cutoff", {"a": 0.8}, grid)],
+            "power_tail": [tail],
             "zero_inside": [RadialField(grid, holed)],
             "batch": [gauss,
                       RadialField(grid, np.where(r < 120.0, np.exp(-((r / 6.0) ** 2)), 0.0)),
                       RadialField(grid, np.where(r > 2.0, 0.0, 1.0 - r**2 / 4.0))],
         }
 
-    @pytest.mark.parametrize("case", ["gaussian", "bumps", "aW_cutoff", "zero_inside", "batch"])
+    @pytest.mark.parametrize("case", ["gaussian", "bumps", "aW_cutoff", "power_tail",
+                                      "zero_inside", "batch"])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
     def test_transform_same_bits_on_exact_zeros(self, monkeypatch, zero_spans, case, cpus):
         fields = zero_spans[case]

@@ -3,9 +3,10 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `critheat` package.
-Under each tree a fresh interpreter runs `critheat run` on ten fixed
+Under each tree a fresh interpreter runs `critheat run` on eleven fixed
 configurations (Dissipative, Blowup at the amplitude cap, Blowup on a step
 collapse at t = 0, Undecided at the threshold, a u0 whose integrals overflow,
+a step collapse whose snapshot's integrals overflow,
 `bumps` drawn from a seed, initial data read from three checkpoint files: a
 uniform and a graded one, each interpolated onto the finer run grid, and one
 on the run grid itself, and a ladder of non-default rungs with two forced
@@ -80,6 +81,12 @@ CONFIGS = {
         "dimension": 5, "grid": {"R": 100.0, "n": 400, "stretch": 1.01},
         "family": {"name": "gaussian", "amp": 3e90, "width": 30.0},
         "integrator": {"t_max": 1.0}}),
+    # 1.5 W in d = 3 collapses at t = 0.0202 with an amplitude of 5e49, below
+    # amp_cap: the snapshot there is not finite, so the run ends Undecided("corruption")
+    "run_corruption_at_collapse": ("run", {
+        "dimension": 3, "grid": {"R": 20.0, "n": 120, "stretch": 1.02},
+        "family": {"name": "aW", "a": 1.5}, "integrator": {"t_max": 1.0, "dt_min": 1e-200},
+        "verdict": {"amp_cap": 1e300}}),
     # the one family that draws from the run's seed
     "run_bumps": ("run", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "bumps", "n_bumps": 4},
