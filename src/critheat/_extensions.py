@@ -3,7 +3,7 @@ which size every fan-out (the Bessel kernel's threads, the sweep's pool), and
 scipy's compiled extensions without any scipy package: importing `scipy.linalg`
 or `scipy.special` costs more than the rest of a cold run, and a verb needs one
 routine of one extension that itself needs only numpy (LAPACK's pttrf/pttrs in
-`linalg._flapack`, the Bessel function `jv` in `special._special_ufuncs`)."""
+`linalg._flapack`, the Bessel functions in `special._special_ufuncs`)."""
 
 from __future__ import annotations
 

@@ -328,14 +328,15 @@ def step(
     )
 
 
-def _nehari_persisted_negative(snapshots: list[Snapshot]) -> bool:
-    """J < 0 on every snapshot strictly before the firing snapshot.
+def _nehari_persisted_negative(before: list[Snapshot]) -> bool:
+    """J < 0 on every snapshot taken before blowup detection, of which there is
+    at least one.
 
-    The snapshot taken at detection time samples an under-resolved spike whose
+    A snapshot taken at detection time samples an under-resolved spike whose
     discrete functionals are no longer meaningful; it is the blowup event
-    itself, not a pre-blowup state.
+    itself, not a pre-blowup state, and callers leave it out of `before`.
     """
-    return len(snapshots) > 1 and all(s.report.nehari < 0.0 for s in snapshots[:-1])
+    return bool(before) and all(s.report.nehari < 0.0 for s in before)
 
 
 #: the most snapshot times a run may have; a denser ladder cannot finish
@@ -395,8 +396,10 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
     guard on, AtThreshold data is ill-conditioned for the dichotomy and is
     reported Undecided without stepping. A u0 that is not finite, or whose
     diagnostics or solver-frame energy overflow, raises CorruptionError; any
-    later snapshot whose diagnostics overflow, on the ladder, at a step
-    collapse or at the amplitude cap, ends the run Undecided("corruption").
+    later snapshot whose diagnostics overflow, on the ladder or at a step
+    collapse, ends the run Undecided("corruption"). Past the amplitude cap the
+    detector has fired before the snapshot: a run whose snapshot there
+    overflows ends Blowup, without that snapshot.
     """
     ladder = snapshot_ladder(settings)
     grid = u0.grid
@@ -431,11 +434,12 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
         traj.verdict = Verdict(kind, t_end, detail)
         return traj
 
-    def blowup(dt: float, **detail) -> Trajectory:
-        """Blowup at the current state, whose snapshot is the last one taken."""
+    def blowup(dt: float, before: list[Snapshot], **detail) -> Trajectory:
+        """Blowup at the current state; `before` are the snapshots taken before
+        detection."""
         return finish(BLOWUP, state.t, {
             "t_bracket": (state.t, state.t + dt * _BRACKET_SAFETY),
-            "nehari_negative_persisted": _nehari_persisted_negative(traj.snapshots),
+            "nehari_negative_persisted": _nehari_persisted_negative(before),
             **detail,
         })
 
@@ -461,14 +465,18 @@ def run_flow(u0: RadialField, settings: FlowSettings, *,
                     snap = take_snapshot(state, with_field=True)
                     if (float(np.max(np.abs(state.u.values))) > settings.amp_cap
                             or snap.report.h1_sq > BLOWUP_FACTOR**2 * init_h1):
-                        return blowup(exc.dt)
+                        return blowup(exc.dt, traj.snapshots[:-1])
                     return finish(UNDECIDED, state.t, {"reason": "step_collapse"})
                 if abs(state.t - t_next) <= 1e-12 * max(t_next, 1.0):
                     state.t = t_next
                 amplitude = float(np.max(np.abs(state.u.values)))
                 if amplitude > settings.amp_cap:
-                    take_snapshot(state, with_field=True)
-                    return blowup(state.dt, amplitude=amplitude)
+                    before = traj.snapshots[:]
+                    try:
+                        take_snapshot(state, with_field=True)
+                    except CorruptionError:  # the detector fired; the spike is past doubles
+                        pass
+                    return blowup(state.dt, before, amplitude=amplitude)
             snap_index += 1
             take_snapshot(
                 state,

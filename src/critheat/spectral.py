@@ -19,14 +19,17 @@ and keeps it with its trapezoid terms, so a call evaluates it only on the last
 interval, [last node below rho, rho], at five points in Python floats with
 numpy's bits, and the heat-decay integral reuses all of it. A table's monotone
 cubic is `radial.pchip`, with the bits of scipy's PCHIP. The Bessel function
-`jv` of a Hankel transform, and a closed form's `gammainc` and `gammaln`, come
-from scipy's compiled `_special_ufuncs` extension, which
+of a Hankel transform, and a closed form's `gammainc` and `gammaln`, come from
+scipy's compiled `_special_ufuncs` extension, which
 `_extensions.scipy_extension` loads on first use: no scipy package loads. The
-transform evaluates its Bessel kernel on every CPU the process may use, in
-blocks of rows; `jv` works element by element, so the bits do not depend on
-how many CPUs there are. It evaluates J only on the span of nodes where some
-field carries weight, and the transform keeps its bits. Tables on one set of
-nodes share each mass's tail (`table_masses`).
+transform's order picks its routine there (`_bessel_routine`): `j1` for order 1
+(`jv` past s r = 2^15), the spherical Bessel function for a half-integer order,
+`jv` for any other. It
+evaluates its Bessel kernel on every CPU the process may use, in blocks of
+rows; each routine works element by element, so the bits are those of one call
+of it, however many CPUs there are. It evaluates J only on the span of nodes
+where some field carries weight, and the transform keeps its bits. Tables on
+one set of nodes share each mass's tail (`table_masses`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -380,12 +383,12 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
     elsewhere; the sum over nodes stays full width, so each value has the full
     kernel's bits, but for the sign of an exactly-zero sum. `_bessel_kernel`
     evaluates the span on every CPU the process may use, with the same bits as
-    one `jv` call. Nodes that no table can stand on are refused before any
-    kernel work. Requires each field to have decayed to <= 1e-8 of its
-    peak at the outer radius. That check reads the outer node alone, which
-    `families.build_initial` and every substep pin to 0, so no field of a run
-    or of its checkpoints trips it: only a hand-built field can. A field that
-    has not decayed well inside R passes and aliases.
+    one call of its routine (`_bessel_routine`). Nodes that no table can stand
+    on are refused before any kernel work. Requires each field to have decayed
+    to <= 1e-8 of its peak at the outer radius. That check reads the outer node
+    alone, which `families.build_initial` and every substep pin to 0, so no
+    field of a run or of its checkpoints trips it: only a hand-built field can.
+    A field that has not decayed well inside R passes and aliases.
     """
     s_nodes = _tabulated_nodes(s_nodes)
     grid = fields[0].grid
@@ -406,8 +409,7 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
     kernel = np.zeros((len(s_nodes), len(r)))
     if live.size:
         span = slice(live[0], live[-1] + 1)
-        jv = scipy_extension("special._special_ufuncs").jv  # the ufunc scipy.special exports
-        _bessel_kernel(jv, nu, s_nodes, r[span], kernel[:, span])
+        _bessel_kernel(_bessel_routine(nu), s_nodes, r[span], kernel[:, span])
     # einsum, not `@`: a BLAS product this size wakes the BLAS thread pool,
     # whose threads keep spinning on another core after the call returns
     vals = np.einsum("fr,sr->fs", weighted, kernel) * s_nodes ** (-nu)
@@ -426,12 +428,49 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
 BLOCKS_PER_WORKER = 4
 
 
-def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
-    """Writes jv(nu, np.outer(s, r)) into `out`, the same bits, with its rows cut
-    into blocks that one thread per CPU (`_extensions.cpu_count()`, at most one
-    per block, the calling thread one of them) takes from one shared iterator;
-    each block is formed in place, and `jv` releases the GIL. The first
-    exception a block raises is raised here, after every thread has ended."""
+#: `j1` forms x - 3 pi/4 in doubles, whose rounding is one phase error for
+#: each binade of x: up to 2^15 that keeps it within 3.6e-15 of J_1 (against
+#: mpmath), in [2^15, 2^16) it reads 1.5e-14. Past it order 1 takes `jv`
+J1_MAX_ARG = 2.0**15
+
+
+def _bessel_routine(nu: float):
+    """J_nu as a routine `f(x, out)` of ufuncs of the `_special_ufuncs`
+    extension, which scipy.special exports: `j1` for nu = 1 (`jv` past
+    J1_MAX_ARG); sqrt(2x/pi) j_n(x), with j_n the spherical Bessel function, for
+    nu = n + 1/2; `jv` at nu for any other order. Each works element by element,
+    and its ufuncs release the GIL."""
+    special = scipy_extension("special._special_ufuncs")
+    if nu == 1.0:
+        return partial(_order_one_bessel, special.j1, special.jv)
+    n = nu - 0.5
+    if n >= 0.0 and n.is_integer():
+        return partial(_half_integer_bessel, special._spherical_jn, int(n))
+    return partial(special.jv, nu)
+
+
+def _order_one_bessel(j1, jv, x: np.ndarray, out: np.ndarray) -> None:
+    """Writes J_1(x) into `out`, which may be `x`: `j1`, and `jv` past J1_MAX_ARG."""
+    far = x > J1_MAX_ARG
+    x_far = x[far]
+    j1(x, out=out)
+    out[far] = jv(1.0, x_far)
+
+
+def _half_integer_bessel(spherical_jn, n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Writes J_{n+1/2}(x) = sqrt(2x/pi) j_n(x) into `out`, which may be `x`."""
+    scale = np.sqrt(x * (2.0 / math.pi))
+    spherical_jn(n, x, out=out)
+    out *= scale
+
+
+def _bessel_kernel(bessel, s: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """Writes bessel(np.outer(s, r)) into `out`, the same bits, with its rows
+    cut into blocks that one thread per CPU (`_extensions.cpu_count()`, at most
+    one per block, the calling thread one of them) takes from one shared
+    iterator; each block is formed in place, and `bessel`, a routine of
+    `_bessel_routine`, releases the GIL. The first exception a block raises is
+    raised here, after every thread has ended."""
     cpus = _extensions.cpu_count()
     n_blocks = max(1, min(len(s), BLOCKS_PER_WORKER * cpus))
     edges = [len(s) * i // n_blocks for i in range(n_blocks + 1)]
@@ -449,7 +488,7 @@ def _bessel_kernel(jv, nu: float, s: np.ndarray, r: np.ndarray, out: np.ndarray)
                 lo, hi = block
                 view = out[lo:hi]
                 np.multiply.outer(s[lo:hi], r, out=view)
-                jv(nu, view, out=view)
+                bessel(view, out=view)
         except Exception as exc:  # raised in the caller once every thread has ended
             errors.append(exc)
 

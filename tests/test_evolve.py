@@ -281,8 +281,8 @@ print(json.dumps({"package_loaded": loaded, "reused": lapack._flapack is flapack
 #: gaussian in d = 4, then imports scipy.special, and prints as JSON: whether
 #: the transform left the scipy package loaded, whether scipy.special took the
 #: _special_ufuncs module the transform left in sys.modules, whether
-#: scipy.special.jv is the jv that the transform used, and the digest of the
-#: transform with that jv and with scipy.special's
+#: scipy.special.j1 is the j1 that the transform used (order 1's routine), and
+#: the digest of the transform with that j1 and with scipy.special's
 JV_SOURCE_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
@@ -306,7 +306,7 @@ import scipy.special
 spectral.scipy_extension = lambda name: scipy.special
 print(json.dumps({"package_loaded": loaded,
                   "reused": sys.modules["scipy.special._special_ufuncs"] is ufuncs,
-                  "same": scipy.special.jv is used[0].jv, "ours": ours, "scipy": digest()}))
+                  "same": scipy.special.j1 is used[0].j1, "ours": ours, "scipy": digest()}))
 """
 
 
@@ -379,7 +379,7 @@ class TestLapackSource:
     @pytest.mark.parametrize("extension, prelude", SOURCE_CASES)
     def test_every_source_gives_the_same_bits(self, extension, prelude):
         # evolve loads pttrf/pttrs from scipy's _flapack extension, and a
-        # Hankel transform jv from its _special_ufuncs, without importing
+        # Hankel transform j1 from its _special_ufuncs, without importing
         # their scipy packages, and by importing them when that fails; either
         # way, and in either import order, the package and critheat hold the
         # same objects, with the same bits as this process's
@@ -494,11 +494,11 @@ class TestDetectors:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CorruptionError):
             evolve.run_flow(u0, FlowSettings(t_max=1.0), threshold_guard=False)
 
-    @pytest.mark.parametrize("amp_cap", [1e300, 1e46])
+    @pytest.mark.parametrize("amp_cap", [1e300])
     def test_snapshot_at_blowup_detection_that_fails_is_corruption(self, amp_cap):
         # 1.5 W in d = 3 reaches an amplitude of 5e49 when its step collapses
-        # at t = 0.0202: past amp_cap 1e46 the amplitude-cap snapshot fails,
-        # below amp_cap 1e300 the step-collapse snapshot; either is not finite
+        # at t = 0.0202, below amp_cap 1e300: the step-collapse snapshot, whose
+        # ||grad u||^2 the detector needs, is not finite
         grid = make_grid(3, 20.0, 120, 1.02)
         u0 = families.build_initial("aW", {"a": 1.5}, grid)
         settings = FlowSettings(t_max=1.0, dt_min=1e-200, amp_cap=amp_cap)
@@ -510,6 +510,28 @@ class TestDetectors:
         # only the snapshots taken before the failure: t = 0 and the ladder's times
         assert [s.t for s in traj.snapshots] == [
             0.0, *(t for t in evolve.snapshot_ladder(settings) if t < t_end)]
+
+    @pytest.mark.parametrize("amp_cap", [1e45, 1e46, 1e48])
+    def test_blowup_past_amp_cap_whose_snapshot_fails(self, monkeypatch, amp_cap):
+        # the same run past amp_cap: the detector fires before the snapshot, which
+        # is not finite, so the run ends Blowup without it, and Nehari's sign is
+        # read on every snapshot, none of them the detection one
+        grid = make_grid(3, 20.0, 120, 1.02)
+        u0 = families.build_initial("aW", {"a": 1.5}, grid)
+        settings = FlowSettings(t_max=1.0, dt_min=1e-200, amp_cap=amp_cap)
+        read = []
+        persisted = evolve._nehari_persisted_negative
+        monkeypatch.setattr(evolve, "_nehari_persisted_negative",
+                            lambda before: read.append(list(before)) or persisted(before))
+        traj = evolve.run_flow(u0, settings)
+        assert traj.verdict.kind == evolve.BLOWUP
+        t_end = traj.verdict.t_end
+        assert 0.02 < t_end < 0.021
+        assert traj.verdict.detail["amplitude"] > amp_cap
+        assert traj.verdict.detail["nehari_negative_persisted"]
+        assert [s.t for s in traj.snapshots] == [
+            0.0, *(t for t in evolve.snapshot_ladder(settings) if t < t_end)]
+        assert read == [traj.snapshots]
 
     @pytest.mark.parametrize("settings, key", [
         (FlowSettings(t_max=1.0, snapshot_first=5e-324), "snapshots.first"),

@@ -470,6 +470,31 @@ class TestHankel:
             sp.hankel_spectrum(w, np.geomspace(1e-4, 5.0, 40))
 
 
+def route_kernel(nu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """J_nu(np.outer(s, r)) by one call of the transform's routine for nu."""
+    x = np.outer(s, r)
+    sp._bessel_routine(nu)(x, out=x)
+    return x
+
+
+class TestBesselRoutine:
+    """Each order's routine against `jv`, on the products s r the verbs form."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.5])
+    def test_route_matches_jv(self, nu):
+        # s up to the splitting cap S_CAP = 60, r on the d = 4 grid of the
+        # acceptance matrix, R = 5000: s r reaches 3e5, past J1_MAX_ARG
+        jv = scipy_extension("special._special_ufuncs").jv
+        s = np.geomspace(1e-4, 60.0, 120)
+        r = grid_for_span(4, 5000.0, 0.01, 0.004).nodes
+        assert np.max(np.abs(route_kernel(nu, s, r) - jv(nu, np.outer(s, r)))) <= 1e-14
+
+    def test_other_orders_keep_jv(self):
+        routine = sp._bessel_routine(2.0)
+        assert routine.func is scipy_extension("special._special_ufuncs").jv
+        assert routine.args == (2.0,)
+
+
 class TestParallelKernel:
     """The Bessel kernel, cut into row blocks over threads, keeps every bit."""
 
@@ -496,17 +521,19 @@ class TestParallelKernel:
     @pytest.mark.parametrize("n_s", [1, 2, 4, 90])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
     def test_kernel_same_bits_for_any_worker_count(self, monkeypatch, fields, n_s, cpus):
-        # written in place into a column span of a wider kernel, which keeps its zeros
-        jv = scipy_extension("special._special_ufuncs").jv
+        # written in place into a column span of a wider kernel, which keeps its
+        # zeros, by each route: spherical, j1, spherical, jv
         s = np.geomspace(1e-4, 12.0, n_s) if n_s > 1 else np.array([0.7])
         r = fields[0].grid.nodes
         span = slice(3, len(r) - 5)
-        want = np.zeros((n_s, len(r)))
-        want[:, span] = jv(0.5, np.outer(s, r[span]))
-        got = np.zeros((n_s, len(r)))
-        self.parallel(lambda: sp._bessel_kernel(jv, 0.5, s, r[span], got[:, span]),
-                      monkeypatch, cpus)
-        assert got.tobytes() == want.tobytes()
+        for nu in (0.5, 1.0, 1.5, 2.0):
+            want = np.zeros((n_s, len(r)))
+            want[:, span] = route_kernel(nu, s, r[span])
+            got = np.zeros((n_s, len(r)))
+            bessel = sp._bessel_routine(nu)
+            self.parallel(lambda: sp._bessel_kernel(bessel, s, r[span], got[:, span]),
+                          monkeypatch, cpus)
+            assert got.tobytes() == want.tobytes(), nu
 
     @pytest.mark.parametrize("n_s", [4, 90])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
@@ -516,7 +543,7 @@ class TestParallelKernel:
         nu = (grid.d - 2) / 2.0
         r = grid.nodes
         weighted = np.stack([grid.line_weights * u.values * r ** (grid.d / 2.0) for u in fields])
-        kernel = scipy_extension("special._special_ufuncs").jv(nu, np.outer(s, r))
+        kernel = route_kernel(nu, s, r)
         want = np.einsum("fr,sr->fs", weighted, kernel) * s ** (-nu)
         got = self.parallel(lambda: sp.hankel_spectra(fields, s), monkeypatch, cpus)
         for spec, values in zip(got, want):
@@ -559,7 +586,7 @@ class TestParallelKernel:
         nu = (grid.d - 2) / 2.0
         r = grid.nodes
         weighted = np.stack([grid.line_weights * u.values * r ** (grid.d / 2.0) for u in fields])
-        kernel = scipy_extension("special._special_ufuncs").jv(nu, np.outer(s, r))
+        kernel = route_kernel(nu, s, r)
         want = np.einsum("fr,sr->fs", weighted, kernel) * s ** (-nu)
         got = self.parallel(lambda: sp.hankel_spectra(fields, s), monkeypatch, cpus)
         for spec, values in zip(got, want):
@@ -594,22 +621,24 @@ class TestParallelKernel:
             sp.SpectrumFn(d=3, kind="tabulated", s_nodes=s_nodes, values=np.ones(len(s_nodes)))
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch, fields):
-        jv = scipy_extension("special._special_ufuncs").jv
+        # the fields are in d = 3, whose order 1/2 takes the spherical route
+        spherical_jn = scipy_extension("special._special_ufuncs")._spherical_jn
         caller = threading.current_thread()
         raised = threading.Event()
 
-        def failing_jv(nu, x, out):
+        def failing_spherical_jn(n, x, out):
             if threading.current_thread() is caller:
                 # hold the calling thread's first block until a worker has failed
                 assert raised.wait(timeout=30.0)
-                return jv(nu, x, out=out)
+                return spherical_jn(n, x, out=out)
             raised.set()
-            raise FloatingPointError("jv block failed")
+            raise FloatingPointError("Bessel block failed")
 
-        monkeypatch.setattr(sp, "scipy_extension", lambda name: types.SimpleNamespace(jv=failing_jv))
+        monkeypatch.setattr(sp, "scipy_extension", lambda name: types.SimpleNamespace(
+            _spherical_jn=failing_spherical_jn))
         monkeypatch.setattr(_extensions, "cpu_count", lambda: 3)
         before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="jv block failed"):
+        with pytest.raises(FloatingPointError, match="Bessel block failed"):
             sp.hankel_spectra(fields, np.geomspace(1e-4, 12.0, 90))
         assert threading.active_count() == before
 

@@ -19,12 +19,14 @@ splitting` with both weights on the d = 4 gaussian run of the splitting tests
 and with the power weight on a d = 3 `bumps` run, and `critheat decayfit` on
 the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
 are Hankel transforms, and on a d = 4 gaussian run, whose initial spectrum has
-a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5), 1
-(d = 4) and 0.5 (d = 3). Those verbs read a Hankel table only up to the
-splitting radius or the decay-character window, so two more checks write
-whole tables, Hankel transforms on the `decayfit` nodes saved by
-`spectral.save_spectrum`: of the run-grid checkpoint below, and of the d = 4
-gaussian u0 of the splitting runs, which is exactly 0 on its outer 426 nodes.
+a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5) and 0.5
+(d = 3), which take the spherical Bessel routine, and 1 (d = 4), which takes
+`j1`. Those verbs read a Hankel table only up to the splitting radius or the
+decay-character window, so three more checks write whole tables, Hankel
+transforms on the `decayfit` nodes saved by `spectral.save_spectrum`: of the
+run-grid checkpoint below, of the d = 4 gaussian u0 of the splitting runs,
+which is exactly 0 on its outer 426 nodes, and of the same gaussian in d = 6,
+whose order 2 takes `jv`.
 The tool writes the checkpoints and the spectrum file itself, once for both
 trees; the checkpoint on the run grid is the t = 0 checkpoint of an OLD_SRC
 `critheat run`, so that its nodes are the grid's to the bit.
@@ -193,6 +195,18 @@ import sys
 from pathlib import Path
 from critheat import config, experiments, families, spectral
 cfg = config.parse_config({json.dumps(GAUSSIAN_4)!r})
+u0 = families.build_initial(cfg.family, cfg.params, cfg.make_grid(), cfg.seed)
+out = Path(sys.argv[1])
+out.mkdir(parents=True)
+spectral.save_spectrum(spectral.hankel_spectrum(u0, experiments.DECAYFIT_NODES),
+                       out / "spectrum.txt")
+""",
+    # order 2, the one order of the checks whose routine is `jv`
+    "hankel_table_d6": f"""
+import sys
+from pathlib import Path
+from critheat import config, experiments, families, spectral
+cfg = config.parse_config({json.dumps({**GAUSSIAN_4, "dimension": 6})!r})
 u0 = families.build_initial(cfg.family, cfg.params, cfg.make_grid(), cfg.seed)
 out = Path(sys.argv[1])
 out.mkdir(parents=True)
