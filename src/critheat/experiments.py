@@ -192,38 +192,47 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
     lams = [spectral.lambda_spectrum(f) for f in specs]
 
     times = [0.5 * (a.t + b.t) for a, b in zip(snaps, snaps[1:])]
-    lhs = [(g(b.t) * b.report.h1_sq - g(a.t) * a.report.h1_sq) / (b.t - a.t)
-           for a, b in zip(snaps, snaps[1:])]
+    lhs = np.array([(g(b.t) * b.report.h1_sq - g(a.t) * a.report.h1_sq) / (b.t - a.t)
+                    for a, b in zip(snaps, snaps[1:])])
+    g_mid = np.array([g(tm) for tm in times])
+    gp_mid = np.array([gp(tm) for tm in times])
+    pairs = list(zip(lams, lams[1:]))
 
-    def margin(i: int, c_tilde: float) -> float:
-        tm, l1, l2 = times[i], lams[i], lams[i + 1]
-        radius = math.sqrt(gp(tm) / (c_tilde * g(tm)))
+    def margins(which: list[int], c_tilde: float) -> np.ndarray:
+        """The margins of the pairs `which` at c_tilde, their masses in one batch."""
         # the ball's share of the critical norm, omega_{d-1} int_0^radius
         # s^2 |vhat|^2 s^{d-1} ds, is the low-frequency mass of Lambda v
-        rho = min(radius, l1.s_max)
-        m1, m2 = spectral.table_masses([l1, l2], rho)
-        mass = 0.5 * (m1 + m2)
-        rhs = gp(tm) * mass
-        scale = abs(lhs[i]) + abs(rhs) + 1e-300
-        return (rhs - lhs[i]) / scale
+        gp_which, lhs_which = gp_mid[which], lhs[which]
+        radius = np.sqrt(gp_which / (c_tilde * g_mid[which]))
+        masses = spectral.table_masses([pairs[i] for i in which],
+                                       np.minimum(radius, lams[0].s_max))
+        rhs = gp_which * (0.5 * (masses[:, 0] + masses[:, 1]))
+        return (rhs - lhs_which) / (np.abs(lhs_which) + np.abs(rhs) + 1e-300)
 
-    at_lo = np.array([margin(i, c_lo) for i in range(len(times))])
+    every = list(range(len(times)))
+    at_lo = margins(every, c_lo)
     if at_lo.min() < -1e-9:
         return SplittingReport(c_tilde=None, times=tuple(times), margins=tuple(at_lo))
     failed = 0  # the pair that failed last, tried first
     kept = at_lo  # the margins at lo, which only a successful `holds` raises
 
     def holds(c_tilde: float) -> bool:
-        """Whether every margin at c_tilde is >= 0, stopping at the first that
-        is not; when all are, they become `kept`."""
+        """Whether every margin at c_tilde is >= 0: the pair that failed last
+        first, alone, then every other pair in one batch; when all are, they
+        become `kept`. `failed` is the first failure in that visiting order."""
         nonlocal failed, kept
-        trial = np.empty(len(times))
-        for i in [failed, *(j for j in range(len(times)) if j != failed)]:
-            trial[i] = margin(i, c_tilde)
-            if not trial[i] >= 0.0:
-                failed = i
-                return False
-        kept = trial
+        first = margins([failed], c_tilde)
+        if not first[0] >= 0.0:
+            return False
+        others = [j for j in every if j != failed]
+        rest = margins(others, c_tilde)
+        below = np.flatnonzero(~(rest >= 0.0))
+        if below.size:
+            failed = others[below[0]]
+            return False
+        kept = np.empty(len(times))
+        kept[failed] = first[0]
+        kept[others] = rest
         return True
 
     lo, hi = c_lo, c_hi

@@ -13,7 +13,6 @@ dual cells, in symmetric form -V^{-1} K: K the stiffness matrix of
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -208,74 +207,65 @@ def power_integral(weights: np.ndarray, x: np.ndarray, p: float) -> float:
         return _finite(float(weights @ np.abs(x) ** p))
 
 
-def radial_integral(f: RadialField) -> float:
-    """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid, checked by
-    `_finite`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(float(f.grid.quad_weights @ f.values))
-
-
 def pchip(x, y):
-    """Monotone piecewise-cubic Hermite interpolant of (x, y) on [x_0, x_end]
-    (x strictly increasing, at least 3 nodes), with the bits of scipy's PCHIP
-    interpolator of (x, y) without extrapolation there.
+    """Monotone piecewise-cubic Hermite interpolant of each row of `y` on x
+    (x strictly increasing, at least 3 nodes, along `y`'s last axis; a 1-d `y`
+    is a batch of one table), with the bits of scipy's PCHIP interpolator of
+    (x, row) without extrapolation on [x_0, x_end].
 
     Interior slopes are the weighted harmonic mean of the neighbouring secants
     (Fritsch & Butland 1984), 0 where those differ in sign or one is 0; end
-    slopes are Moler's shape-preserving one-sided three-point estimates. The
-    evaluator sums each interval's cubic in PPoly's order, ascending powers of
-    the offset from the interval's left node, with x_end in the last interval.
-    Its `at` attribute evaluates one float the same way in Python floats, with
-    the same bits and without numpy's per-call dispatch.
+    slopes are Moler's shape-preserving one-sided three-point estimates. Every
+    row's coefficients are formed by the same array operations, so a row has
+    the bits of its own 1-d call. The evaluator `evaluate(s, row=None)` sums
+    each interval's cubic in PPoly's order, ascending powers of the offset
+    from the interval's left node, with x_end in the last interval: at s for
+    a 1-d `y`; every row at s, shape (rows, *s.shape), for a 2-d one; or row
+    `row[...]` at `s[...]`, the two broadcast together, when `row` is given.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    table = np.atleast_2d(y)
     h = np.diff(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = np.diff(y) / h
+        m = np.diff(table) / h
         w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
         # a zero secant beside a nonzero one differs from it in sign
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0)
-        slopes = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])],
+        flat = (np.sign(m[:, 1:]) != np.sign(m[:, :-1])) | (m[:, 1:] == 0)
+        slopes = np.concatenate([_end_slope(h[0], h[1], m[:, :1], m[:, 1:2]),
                                  np.where(flat, 0.0, 1.0 / whmean),
-                                 [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
-        t = (slopes[:-1] + slopes[1:] - 2 * m) / h
-        # per interval: its left node, then the coefficients of z^0 .. z^3,
-        # z the offset from that node; z^0's is summed onto +0.0 as PPoly does
-        table = np.stack([x[:-1], 0.0 + y[:-1], slopes[:-1], (m - slopes[:-1]) / h - t, t / h])
+                                 _end_slope(h[-1], h[-2], m[:, -1:], m[:, -2:-1])], axis=1)
+        t = (slopes[:, :-1] + slopes[:, 1:] - 2 * m) / h
+        # per row and interval, the coefficients of z^0 .. z^3, z the offset
+        # from the interval's left node; z^0's is summed onto +0.0 as PPoly does
+        coefficients = np.stack([0.0 + table[:, :-1], slopes[:, :-1],
+                                 (m - slopes[:, :-1]) / h - t, t / h])
     inner = x[1:-1]
+    every_row = np.arange(len(table))
 
-    def evaluate(s) -> np.ndarray:
+    def evaluate(s, row=None) -> np.ndarray:
         s = np.asarray(s, dtype=float)
+        if row is None:
+            row = 0 if y.ndim == 1 else every_row.reshape((-1,) + (1,) * s.ndim)
         # the number of interior nodes <= s is its interval, x_end in the last
-        left, a0, a1, a2, a3 = table[:, np.searchsorted(inner, s, side="right")]
-        z = s - left
+        i = np.searchsorted(inner, s, side="right")
+        a0, a1, a2, a3 = coefficients[:, row, i]
+        z = s - x[i]
         z2 = z * z
         return ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
 
-    cubics, inner_nodes = table.T.tolist(), inner.tolist()
-
-    def at(s: float) -> float:
-        left, a0, a1, a2, a3 = cubics[bisect_right(inner_nodes, s)]
-        z = s - left
-        z2 = z * z
-        return ((a0 + a1 * z) + a2 * z2) + a3 * (z2 * z)
-
-    evaluate.at = at
     return evaluate
 
 
-def _end_slope(h0, h1, m0, m1) -> float:
-    """Moler's end slope from the two end spacings and secants: the
-    three-point estimate, 0 where its sign is not the end secant's, and
-    3 m0 where the secants change sign and it exceeds 3 |m0|."""
+def _end_slope(h0, h1, m0, m1) -> np.ndarray:
+    """Moler's end slope from the two end spacings and secants, element by
+    element: the three-point estimate, 0 where its sign is not the end
+    secant's, and 3 m0 where the secants change sign and it exceeds 3 |m0|."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    return np.where(np.sign(d) != np.sign(m0), 0.0,
+                    np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)),
+                             3.0 * m0, d))
 
 
 def column_text(x) -> list[str]:

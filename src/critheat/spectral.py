@@ -14,11 +14,15 @@ On a closed form, F(rho) and the heat norm are incomplete-gamma integrals with
 an exact value, in logs (`_closed_log_mass`): the decay character fits log F
 where F underflows, and only a regularized gamma P(a, x) that is not a normal
 float is refused. On a table, F(rho) is the trapezoid rule over the nodes
-refined 4-fold. A spectrum evaluates that integrand over its whole table once
-and keeps it with its trapezoid terms, so a call evaluates it only on the last
-interval, [last node below rho, rho], at five points in Python floats with
-numpy's bits, and the heat-decay integral reuses all of it. A table's monotone
-cubic is `radial.pchip`, with the bits of scipy's PCHIP. The Bessel function
+refined 4-fold. Tables on one set of nodes are built as one batch
+(`_table_block`): one monotone cubic `radial.pchip` of all their values, with
+the bits of scipy's PCHIP row by row, one refined grid and its s^{d-1}, and
+every table's integrand samples and trapezoid terms, which the heat-decay
+integral reuses. `table_masses` takes rows of such tables, one rho per row:
+the interval searches, the tails [last node below rho, rho] at five points,
+their powers and the cubic on them are each one numpy call over all rows, and
+each table sums its cached terms and its tail's as one array, with numpy's
+pairwise sum. The Bessel function
 of a Hankel transform, and a closed form's `gammainc` and `gammaln`, come from
 scipy's compiled `_special_ufuncs` extension, which
 `_extensions.scipy_extension` loads on first use: no scipy package loads. The
@@ -28,14 +32,16 @@ transform's order picks its routine there (`_bessel_routine`): `j1` for order 1
 evaluates its Bessel kernel on every CPU the process may use, in blocks of
 rows; each routine works element by element, so the bits are those of one call
 of it, however many CPUs there are. It evaluates J only on the span of nodes
-where some field carries weight, and the transform keeps its bits. Tables on
-one set of nodes share each mass's tail (`table_masses`).
+where some field carries weight, and the transform keeps its bits. A set of
+frequency nodes is checked once (`_tabulated_nodes`), and the tables built on
+it share it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -68,12 +74,19 @@ KIND_FIELDS = {
 
 _MATCHING_ARRAYS = "tabulated spectrum needs matching 1-d arrays, >= 4 nodes"
 
+#: the node sets `_tabulated_nodes` has passed, by id, each a read-only copy
+#: that lives as long as some table or caller holds it
+_NODE_SETS = weakref.WeakValueDictionary()
+
 
 def _tabulated_nodes(s_nodes) -> np.ndarray:
-    """`s_nodes` as a float array, refused unless a table can stand on them:
-    one dimension, at least 4 nodes, finite, positive, strictly increasing, and
-    the first at or below s = 1e-3."""
-    s = np.asarray(s_nodes, dtype=float)
+    """`s_nodes` as a read-only float array, refused unless a table can stand
+    on them: one dimension, at least 4 nodes, finite, positive, strictly
+    increasing, and the first at or below s = 1e-3. A node set it has passed
+    before is returned as it is; any other array is checked as a new copy."""
+    if _NODE_SETS.get(id(s_nodes)) is s_nodes:
+        return s_nodes
+    s = np.array(s_nodes, dtype=float)
     if s.ndim != 1 or len(s) < 4:
         raise ValueError(_MATCHING_ARRAYS)
     if not np.all(np.isfinite(s)):
@@ -82,6 +95,8 @@ def _tabulated_nodes(s_nodes) -> np.ndarray:
         raise ValueError("tabulated nodes must be positive and strictly increasing")
     if s[0] > 1e-3:
         raise ValueError("tabulated nodes must start at or below s = 1e-3")
+    s.flags.writeable = False
+    _NODE_SETS[id(s)] = s
     return s
 
 
@@ -129,33 +144,37 @@ class SpectrumFn:
         if self.kind in CLOSED_FORM_KINDS:
             with np.errstate(divide="ignore"):
                 return self.amp * s**self.k * np.exp(-((s / self.sig) ** 2))
-        interp = self._interp
+        evaluate, row = self._cubic
         out = np.empty_like(s)
         low = s < self.s_nodes[0]
-        out[~low] = interp(np.minimum(s[~low], self.s_nodes[-1]))
+        out[~low] = evaluate(np.minimum(s[~low], self.s_nodes[-1]), row)
         if low.any():
             p, v0 = self._low_power
             out[low] = v0 * (s[low] / self.s_nodes[0]) ** p
         return out
 
     @cached_property
-    def _interp(self):
-        return pchip(self.s_nodes, self.values)
+    def _cubic(self) -> tuple:
+        """(evaluate, row): the table's monotone cubic is row `row` of the
+        `radial.pchip` evaluator of the batch `_table_block` built it in."""
+        _table_block([self])
+        return self.__dict__["_cubic"]
 
     @cached_property
     def _mass_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """The refined table grid and the mass integrand on it, which every
-        `linear_heat_l2_sq` call reuses."""
-        grid = _refine(self.s_nodes)
-        return grid, _mass_integrand(self, grid, self(grid))
+        `linear_heat_l2_sq` call reuses; built by `_table_block`."""
+        _table_block([self])
+        return self.__dict__["_mass_samples"]
 
     @cached_property
     def _mass_terms(self) -> np.ndarray:
         """The trapezoid terms of `_mass_samples`, one per interval of the
         refined grid, as `np.trapezoid` forms them before it sums; every
-        `low_freq_mass` call reuses them up to its last node below rho."""
-        grid, vals = self._mass_samples
-        return np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0
+        `table_masses` call reuses them up to its last node below rho. Built
+        by `_table_block`."""
+        _table_block([self])
+        return self.__dict__["_mass_terms"]
 
     @cached_property
     def _stub_above(self) -> float:
@@ -223,9 +242,15 @@ def _closed_log_mass(spec: SpectrumFn, upper: float, t: float) -> float:
     return log_scale + math.log(0.5 * p) + float(special.gammaln(a)) - a * log_beta
 
 
-def _mass_integrand(spec: SpectrumFn, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """omega_{d-1} |vhat|^2 s^{d-1} at s, where v = vhat(s)."""
-    return sphere_area(spec.d) * v * v * s ** (spec.d - 1)
+def _mass_integrand(d: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """omega_{d-1} |vhat|^2 s^{d-1} at s, where v = vhat(s), broadcast."""
+    return sphere_area(d) * v * v * s ** (d - 1)
+
+
+def _trapezoid_terms(s: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The terms of the trapezoid rule of `vals` over s along the last axis,
+    one per interval, as `np.trapezoid` forms them before it sums."""
+    return (s[..., 1:] - s[..., :-1]) * (vals[..., 1:] + vals[..., :-1]) / 2.0
 
 
 def _refine(pts: np.ndarray) -> np.ndarray:
@@ -249,45 +274,79 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     """F(rho) = omega_{d-1} int_0^rho |vhat(s)|^2 s^{d-1} ds."""
     if spec.kind in CLOSED_FORM_KINDS:
         return float(np.exp(_closed_log_mass(spec, rho, 0.0)))
-    return table_masses([spec], rho)[0]
+    return float(table_masses([[spec]], [rho])[0, 0])
 
 
-def table_masses(specs: list[SpectrumFn], rho: float) -> list[float]:
-    """`low_freq_mass` of each table in `specs`, which must share their nodes
-    and dimension: the interval search, the tail's points and their powers are
-    formed once for all of them."""
-    first = specs[0]
+def _table_block(tables: list[SpectrumFn]):
+    """The `radial.pchip` evaluator whose rows are the cubics of `tables`,
+    which share their nodes and dimension; each table's row is its `_cubic`.
+    If they are not all rows of one evaluator, builds one for them, and with it
+    every table's caches in one pass: `_cubic`, and `_refine` of the nodes, its
+    power s^{d-1}, the mass samples and their trapezoid terms, as
+    `_mass_samples` and `_mass_terms`. A row has the bits of its own table's."""
+    cubics = [table.__dict__.get("_cubic") for table in tables]
+    if None not in cubics and all(cubic[0] is cubics[0][0] for cubic in cubics):
+        return cubics[0][0]
+    s, d = tables[0].s_nodes, tables[0].d
+    evaluate = pchip(s, np.stack([table.values for table in tables]))
+    grid = _refine(s)
+    samples = _mass_integrand(d, grid, evaluate(grid))
+    terms = _trapezoid_terms(grid, samples)
+    for row, table in enumerate(tables):
+        table.__dict__.update(_cubic=(evaluate, row), _mass_samples=(grid, samples[row]),
+                              _mass_terms=terms[row])
+    return evaluate
+
+
+def table_masses(rows, rhos) -> np.ndarray:
+    """`low_freq_mass` of every table in `rows`, a list of rows of tables
+    (a pair of checkpoints' tables, say), at its row's rho in `rhos`: an array
+    of the rows' shape. The tables must share their nodes and dimension; one table
+    may sit in several rows. The interval search, the tails, their powers and
+    the cubic on them are formed once for all rows."""
+    tables = list(dict.fromkeys(spec for row in rows for spec in row))
+    first = tables[0]
     if any(spec.kind != "tabulated" or spec.d != first.d
            or not (spec.s_nodes is first.s_nodes or np.array_equal(spec.s_nodes, first.s_nodes))
-           for spec in specs):
+           for spec in tables):
         raise ValueError("table masses need tables on one set of nodes, in one dimension")
-    if not 0.0 < rho <= first.s_max:
-        raise SpectrumDomainError(f"rho={rho} outside (0, {first.s_max}]")
-    # the grid is `_refine` of the nodes below rho and rho itself: the table's
-    # samples up to the last such node s_{k-1}, then np.linspace(s_{k-1}, rho, 5).
-    # Its trapezoid terms are the cached ones up to s_{k-1} and the tail's,
-    # summed as one array, as `np.trapezoid` sums them
-    k = int(first.s_nodes.searchsorted(rho))
-    if k == 0:
-        return [_stub_mass(spec, rho) for spec in specs]
-    # the tail np.linspace(s_{k-1}, rho, 5), its integrand as `_mass_integrand`
-    # forms it and its terms, in Python floats with numpy's bits: on five points
-    # numpy's per-call dispatch costs more than the arithmetic. Inside
-    # [s_0, s_max] the table is its cubic: no stub, no clipping
-    lo = float(first.s_nodes[k - 1])
-    delta = rho - lo
+    rhos = np.asarray(rhos, dtype=float)
+    for rho in rhos.tolist():
+        if not 0.0 < rho <= first.s_max:
+            raise SpectrumDomainError(f"rho={rho} outside (0, {first.s_max}]")
+    evaluate = _table_block(tables)
+    # each rho's grid is `_refine` of the nodes below it and rho itself: the
+    # table's samples up to the last such node s_{k-1}, then the tail
+    # np.linspace(s_{k-1}, rho, 5). Its trapezoid terms are the cached ones up
+    # to s_{k-1} and the tail's, summed as one array, as `np.trapezoid` sums
+    # them. A rho below the first node (k = 0) takes the stub alone, and its
+    # tail, from s_0, is not read
+    s = first.s_nodes
+    k = s.searchsorted(rhos)
+    lo = s[np.maximum(k, 1) - 1][:, None]
+    delta = rhos[:, None] - lo
     step = delta / 4.0
-    # as np.linspace, which scales by the gap where the step underflows to 0
-    tail = [i * step + lo if step else i / 4.0 * delta + lo for i in range(4)] + [rho]
-    # the power stays an array operation: numpy's loop need not round as libm's pow
-    powers = (np.array(tail) ** (first.d - 1)).tolist()
-    area = sphere_area(first.d)
-    masses = []
-    for spec in specs:
-        y = [area * v * v * p for v, p in zip(map(spec._interp.at, tail), powers)]
-        tail_terms = [(tail[i + 1] - tail[i]) * (y[i + 1] + y[i]) / 2.0 for i in range(4)]
-        terms = np.concatenate([spec._mass_terms[:4 * (k - 1)], tail_terms])
-        masses.append(float(terms.sum()) + spec._stub_above)
+    # as np.linspace, row by row: i step + s_{k-1}, or i/4 of the gap where the
+    # step underflows to 0, and rho itself last. Inside [s_0, s_max] the table
+    # is its cubic: no stub, no clipping
+    i = np.arange(5.0)
+    tail = i * step + lo
+    tiny = step[:, 0] == 0.0
+    if tiny.any():
+        tail[tiny] = i / 4.0 * delta[tiny] + lo[tiny]
+    tail[:, -1] = rhos
+    tail = tail[:, None, :]
+    which = np.array([[spec._cubic[1] for spec in row] for row in rows])
+    tail_terms = _trapezoid_terms(tail, _mass_integrand(first.d, tail,
+                                                        evaluate(tail, which[:, :, None])))
+    masses = np.empty(which.shape)
+    for j, (row, kj) in enumerate(zip(rows, k.tolist())):
+        for g, spec in enumerate(row):
+            if kj == 0:
+                masses[j, g] = _stub_mass(spec, rhos[j])
+            else:
+                terms = np.concatenate([spec._mass_terms[:4 * (kj - 1)], tail_terms[j, g]])
+                masses[j, g] = float(terms.sum()) + spec._stub_above
     return masses
 
 
@@ -323,7 +382,7 @@ def decay_character(spec: SpectrumFn) -> DecayCharacterEstimate:
         with np.errstate(over="ignore"):  # or overflow, and P_r with it: both read inf
             masses = np.exp(y)
     else:
-        masses = np.array([low_freq_mass(spec, rho) for rho in rhos])
+        masses = table_masses([[spec]] * RHO_STEPS, rhos)[:, 0]
         y = np.log(np.where(masses > 0.0, masses, np.nan))
     if not np.all(np.isfinite(y)):  # a mass that is zero or negative
         return DecayCharacterEstimate(r_star=math.inf, p_r_value=0.0, fit_residual=math.inf,
@@ -392,7 +451,9 @@ def hankel_spectra(fields, s_nodes) -> list[SpectrumFn]:
     """
     s_nodes = _tabulated_nodes(s_nodes)
     grid = fields[0].grid
-    if any(u.grid.d != grid.d or not np.array_equal(u.grid.nodes, grid.nodes) for u in fields):
+    if any(u.grid is not grid and (u.grid.d != grid.d
+                                   or not np.array_equal(u.grid.nodes, grid.nodes))
+           for u in fields):
         raise ValueError("fields must share one grid")
     for u in fields:
         peak = float(np.max(np.abs(u.values)))

@@ -10,15 +10,22 @@ from critheat import experiments, families, spectral
 from critheat.radial import (
     CorruptionError,
     RadialField,
+    _finite,
     column_text,
     grid_for_span,
     make_grid,
     pchip,
-    radial_integral,
     read_columns,
     sphere_area,
     write_columns,
 )
+
+
+def radial_integral(f: RadialField) -> float:
+    """omega_{d-1} int_0^R f(r) r^{d-1} dr by composite trapezoid, checked by
+    `radial._finite`: the integral the grid's `quad_weights` define."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(f.grid.quad_weights @ f.values))
 
 
 class TestMakeGrid:
@@ -156,16 +163,28 @@ class TestPchip:
         s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), inner, [x[0], x[-1]]])
         assert pchip(x, y)(s).tobytes() == scipy_pchip(x, y, s).tobytes()
 
-    @given(pchip_tables(), st.lists(st.floats(0.0, 1.0), max_size=50))
-    @settings(max_examples=200, deadline=None)
-    def test_at_has_the_evaluators_bits(self, table, fractions):
-        # one float at a time: the nodes, where an interior one opens the next
-        # interval, midpoints, x_end and points drawn between
+    @given(pchip_tables(), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_have_the_bits_of_their_own_calls(self, table, n_rows, data):
+        # rows of one batch on one x: the drawn table, rescaled and reversed
+        # copies, an all -0.0 row and rows flat at either end, whose end
+        # slopes are 0: the batch, each row's 1-d call and scipy's, to the bit
         x, y = table
-        inner = np.minimum(x[0] + (x[-1] - x[0]) * np.array(fractions), x[-1])
-        s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), inner])
-        interp = pchip(x, y)
-        assert np.array([interp.at(p) for p in s.tolist()]).tobytes() == interp(s).tobytes()
+        rows = [y, *(y[::-1] * 10.0 ** data.draw(st.integers(-3, 3)) for _ in range(n_rows)),
+                np.full(len(x), -0.0), np.concatenate([[y[1]], y[1:]]),
+                np.concatenate([y[:-1], [y[-2]]])]
+        s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[0], x[-1]]])
+        batch = pchip(x, np.stack(rows))
+        every = batch(s)
+        # each row also at points of its own, as row[...] at s[...]
+        own = np.stack([np.roll(s, shift) for shift in range(len(rows))])
+        picked = batch(own, np.arange(len(rows))[:, None])
+        for row, values in enumerate(rows):
+            want = scipy_pchip(x, values, s)
+            assert pchip(x, values)(s).tobytes() == want.tobytes()
+            assert every[row].tobytes() == want.tobytes()
+            assert batch(s, row).tobytes() == want.tobytes()
+            assert picked[row].tobytes() == scipy_pchip(x, values, own[row]).tobytes()
 
     def test_negative_zero_node_reads_positive_zero(self):
         # every coefficient of the interval at -0.0 is negative, and the sum
@@ -173,7 +192,6 @@ class TestPchip:
         x, y = np.arange(5.0), np.array([0.5, 0.4, -0.0, -1.0, -4.0])
         assert pchip(x, y)(x).tobytes() == scipy_pchip(x, y, x).tobytes()
         assert pchip(x, y)(2.0).tobytes() == np.float64(0.0).tobytes()
-        assert math.copysign(1.0, pchip(x, y).at(2.0)) == 1.0
 
     def test_bits_on_the_decayfit_hankel_table(self):
         # the table `decayfit` interpolates: the d = 4 gaussian at DECAYFIT_NODES,

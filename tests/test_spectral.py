@@ -2,19 +2,21 @@ import math
 import sys
 import threading
 import types
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from critheat import experiments, families
 from critheat import functionals as fn
 from critheat import _extensions
 from critheat import spectral as sp
 from critheat._extensions import scipy_extension
-from critheat.radial import RadialField, grid_for_span, make_grid, sphere_area
+from critheat.radial import RadialField, RadialGrid, grid_for_span, make_grid, sphere_area
 
 
 class TestLowFreqMass:
@@ -229,22 +231,93 @@ class TestTableMasses:
         s = pair[0].s_nodes
         rho = {"below_first_node": 0.3 * s[0], "on_a_node": s[45],
                "between_nodes": 0.5 * (s[50] + s[51]), "s_max": s[-1]}[where]
-        got = sp.table_masses(pair, rho)
+        got = sp.table_masses([pair], [rho])[0]
         want = [sp.low_freq_mass(spec, rho) for spec in pair]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got.tobytes() == np.array(want).tobytes()
         grid = sp._refine(np.concatenate([s[s < rho], [rho]]))
-        assert got == [reference_table_integral(spec, grid, 1.0, rho) for spec in pair]
+        assert got.tolist() == [reference_table_integral(spec, grid, 1.0, rho) for spec in pair]
 
     def test_tables_must_share_nodes_and_dimension(self, pair):
         a, b = pair
         with pytest.raises(ValueError, match="one set of nodes"):
-            sp.table_masses([a, replace(b, s_nodes=b.s_nodes * 0.5)], 1e-2)
+            sp.table_masses([[a, replace(b, s_nodes=b.s_nodes * 0.5)]], [1e-2])
         with pytest.raises(ValueError, match="one set of nodes"):
-            sp.table_masses([a, replace(b, d=5)], 1e-2)
+            sp.table_masses([[a, replace(b, d=5)]], [1e-2])
         with pytest.raises(ValueError, match="one set of nodes"):
-            sp.table_masses([a, sp.gaussian_spectrum(4)], 1e-2)
-        with pytest.raises(sp.SpectrumDomainError):
-            sp.table_masses(pair, 2.0 * a.s_max)
+            sp.table_masses([[a, sp.gaussian_spectrum(4)]], [1e-2])
+        with pytest.raises(sp.SpectrumDomainError, match="rho=18.0 outside"):
+            sp.table_masses([pair, pair], [1e-2, 2.0 * a.s_max])
+
+
+def scalar_table_mass(spec, rho: float) -> float:
+    """`low_freq_mass` of a table as it was formed one table and one float at
+    a time: the trapezoid terms over the refined nodes below rho, then the tail
+    np.linspace(s_{k-1}, rho, 5) in Python floats, the cubic on it one float
+    at a time from the coefficients of scipy's PCHIP, summed in PPoly's order,
+    the tail's powers as one numpy call, and numpy's pairwise sum of the
+    concatenated terms, plus the stub below the first node."""
+    s, d = spec.s_nodes, spec.d
+    area = sphere_area(d)
+    p, v0 = spec._low_power
+    expo = 2.0 * p + d
+    stub = area * v0 * v0 * s[0] ** d / expo
+    k = int(s.searchsorted(rho))
+    if k == 0:
+        return stub * (min(rho, s[0]) / s[0]) ** expo
+    cubic = PchipInterpolator(s, spec.values, extrapolate=False)
+    grid = per_interval_grid(s)
+    v = cubic(grid)
+    vals = area * v * v * grid ** (d - 1)
+    cached = np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0
+    coefficients, inner, nodes = cubic.c.T.tolist(), s[1:-1].tolist(), s.tolist()
+
+    def at(x: float) -> float:
+        i = bisect_right(inner, x)
+        a3, a2, a1, a0 = coefficients[i]
+        z = x - nodes[i]
+        z2 = z * z
+        return (((0.0 + a0) + a1 * z) + a2 * z2) + a3 * (z2 * z)
+
+    lo = nodes[k - 1]
+    delta = rho - lo
+    step = delta / 4.0
+    tail = [i * step + lo if step else i / 4.0 * delta + lo for i in range(4)] + [rho]
+    powers = (np.array(tail) ** (d - 1)).tolist()
+    y = [area * w * w * q for w, q in zip(map(at, tail), powers)]
+    tail_terms = [(tail[i + 1] - tail[i]) * (y[i + 1] + y[i]) / 2.0 for i in range(4)]
+    return float(np.concatenate([cached[:4 * (k - 1)], tail_terms]).sum()) + stub
+
+
+class TestScalarReference:
+    """Batched table masses against `scalar_table_mass`, bit for bit."""
+
+    @given(d=st.integers(3, 8), n_tables=st.integers(1, 3), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_has_the_scalar_bits(self, d, n_tables, data):
+        first = data.draw(st.floats(1e-6, 1e-3))
+        gaps = data.draw(st.lists(st.floats(1e-6, 5.0), min_size=3, max_size=40))
+        s = first + np.cumsum([0.0] + gaps)
+        value = st.one_of(st.just(0.0), st.floats(-10.0, -0.01), st.floats(0.01, 10.0))
+        tables = [sp.SpectrumFn(d=d, kind="tabulated", s_nodes=s, values=np.array(
+            data.draw(st.lists(value, min_size=len(s), max_size=len(s)))))
+            for _ in range(n_tables)]
+        if not all(2.0 * spec._low_power[0] + d > 0.0 for spec in tables):
+            return  # the stub diverges; TestRefinement covers the refusal
+        # below the first node (the stub alone), on a node, inside an
+        # interval, at s_max, and drawn points: each a row of every table
+        u = data.draw(st.floats(0.0, 1.0))
+        node = s[data.draw(st.integers(1, len(s) - 1))]
+        rhos = [0.5 * s[0], node, 0.5 * (s[0] + s[1]), s[-1],
+                min(s[0] + u * (s[-1] - s[0]), s[-1])]
+        rhos = data.draw(st.permutations(rhos))
+        want = np.array([[scalar_table_mass(spec, rho) for spec in tables] for rho in rhos])
+        if data.draw(st.booleans()):  # tables cached one by one, then batched together
+            for spec in tables:
+                sp.low_freq_mass(spec, rhos[0])
+        masses = sp.table_masses([tables] * len(rhos), rhos)
+        assert masses.tobytes() == want.tobytes()
+        single = [[sp.low_freq_mass(spec, rho) for spec in tables] for rho in rhos]
+        assert np.array(single).tobytes() == want.tobytes()
 
 
 class TestDecayCharacter:
@@ -446,6 +519,45 @@ class TestHankel:
         other = grid_for_span(4, 14.0, 4e-3, 1e-3)
         with pytest.raises(ValueError):
             sp.hankel_spectra([fields[0], RadialField(other, np.exp(-other.nodes**2))], s)
+
+    def test_a_grid_equal_by_value_is_the_same_grid(self):
+        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
+        twin = RadialGrid(d=4, nodes=grid.nodes.copy(), stretch=grid.stretch)
+        assert twin is not grid and twin.nodes is not grid.nodes
+        values = [np.exp(-((grid.nodes / w) ** 2)) for w in (0.8, 1.3)]
+        s = np.geomspace(1e-4, 12.0, 40)
+        one = sp.hankel_spectra([RadialField(grid, v) for v in values], s)
+        two = sp.hankel_spectra([RadialField(grid, values[0]), RadialField(twin, values[1])], s)
+        assert [a.values.tobytes() for a in one] == [b.values.tobytes() for b in two]
+        moved = RadialGrid(d=4, nodes=np.concatenate([grid.nodes[:-1], [grid.rmax * 1.01]]))
+        for other in (moved, RadialGrid(d=5, nodes=grid.nodes)):
+            with pytest.raises(ValueError, match="fields must share one grid"):
+                sp.hankel_spectra([RadialField(grid, values[0]), RadialField(other, values[1])], s)
+
+    def test_a_node_set_is_checked_once(self):
+        grid = grid_for_span(4, 14.0, 2e-3, 1e-3)
+        fields = [RadialField(grid, np.exp(-((grid.nodes / w) ** 2))) for w in (0.8, 1.3)]
+        given_nodes = np.geomspace(1e-4, 12.0, 40)
+        specs = sp.hankel_spectra(fields, given_nodes)
+        # one read-only copy of the given nodes serves every table and its Lambda spectrum
+        nodes = specs[0].s_nodes
+        assert nodes is not given_nodes and nodes.tobytes() == given_nodes.tobytes()
+        assert all(spec.s_nodes is nodes for spec in specs)
+        assert sp.lambda_spectrum(specs[1]).s_nodes is nodes
+        assert sp._tabulated_nodes(nodes) is nodes
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 2e-3
+        # an equal array is checked again, and a bad copy of a passed set is refused
+        bad = nodes.copy()
+        bad[3] = bad[2]
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            sp.hankel_spectra(fields, bad)
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            sp.SpectrumFn(d=4, kind="tabulated", s_nodes=bad, values=np.ones(len(bad)))
+        given_nodes *= 100.0  # the caller's own array stays theirs
+        with pytest.raises(ValueError, match="start at or below s = 1e-3"):
+            sp.hankel_spectra(fields, given_nodes)
+        assert nodes[0] == 1e-4
 
     def test_zero_field(self):
         grid = grid_for_span(3, 10.0, 0.01, 0.005)

@@ -16,12 +16,13 @@ in a pool as wide as the CPUs the interpreter may use, or serially on one),
 `critheat character` on a spectrum file, on the two closed forms and on a
 gaussian so narrow that its masses leave the double range, `critheat
 splitting` with both weights on the d = 4 gaussian run of the splitting tests
-and with the power weight on a d = 3 `bumps` run, and `critheat decayfit` on
+and with the power weight on a d = 3 `bumps` run and on the same gaussian in
+d = 5, and `critheat decayfit` on
 the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
 are Hankel transforms, and on a d = 4 gaussian run, whose initial spectrum has
 a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5) and 0.5
 (d = 3), which take the spherical Bessel routine, and 1 (d = 4), which takes
-`j1`. Those verbs read a Hankel table only up to the splitting radius or the
+`j1`; the splitting masses take the tail powers s^2, s^3 and s^4. Those verbs read a Hankel table only up to the splitting radius or the
 decay-character window, so three more checks write whole tables, Hankel
 transforms on the `decayfit` nodes saved by `spectral.save_spectrum`: of the
 run-grid checkpoint below, of the d = 4 gaussian u0 of the splitting runs,
@@ -132,6 +133,8 @@ CONFIGS = {
     "splitting_power": ("splitting --weight power", GAUSSIAN_4),
     # the power weight bisects its constant, which every bit of the masses moves
     "splitting_power_bumps_d3": ("splitting --weight power", BUMPS_3),
+    # the half-integer order 1.5 and the tail power s^4
+    "splitting_power_d5": ("splitting --weight power", {**GAUSSIAN_4, "dimension": 5}),
     "decayfit_hankel": ("decayfit", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6}}),
