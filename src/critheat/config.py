@@ -141,9 +141,12 @@ class Key(NamedTuple):
     rule: str = ""  # what `ok` demands, for the error message
 
 
+#: the dimension, of a run and of the `character` verb's spectrum alike
+DIMENSION = Key("dimension", "dimension", _int, lambda v: 3 <= v <= MAX_DIMENSION,
+                f"in [3, {MAX_DIMENSION}]")
+
 KEYS = (
-    Key("dimension", "dimension", _int, lambda v: 3 <= v <= MAX_DIMENSION,
-        f"in [3, {MAX_DIMENSION}]"),
+    DIMENSION,
     Key("grid.R", "r_max", _float, _positive, "> 0"),
     Key("grid.n", "n_nodes", _int, lambda v: v >= 16, ">= 16"),
     Key("grid.stretch", "stretch", _float, lambda v: 1.0 <= v <= 1.2, "in [1, 1.2]"),
@@ -332,7 +335,7 @@ SPECTRUM_KINDS = {
 
 #: the `character` configuration; `spectrum` also holds the kind's keys
 CHARACTER_KEYS = (
-    Key("dimension", "d", _int, lambda v: v >= 3, ">= 3"),
+    DIMENSION,
     Key("spectrum.kind", "kind", _text, lambda v: v in SPECTRUM_KINDS,
         f"one of {sorted(SPECTRUM_KINDS)}"),
     Key("out_dir", "out_dir", _text),
@@ -350,8 +353,8 @@ class CharacterConfig:
 def parse_character(text: str) -> CharacterConfig:
     """Parse and validate the `character` verb's configuration."""
     tree = _load(text)
-    values = _read(tree, CHARACTER_KEYS, {"d": MISSING, "kind": MISSING, "out_dir": None},
+    values = _read(tree, CHARACTER_KEYS, {"dimension": MISSING, "kind": MISSING, "out_dir": None},
                    free=("spectrum",))
     build = SPECTRUM_KINDS[values["kind"]]
     args = _arguments(build, "spectrum", tree["spectrum"], "kind")
-    return CharacterConfig(partial(build, values["d"], **args), values["out_dir"])
+    return CharacterConfig(partial(build, values["dimension"], **args), values["out_dir"])

@@ -196,53 +196,31 @@ def splitting_diagnostic(traj: evolve.Trajectory, g_choice: str = "log_cubed",
                     for a, b in zip(snaps, snaps[1:])])
     g_mid = np.array([g(tm) for tm in times])
     gp_mid = np.array([gp(tm) for tm in times])
-    pairs = list(zip(lams, lams[1:]))
+    # both tables of every pair, pair i's at i and at i + len(times)
+    tables = lams[:-1] + lams[1:]
 
-    def margins(which: list[int], c_tilde: float) -> np.ndarray:
-        """The margins of the pairs `which` at c_tilde, their masses in one batch."""
+    def margins(c_tilde: float) -> np.ndarray:
+        """Every pair's margin at c_tilde, their masses in one batch."""
         # the ball's share of the critical norm, omega_{d-1} int_0^radius
         # s^2 |vhat|^2 s^{d-1} ds, is the low-frequency mass of Lambda v
-        gp_which, lhs_which = gp_mid[which], lhs[which]
-        radius = np.sqrt(gp_which / (c_tilde * g_mid[which]))
-        masses = spectral.table_masses([pairs[i] for i in which],
-                                       np.minimum(radius, lams[0].s_max))
-        rhs = gp_which * (0.5 * (masses[:, 0] + masses[:, 1]))
-        return (rhs - lhs_which) / (np.abs(lhs_which) + np.abs(rhs) + 1e-300)
+        radius = np.minimum(np.sqrt(gp_mid / (c_tilde * g_mid)), lams[0].s_max)
+        masses = spectral.table_masses(tables, np.concatenate([radius, radius]))
+        rhs = gp_mid * (0.5 * (masses[:len(times)] + masses[len(times):]))
+        return (rhs - lhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
 
-    every = list(range(len(times)))
-    at_lo = margins(every, c_lo)
-    if at_lo.min() < -1e-9:
-        return SplittingReport(c_tilde=None, times=tuple(times), margins=tuple(at_lo))
-    failed = 0  # the pair that failed last, tried first
-    kept = at_lo  # the margins at lo, which only a successful `holds` raises
-
-    def holds(c_tilde: float) -> bool:
-        """Whether every margin at c_tilde is >= 0: the pair that failed last
-        first, alone, then every other pair in one batch; when all are, they
-        become `kept`. `failed` is the first failure in that visiting order."""
-        nonlocal failed, kept
-        first = margins([failed], c_tilde)
-        if not first[0] >= 0.0:
-            return False
-        others = [j for j in every if j != failed]
-        rest = margins(others, c_tilde)
-        below = np.flatnonzero(~(rest >= 0.0))
-        if below.size:
-            failed = others[below[0]]
-            return False
-        kept = np.empty(len(times))
-        kept[failed] = first[0]
-        kept[others] = rest
-        return True
-
+    kept = margins(c_lo)
+    if kept.min() < -1e-9:
+        return SplittingReport(c_tilde=None, times=tuple(times), margins=tuple(kept))
     lo, hi = c_lo, c_hi
-    if holds(hi):
-        lo = hi
+    m = margins(hi)
+    if np.all(m >= 0.0):
+        lo, kept = hi, m
     else:
         for _ in range(40):
             mid = math.sqrt(lo * hi)
-            if holds(mid):
-                lo = mid
+            m = margins(mid)
+            if np.all(m >= 0.0):
+                lo, kept = mid, m
             else:
                 hi = mid
     return SplittingReport(c_tilde=lo, times=tuple(times), margins=tuple(kept))

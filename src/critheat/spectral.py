@@ -17,24 +17,23 @@ float is refused. On a table, F(rho) is the trapezoid rule over the nodes
 refined 4-fold. Tables on one set of nodes are built as one batch
 (`_table_block`): one monotone cubic `radial.pchip` of all their values, with
 the bits of scipy's PCHIP row by row, one refined grid and its s^{d-1}, and
-every table's integrand samples and trapezoid terms, which the heat-decay
-integral reuses. `table_masses` takes rows of such tables, one rho per row:
-the interval searches, the tails [last node below rho, rho] at five points,
-their powers and the cubic on them are each one numpy call over all rows, and
-each table sums its cached terms and its tail's as one array, with numpy's
-pairwise sum. The Bessel function
-of a Hankel transform, and a closed form's `gammainc` and `gammaln`, come from
-scipy's compiled `_special_ufuncs` extension, which
+every table's integrand samples and trapezoid terms, each table's share kept
+in its one cache `_table`. `table_masses` takes a flat list of such tables, a
+table possibly more than once, with one rho per entry: the interval searches,
+the tails [last node below rho, rho] at five points, their powers and the
+cubic on them are each one numpy call over all entries, and each entry sums
+its table's cached terms and its tail's as one array, with numpy's pairwise
+sum. The Bessel function of a Hankel transform, and a closed form's `gammainc`
+and `gammaln`, come from scipy's compiled `_special_ufuncs` extension, which
 `_extensions.scipy_extension` loads on first use: no scipy package loads. The
-transform's order picks its routine there (`_bessel_routine`): `j1` for order 1
-(`jv` past s r = 2^15), the spherical Bessel function for a half-integer order,
-`jv` for any other. It
-evaluates its Bessel kernel on every CPU the process may use, in blocks of
-rows; each routine works element by element, so the bits are those of one call
-of it, however many CPUs there are. It evaluates J only on the span of nodes
-where some field carries weight, and the transform keeps its bits. A set of
-frequency nodes is checked once (`_tabulated_nodes`), and the tables built on
-it share it.
+transform's order picks its routine there (`_bessel_routine`): `j1` for order
+1 (`jv` past s r = 2^15), the spherical Bessel function for a half-integer
+order, `jv` for any other. It evaluates its Bessel kernel on every CPU the
+process may use, in blocks of rows; each routine works element by element, so
+the bits are those of one call of it, however many CPUs there are. It
+evaluates J only on the span of nodes where some field carries weight, and the
+transform keeps its bits. A set of frequency nodes is checked once
+(`_tabulated_nodes`), and the tables built on it share it.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,6 +70,16 @@ KIND_FIELDS = {
     "power": ("k", "amp", "sig", "s_max"),
     "tabulated": ("s_nodes", "values"),
 }
+
+
+class _Table(NamedTuple):
+    """A table's row of a `_table_block` batch."""
+
+    evaluate: Callable  # the batch's `radial.pchip` evaluator; the table is row `row`
+    row: int
+    grid: np.ndarray  # the refined nodes, on which `linear_heat_l2_sq` integrates
+    samples: np.ndarray  # the mass integrand on `grid`
+    terms: np.ndarray  # its trapezoid terms, one per interval, as `np.trapezoid` forms them
 
 
 _MATCHING_ARRAYS = "tabulated spectrum needs matching 1-d arrays, >= 4 nodes"
@@ -144,37 +154,20 @@ class SpectrumFn:
         if self.kind in CLOSED_FORM_KINDS:
             with np.errstate(divide="ignore"):
                 return self.amp * s**self.k * np.exp(-((s / self.sig) ** 2))
-        evaluate, row = self._cubic
+        table = self._table
         out = np.empty_like(s)
         low = s < self.s_nodes[0]
-        out[~low] = evaluate(np.minimum(s[~low], self.s_nodes[-1]), row)
+        out[~low] = table.evaluate(np.minimum(s[~low], self.s_nodes[-1]), table.row)
         if low.any():
             p, v0 = self._low_power
             out[low] = v0 * (s[low] / self.s_nodes[0]) ** p
         return out
 
     @cached_property
-    def _cubic(self) -> tuple:
-        """(evaluate, row): the table's monotone cubic is row `row` of the
-        `radial.pchip` evaluator of the batch `_table_block` built it in."""
+    def _table(self) -> _Table:
+        """The table's share of the batch `_table_block` built it in."""
         _table_block([self])
-        return self.__dict__["_cubic"]
-
-    @cached_property
-    def _mass_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """The refined table grid and the mass integrand on it, which every
-        `linear_heat_l2_sq` call reuses; built by `_table_block`."""
-        _table_block([self])
-        return self.__dict__["_mass_samples"]
-
-    @cached_property
-    def _mass_terms(self) -> np.ndarray:
-        """The trapezoid terms of `_mass_samples`, one per interval of the
-        refined grid, as `np.trapezoid` forms them before it sums; every
-        `table_masses` call reuses them up to its last node below rho. Built
-        by `_table_block`."""
-        _table_block([self])
-        return self.__dict__["_mass_terms"]
+        return self.__dict__["_table"]
 
     @cached_property
     def _stub_above(self) -> float:
@@ -274,47 +267,44 @@ def low_freq_mass(spec: SpectrumFn, rho: float) -> float:
     """F(rho) = omega_{d-1} int_0^rho |vhat(s)|^2 s^{d-1} ds."""
     if spec.kind in CLOSED_FORM_KINDS:
         return float(np.exp(_closed_log_mass(spec, rho, 0.0)))
-    return float(table_masses([[spec]], [rho])[0, 0])
+    return float(table_masses([spec], [rho])[0])
 
 
 def _table_block(tables: list[SpectrumFn]):
     """The `radial.pchip` evaluator whose rows are the cubics of `tables`,
-    which share their nodes and dimension; each table's row is its `_cubic`.
-    If they are not all rows of one evaluator, builds one for them, and with it
-    every table's caches in one pass: `_cubic`, and `_refine` of the nodes, its
-    power s^{d-1}, the mass samples and their trapezoid terms, as
-    `_mass_samples` and `_mass_terms`. A row has the bits of its own table's."""
-    cubics = [table.__dict__.get("_cubic") for table in tables]
-    if None not in cubics and all(cubic[0] is cubics[0][0] for cubic in cubics):
-        return cubics[0][0]
+    which share their nodes and dimension. If they are not all rows of one
+    evaluator, builds one for them, and with it every table's `_table` in one
+    pass: `_refine` of the nodes, its power s^{d-1}, the mass samples and their
+    trapezoid terms. A row has the bits of its own table's."""
+    cached = [table.__dict__.get("_table") for table in tables]
+    if None not in cached and all(c.evaluate is cached[0].evaluate for c in cached):
+        return cached[0].evaluate
     s, d = tables[0].s_nodes, tables[0].d
     evaluate = pchip(s, np.stack([table.values for table in tables]))
     grid = _refine(s)
     samples = _mass_integrand(d, grid, evaluate(grid))
     terms = _trapezoid_terms(grid, samples)
     for row, table in enumerate(tables):
-        table.__dict__.update(_cubic=(evaluate, row), _mass_samples=(grid, samples[row]),
-                              _mass_terms=terms[row])
+        table.__dict__["_table"] = _Table(evaluate, row, grid, samples[row], terms[row])
     return evaluate
 
 
-def table_masses(rows, rhos) -> np.ndarray:
-    """`low_freq_mass` of every table in `rows`, a list of rows of tables
-    (a pair of checkpoints' tables, say), at its row's rho in `rhos`: an array
-    of the rows' shape. The tables must share their nodes and dimension; one table
-    may sit in several rows. The interval search, the tails, their powers and
-    the cubic on them are formed once for all rows."""
-    tables = list(dict.fromkeys(spec for row in rows for spec in row))
+def table_masses(tables, rhos) -> np.ndarray:
+    """`low_freq_mass` of each table in `tables` at its rho in `rhos`, as a
+    1-d array. The tables must share their nodes and dimension; a table may
+    appear more than once. The interval search, the tails, their powers and
+    the cubic on them are formed once for all entries."""
     first = tables[0]
+    block = list(dict.fromkeys(tables))
     if any(spec.kind != "tabulated" or spec.d != first.d
            or not (spec.s_nodes is first.s_nodes or np.array_equal(spec.s_nodes, first.s_nodes))
-           for spec in tables):
+           for spec in block):
         raise ValueError("table masses need tables on one set of nodes, in one dimension")
     rhos = np.asarray(rhos, dtype=float)
     for rho in rhos.tolist():
         if not 0.0 < rho <= first.s_max:
             raise SpectrumDomainError(f"rho={rho} outside (0, {first.s_max}]")
-    evaluate = _table_block(tables)
+    evaluate = _table_block(block)
     # each rho's grid is `_refine` of the nodes below it and rho itself: the
     # table's samples up to the last such node s_{k-1}, then the tail
     # np.linspace(s_{k-1}, rho, 5). Its trapezoid terms are the cached ones up
@@ -326,27 +316,24 @@ def table_masses(rows, rhos) -> np.ndarray:
     lo = s[np.maximum(k, 1) - 1][:, None]
     delta = rhos[:, None] - lo
     step = delta / 4.0
-    # as np.linspace, row by row: i step + s_{k-1}, or i/4 of the gap where the
-    # step underflows to 0, and rho itself last. Inside [s_0, s_max] the table
-    # is its cubic: no stub, no clipping
+    # as np.linspace, entry by entry: i step + s_{k-1}, or i/4 of the gap where
+    # the step underflows to 0, and rho itself last. Inside [s_0, s_max] the
+    # table is its cubic: no stub, no clipping
     i = np.arange(5.0)
     tail = i * step + lo
     tiny = step[:, 0] == 0.0
     if tiny.any():
         tail[tiny] = i / 4.0 * delta[tiny] + lo[tiny]
     tail[:, -1] = rhos
-    tail = tail[:, None, :]
-    which = np.array([[spec._cubic[1] for spec in row] for row in rows])
-    tail_terms = _trapezoid_terms(tail, _mass_integrand(first.d, tail,
-                                                        evaluate(tail, which[:, :, None])))
-    masses = np.empty(which.shape)
-    for j, (row, kj) in enumerate(zip(rows, k.tolist())):
-        for g, spec in enumerate(row):
-            if kj == 0:
-                masses[j, g] = _stub_mass(spec, rhos[j])
-            else:
-                terms = np.concatenate([spec._mass_terms[:4 * (kj - 1)], tail_terms[j, g]])
-                masses[j, g] = float(terms.sum()) + spec._stub_above
+    rows = np.array([spec._table.row for spec in tables])[:, None]
+    tail_terms = _trapezoid_terms(tail, _mass_integrand(first.d, tail, evaluate(tail, rows)))
+    masses = np.empty(len(tables))
+    for j, (spec, kj) in enumerate(zip(tables, k.tolist())):
+        if kj == 0:
+            masses[j] = _stub_mass(spec, rhos[j])
+        else:
+            terms = np.concatenate([spec._table.terms[:4 * (kj - 1)], tail_terms[j]])
+            masses[j] = float(terms.sum()) + spec._stub_above
     return masses
 
 
@@ -382,7 +369,7 @@ def decay_character(spec: SpectrumFn) -> DecayCharacterEstimate:
         with np.errstate(over="ignore"):  # or overflow, and P_r with it: both read inf
             masses = np.exp(y)
     else:
-        masses = table_masses([[spec]] * RHO_STEPS, rhos)[:, 0]
+        masses = table_masses([spec] * RHO_STEPS, rhos)
         y = np.log(np.where(masses > 0.0, masses, np.nan))
     if not np.all(np.isfinite(y)):  # a mass that is zero or negative
         return DecayCharacterEstimate(r_star=math.inf, p_r_value=0.0, fit_residual=math.inf,
@@ -417,9 +404,9 @@ def linear_heat_l2_sq(spec: SpectrumFn, t: float) -> float:
         raise ValueError(f"time must be nonnegative, got {t}")
     if spec.kind in CLOSED_FORM_KINDS:
         return float(np.exp(_closed_log_mass(spec, spec.s_max, t)))
-    grid, samples = spec._mass_samples
-    vals = samples * np.exp(-2.0 * t * grid * grid)
-    return float(np.trapezoid(vals, grid)) + spec._stub_above
+    table = spec._table
+    vals = table.samples * np.exp(-2.0 * t * table.grid * table.grid)
+    return float(np.trapezoid(vals, table.grid)) + spec._stub_above
 
 
 def decay_bounds_check(spec: SpectrumFn, r_star: float, t_grid) -> tuple[float, float]:

@@ -454,6 +454,18 @@ class TestCommands:
         row = (tmp_path / "char" / "character.csv").read_text().splitlines()[1].split(",")
         assert abs(float(row[2]) - 0.0) < 0.02  # r* of a gaussian spectrum
 
+    @pytest.mark.parametrize("d", [106, 1300])
+    def test_character_takes_the_run_dimension_range(self, tmp_path, cfg_file, capsys, d):
+        # beyond 105 the sphere area leaves the double range (0 from 344 on,
+        # an OverflowError from 1241 on): refused before any spectrum is built
+        tree = {"dimension": d, "spectrum": {"kind": "power", "k": 1.0},
+                "out_dir": str(tmp_path / "c")}
+        assert cli.main(["character", "--config", cfg_file("char.json", json.dumps(tree))]) == 2
+        assert "config error: dimension: must be in [3, 105]" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+        tree["dimension"] = 105
+        assert parse_character(json.dumps(tree)).spectrum().d == 105
+
     def test_character_of_a_narrow_gaussian_is_at_the_lower_bound(self, tmp_path, cfg_file):
         # sig = 1e-5: every rho of the ladder holds all the mass, so r* = -d/2
         tree = {"dimension": 3, "spectrum": {"kind": "power_gauss", "sig": 1e-5},

@@ -303,6 +303,19 @@ class TestSplitting:
             assert report.c_tilde == c_tilde
             assert report.margins == margins
 
+    def test_one_table_masses_call_per_constant(self, gaussian_trajectory, monkeypatch):
+        # each constant tried takes every pair's masses in one call, both tables
+        # of each of the 11 pairs: C_RANGE's two ends for log-cubed, whose upper
+        # end holds, and those two plus 40 bisection steps for alpha = 4
+        calls = []
+        table_masses = spectral.table_masses
+        monkeypatch.setattr(spectral, "table_masses", lambda tables, rhos: calls.append(
+            (len(tables), len(rhos))) or table_masses(tables, rhos))
+        for g_choice, alpha, constants in (("log_cubed", None, 2), ("power", 4.0, 42)):
+            calls.clear()
+            experiments.splitting_diagnostic(gaussian_trajectory, g_choice=g_choice, alpha=alpha)
+            assert calls == [(2 * 11, 2 * 11)] * constants
+
     def test_stationary_bubble_is_degenerate(self):
         # constant critical norm: the inequality closes only as the ball grows,
         # so the margins of the fitted constant sit at zero scale. Its transform

@@ -231,7 +231,7 @@ class TestTableMasses:
         s = pair[0].s_nodes
         rho = {"below_first_node": 0.3 * s[0], "on_a_node": s[45],
                "between_nodes": 0.5 * (s[50] + s[51]), "s_max": s[-1]}[where]
-        got = sp.table_masses([pair], [rho])[0]
+        got = sp.table_masses(pair, [rho, rho])
         want = [sp.low_freq_mass(spec, rho) for spec in pair]
         assert got.tobytes() == np.array(want).tobytes()
         grid = sp._refine(np.concatenate([s[s < rho], [rho]]))
@@ -240,13 +240,13 @@ class TestTableMasses:
     def test_tables_must_share_nodes_and_dimension(self, pair):
         a, b = pair
         with pytest.raises(ValueError, match="one set of nodes"):
-            sp.table_masses([[a, replace(b, s_nodes=b.s_nodes * 0.5)]], [1e-2])
+            sp.table_masses([a, replace(b, s_nodes=b.s_nodes * 0.5)], [1e-2, 1e-2])
         with pytest.raises(ValueError, match="one set of nodes"):
-            sp.table_masses([[a, replace(b, d=5)]], [1e-2])
+            sp.table_masses([a, replace(b, d=5)], [1e-2, 1e-2])
         with pytest.raises(ValueError, match="one set of nodes"):
-            sp.table_masses([[a, sp.gaussian_spectrum(4)]], [1e-2])
+            sp.table_masses([a, sp.gaussian_spectrum(4)], [1e-2, 1e-2])
         with pytest.raises(sp.SpectrumDomainError, match="rho=18.0 outside"):
-            sp.table_masses([pair, pair], [1e-2, 2.0 * a.s_max])
+            sp.table_masses(pair + pair, [1e-2, 1e-2, 2.0 * a.s_max, 2.0 * a.s_max])
 
 
 def scalar_table_mass(spec, rho: float) -> float:
@@ -314,7 +314,7 @@ class TestScalarReference:
         if data.draw(st.booleans()):  # tables cached one by one, then batched together
             for spec in tables:
                 sp.low_freq_mass(spec, rhos[0])
-        masses = sp.table_masses([tables] * len(rhos), rhos)
+        masses = sp.table_masses(tables * len(rhos), np.repeat(rhos, n_tables))
         assert masses.tobytes() == want.tobytes()
         single = [[sp.low_freq_mass(spec, rho) for spec in tables] for rho in rhos]
         assert np.array(single).tobytes() == want.tobytes()

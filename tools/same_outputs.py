@@ -16,8 +16,9 @@ in a pool as wide as the CPUs the interpreter may use, or serially on one),
 `critheat character` on a spectrum file, on the two closed forms and on a
 gaussian so narrow that its masses leave the double range, `critheat
 splitting` with both weights on the d = 4 gaussian run of the splitting tests
-and with the power weight on a d = 3 `bumps` run and on the same gaussian in
-d = 5, and `critheat decayfit` on
+and with the power weight on a d = 3 `bumps` run, on the same gaussian in
+d = 5 and on a d = 4 Blowup run (aW, a = 1.3, at the amplitude cap), whose
+bisection ends inside its range, and `critheat decayfit` on
 the d = 5 Dissipative run and on a d = 3 `bumps` run, whose initial spectra
 are Hankel transforms, and on a d = 4 gaussian run, whose initial spectrum has
 a closed form. The Hankel transforms have Bessel orders 1.5 (d = 5) and 0.5
@@ -135,6 +136,11 @@ CONFIGS = {
     "splitting_power_bumps_d3": ("splitting --weight power", BUMPS_3),
     # the half-integer order 1.5 and the tail power s^4
     "splitting_power_d5": ("splitting --weight power", {**GAUSSIAN_4, "dimension": 5}),
+    # a Blowup run, whose bisection ends inside C_RANGE
+    "splitting_power_blowup": ("splitting --weight power", {
+        "dimension": 4, "grid": GAUSSIAN_4["grid"], "family": {"name": "aW", "a": 1.3},
+        "integrator": {"t_max": 50.0}, "snapshots": {"checkpoint_every": 2},
+        "verdict": {"amp_cap": 1e3}}),
     "decayfit_hankel": ("decayfit", {
         "dimension": 5, "grid": GRID_5, "family": {"name": "aW", "a": 0.9},
         "integrator": {"t_max": 1e6}}),
